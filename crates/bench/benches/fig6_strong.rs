@@ -15,7 +15,7 @@ fn main() {
             let p = SimParams::test_config(GridDims::new2d(64, 64), 40, 16, 1);
             let mut sim = GpuSim::new(GpuSimConfig::new(p, devices)).expect("valid config");
             sim.run().expect("healthy run");
-            sim.max_device_counters().update.elements
+            sim.max_unit_counters().update.elements
         });
     }
     b.finish();

@@ -10,9 +10,10 @@
 
 use simcov_bench::cli::CommonFlags;
 use simcov_bench::configs::{paper, scale_from_env, Experiment, ScaledExperiment};
-use simcov_bench::json::{write_json, Json};
+use simcov_bench::json::write_json;
 use simcov_bench::report::{banner, Table};
 use simcov_core::decomp::Strategy;
+use simcov_core::json::Json;
 use simcov_cpu::{CpuSim, CpuSimConfig};
 use simcov_driver::Simulation;
 
@@ -52,7 +53,7 @@ fn main() {
             let mut sim = CpuSim::new(cfg).expect("valid config");
             sim.run().expect("healthy run");
             let cc = sim.comm_counters();
-            let max_updates = sim.max_rank_counters().update.elements;
+            let max_updates = sim.max_unit_counters().update.elements;
             table.row(vec![
                 name.to_string(),
                 ranks.to_string(),

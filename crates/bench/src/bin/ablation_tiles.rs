@@ -11,10 +11,11 @@
 use gpusim::{CostModel, GPU_A100};
 use simcov_bench::cli::CommonFlags;
 use simcov_bench::configs::{paper, scale_from_env, Experiment, ScaledExperiment};
-use simcov_bench::json::{write_json, Json};
+use simcov_bench::json::write_json;
 use simcov_bench::report::{banner, fmt_secs, Table};
+use simcov_core::json::Json;
 use simcov_driver::Simulation;
-use simcov_gpu::{GpuSim, GpuSimConfig, GpuVariant};
+use simcov_gpu::{GpuKnobs, GpuSim, GpuSimConfig};
 
 fn main() {
     let flags = CommonFlags::parse("usage: ablation_tiles [--json PATH]");
@@ -45,13 +46,14 @@ fn main() {
     let mut rows = Vec::new();
     for (tile, period) in [(2usize, 2u64), (4, 4), (8, 8), (16, 16), (8, 2), (16, 4)] {
         let se = ScaledExperiment::new(e, scale, 1);
-        let cfg = GpuSimConfig::new(se.params, 4)
-            .with_variant(GpuVariant::Combined)
-            .with_tile_side(tile)
-            .with_check_period(period);
+        let cfg = GpuSimConfig::new(se.params, 4).with_exec(GpuKnobs {
+            tile_side: tile,
+            check_period: Some(period),
+            ..GpuKnobs::default()
+        });
         let mut sim = GpuSim::new(cfg).expect("valid config");
         sim.run().expect("healthy run");
-        let c = sim.max_device_counters().extrapolate(scale as f64);
+        let c = sim.max_unit_counters().extrapolate(scale as f64);
         let b = model.device_breakdown(&GPU_A100, &c);
         table.row(vec![
             tile.to_string(),

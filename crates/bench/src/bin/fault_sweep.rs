@@ -17,11 +17,13 @@
 //! convention); `--seed N` overrides the fault-plan seed.
 
 use simcov_bench::cli::CommonFlags;
-use simcov_bench::json::{write_json, Json};
+use simcov_bench::json::write_json;
 use simcov_bench::report::Table;
 use simcov_core::grid::GridDims;
+use simcov_core::json::Json;
+use simcov_driver::RecoveryPolicy;
 use simcov_sweep::{
-    ExecutorKind, FaultSpec, JobReport, JobSpec, RecoverySpec, RunSpec, SweepConfig, SweepServer,
+    ExecutorKind, FaultSpec, JobReport, JobSpec, RunSpec, SweepConfig, SweepServer,
 };
 use std::collections::HashMap;
 
@@ -43,9 +45,9 @@ fn cell_job(executor: ExecutorKind, seed: u64, rate: f64, period: u64) -> JobSpe
                 ..pgas::FaultRates::default()
             },
         })
-        .with_recovery(RecoverySpec {
+        .with_recovery(RecoveryPolicy {
             checkpoint_period: period,
-            ..RecoverySpec::default()
+            ..RecoveryPolicy::default()
         });
     JobSpec::new(cell_name(executor, rate, period), run)
 }

@@ -8,7 +8,8 @@
 use simcov_bench::cli::CommonFlags;
 use simcov_bench::configs::{scale_from_env, trials_from_env};
 use simcov_bench::experiments::{correctness_trials, fig5_panels, fig5_to_json, render_fig5};
-use simcov_bench::json::{write_json, Json};
+use simcov_bench::json::write_json;
+use simcov_core::json::Json;
 
 fn main() {
     let flags = CommonFlags::parse("usage: fig5_correctness [--json PATH]");

@@ -45,12 +45,13 @@
 
 use pgas::{Mailboxes, Outbox, WorkPool};
 use simcov_bench::cli::{self, CommonFlags};
-use simcov_bench::json::{write_json, Json};
+use simcov_bench::json::write_json;
 use simcov_bench::microbench::{Bench, BenchResult};
 use simcov_core::diffusion::{diffuse_voxel, DiffuseCoeffs};
 use simcov_core::exact::ExactSum;
 use simcov_core::fields::Field;
 use simcov_core::grid::GridDims;
+use simcov_core::json::Json;
 use simcov_core::lanes;
 use simcov_core::params::SimParams;
 use simcov_core::serial::SerialSim;

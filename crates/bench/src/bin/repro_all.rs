@@ -18,7 +18,8 @@ use simcov_bench::experiments::{
     correctness_trials, fig4, fig5_panels, fig5_to_json, fig6, fig7, fig8, render_fig5,
     render_table2, table1_to_json, table2_rows, table2_to_json,
 };
-use simcov_bench::json::{write_json, Json};
+use simcov_bench::json::write_json;
+use simcov_core::json::Json;
 use simcov_telemetry::{prometheus, Registry};
 use std::time::Instant;
 

@@ -29,11 +29,13 @@
 
 use pgas::fault::CorruptionKind;
 use simcov_bench::cli::CommonFlags;
-use simcov_bench::json::{write_json, Json};
+use simcov_bench::json::write_json;
 use simcov_bench::report::Table;
 use simcov_core::grid::GridDims;
+use simcov_core::json::Json;
+use simcov_driver::RecoveryPolicy;
 use simcov_sweep::{
-    ExecutorKind, FaultSpec, JobReport, JobSpec, RecoverySpec, RunSpec, SweepConfig, SweepServer,
+    ExecutorKind, FaultSpec, JobReport, JobSpec, RunSpec, SweepConfig, SweepServer,
 };
 use std::collections::HashMap;
 
@@ -62,9 +64,9 @@ fn cell_job(executor: ExecutorKind, smoke: bool, seed: u64, rate: f64, period: u
                 ..pgas::FaultRates::default()
             },
         })
-        .with_recovery(RecoverySpec {
+        .with_recovery(RecoveryPolicy {
             checkpoint_period: 8,
-            ..RecoverySpec::default()
+            ..RecoveryPolicy::default()
         });
     run.audit_period = Some(period);
     JobSpec::new(cell_name(executor, rate, period), run).with_capture_world()

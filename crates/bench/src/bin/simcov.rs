@@ -40,13 +40,13 @@
 use gpusim::{KernelCategory, SharedSink, StepRecord};
 use pgas::{ProcessTransportConfig, TransportMode, WireFaultPlan};
 use simcov_bench::cli::CommonFlags;
-use simcov_bench::json::Json;
 use simcov_core::config::parse_config;
+use simcov_core::json::Json;
 use simcov_core::render::render_slice;
 use simcov_core::stats::TimeSeries;
-use simcov_cpu::{CpuSim, CpuSimConfig};
-use simcov_driver::{RecoveryPolicy, SerialDriver, Simulation};
-use simcov_gpu::{GpuSim, GpuSimConfig, GpuVariant};
+use simcov_cpu::CpuSim;
+use simcov_driver::{RecoveryPolicy, RunConfig, SerialDriver, Simulation};
+use simcov_gpu::{GpuKnobs, GpuSim, GpuVariant};
 use simcov_telemetry::{chrome, prometheus, HealthConfig, Telemetry};
 use std::fs;
 
@@ -199,6 +199,24 @@ fn parse_args() -> Args {
     args
 }
 
+/// The executor config the flags describe: every shared knob is set here,
+/// once, whichever executor `exec` belongs to.
+fn run_config<X: Default>(
+    params: simcov_core::params::SimParams,
+    args: &Args,
+    transport: TransportMode,
+    exec: X,
+) -> RunConfig<X> {
+    let cfg = RunConfig::new(params, args.units)
+        .with_transport(transport)
+        .with_exec(exec);
+    if args.wire_kill.is_some() {
+        cfg.with_recovery(RecoveryPolicy::default())
+    } else {
+        cfg
+    }
+}
+
 fn write_csv(path: &str, h: &TimeSeries) {
     let mut out = String::from(
         "step,virions,chemokine,tcells_vasculature,tcells_tissue,\
@@ -277,21 +295,18 @@ fn main() {
     // One object-safe driver API over all three executors.
     let mut driver: Box<dyn Simulation> = match args.executor.as_str() {
         "serial" => Box::new(SerialDriver::new(params).unwrap_or_else(|e| panic!("{e}"))),
-        "cpu" => {
-            let mut cfg = CpuSimConfig::new(params, args.units).with_transport(transport);
-            if args.wire_kill.is_some() {
-                cfg = cfg.with_recovery(RecoveryPolicy::default());
-            }
-            Box::new(CpuSim::new(cfg).unwrap_or_else(|e| panic!("{e}")))
-        }
+        "cpu" => Box::new(
+            CpuSim::new(run_config(params, &args, transport, ())).unwrap_or_else(|e| panic!("{e}")),
+        ),
         "gpu" => {
-            let mut cfg = GpuSimConfig::new(params, args.units)
-                .with_variant(args.variant)
-                .with_transport(transport);
-            if args.wire_kill.is_some() {
-                cfg = cfg.with_recovery(RecoveryPolicy::default());
-            }
-            Box::new(GpuSim::new(cfg).unwrap_or_else(|e| panic!("{e}")))
+            let knobs = GpuKnobs {
+                variant: args.variant,
+                ..GpuKnobs::default()
+            };
+            Box::new(
+                GpuSim::new(run_config(params, &args, transport, knobs))
+                    .unwrap_or_else(|e| panic!("{e}")),
+            )
         }
         _ => usage(),
     };

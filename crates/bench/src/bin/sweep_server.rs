@@ -29,8 +29,9 @@
 //! (and `--json`) reports their count.
 
 use simcov_bench::cli::{self, CommonFlags};
-use simcov_bench::json::{write_json, Json};
+use simcov_bench::json::write_json;
 use simcov_core::grid::GridDims;
+use simcov_core::json::Json;
 use simcov_sweep::{ExecutorKind, JobSpec, JobStatus, RunSpec, SweepConfig, SweepServer};
 
 const USAGE: &str = "usage: sweep_server (--jobs FILE | --demo N) [--out-dir DIR]\n\

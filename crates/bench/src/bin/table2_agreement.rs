@@ -6,7 +6,8 @@
 use simcov_bench::cli::CommonFlags;
 use simcov_bench::configs::{scale_from_env, trials_from_env};
 use simcov_bench::experiments::{correctness_trials, render_table2, table2_rows, table2_to_json};
-use simcov_bench::json::{write_json, Json};
+use simcov_bench::json::write_json;
+use simcov_core::json::Json;
 
 fn main() {
     let flags = CommonFlags::parse("usage: table2_agreement [--json PATH]");

@@ -8,9 +8,9 @@
 //! assert on the fields directly.
 
 use crate::configs::{paper, Experiment, ScaledExperiment};
-use crate::json::Json;
 use crate::report::{banner, fmt_secs, shape_verdict, Table};
 use crate::runner::{run_cpu, run_gpu};
+use simcov_core::json::Json;
 use simcov_core::stats::{envelope, mean_std, percent_agreement, Metric, TimeSeries};
 use simcov_gpu::GpuVariant;
 

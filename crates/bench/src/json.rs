@@ -1,28 +1,7 @@
-//! Bench-side JSON conveniences over the workspace [`Json`] value type.
-//!
-//! The tree type, serializer and parser live in [`simcov_core::json`] (the
-//! sweep job server shares them); this module re-exports the type and keeps
-//! the bench-binary I/O helpers.
+//! Bench-side JSON artifact I/O over the workspace [`Json`] value type
+//! (the tree type, serializer and parser live in [`simcov_core::json`]).
 
-pub use simcov_core::json::Json;
-
-/// `--json <path>` from the process arguments, if present (the shared CLI
-/// convention of every bench binary).
-pub fn json_path_from_args() -> Option<String> {
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            match it.next() {
-                Some(p) => return Some(p),
-                None => {
-                    eprintln!("--json requires a path");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
-}
+use simcov_core::json::Json;
 
 /// Write a rendered document, reporting the destination on stderr. Exits
 /// with status 2 on I/O failure (clean error, no panic — the artifact path

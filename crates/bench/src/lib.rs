@@ -30,5 +30,4 @@ pub mod runner;
 
 pub use cli::CommonFlags;
 pub use configs::{paper, Experiment, MachineConfig, ScaledExperiment};
-pub use json::Json;
 pub use runner::{run_cpu, run_gpu, RunOutput};

@@ -11,8 +11,9 @@
 //! substring; `--json <path>` writes the results as JSON; other `--flags`
 //! (e.g. cargo's own `--bench`) are ignored.
 
-use crate::json::{write_json, Json};
+use crate::json::write_json;
 use crate::report::Table;
+use simcov_core::json::Json;
 use simcov_telemetry::MonotonicClock;
 use std::hint::black_box;
 

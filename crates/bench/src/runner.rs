@@ -7,7 +7,7 @@ use simcov_core::params::SimParams;
 use simcov_core::stats::TimeSeries;
 use simcov_cpu::{CpuSim, CpuSimConfig};
 use simcov_driver::Simulation;
-use simcov_gpu::{GpuSim, GpuSimConfig, GpuVariant};
+use simcov_gpu::{max_device_link, GpuKnobs, GpuSim, GpuSimConfig, GpuVariant};
 
 /// Result of one executor run, extrapolated to paper scale.
 #[derive(Debug, Clone)]
@@ -65,15 +65,19 @@ fn extrapolate_comm(cc: &CommCounters, s: f64) -> CommCounters {
 /// linear `scale`.
 pub fn run_gpu(params: SimParams, n_devices: usize, variant: GpuVariant, scale: u32) -> RunOutput {
     let steps = params.steps;
-    let mut sim = GpuSim::new(GpuSimConfig::new(params, n_devices).with_variant(variant))
+    let knobs = GpuKnobs {
+        variant,
+        ..GpuKnobs::default()
+    };
+    let mut sim = GpuSim::new(GpuSimConfig::new(params, n_devices).with_exec(knobs))
         .expect("valid bench config");
     sim.run().expect("healthy bench run");
     let model = CostModel::default();
     let s = scale as f64;
 
-    let maxdev = sim.max_device_counters().extrapolate(s);
+    let maxdev = sim.max_unit_counters().extrapolate(s);
     let breakdown = model.device_breakdown(&model.gpu, &maxdev);
-    let link = sim.max_device_link().extrapolate(s);
+    let link = max_device_link(&sim.units).extrapolate(s);
     let link_t = model.link_time(
         link.intra_msgs,
         link.intra_bytes,
@@ -100,7 +104,7 @@ pub fn run_cpu(params: SimParams, n_ranks: usize, scale: u32) -> RunOutput {
     let model = CostModel::default();
     let s = scale as f64;
 
-    let maxrank = sim.max_rank_counters().extrapolate(s);
+    let maxrank = sim.max_unit_counters().extrapolate(s);
     let breakdown = model.device_breakdown(&model.cpu, &maxrank);
     let comm = extrapolate_comm(&sim.comm_counters(), s);
     let comm_seconds = model.rpc_comm_time(&comm, n_ranks);

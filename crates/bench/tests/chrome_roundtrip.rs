@@ -4,8 +4,8 @@
 //! the `args` objects must reconstruct to the full four-level
 //! step → superstep → rank-phase → kernel chain on the GPU executor.
 
-use simcov_bench::json::Json;
 use simcov_core::grid::GridDims;
+use simcov_core::json::Json;
 use simcov_core::params::SimParams;
 use simcov_driver::Simulation;
 use simcov_gpu::{GpuSim, GpuSimConfig};

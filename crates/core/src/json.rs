@@ -109,6 +109,18 @@ impl Json {
         }
     }
 
+    /// Exact non-negative integer value: a finite, integral number in
+    /// `0..=2^53` (past that an f64 no longer holds every integer, so the
+    /// value read would not be the value written). Parsers of outside input
+    /// use this instead of an `as` cast, which silently saturates.
+    pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+        match self {
+            Json::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(n) => Some(*n as u64),
+            _ => None,
+        }
+    }
+
     /// String value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -523,6 +535,28 @@ mod tests {
         assert_eq!(doc.get("x").unwrap().as_str(), Some("y"));
         assert!(doc.get("missing").is_none());
         assert!(doc.get("x").unwrap().as_f64().is_none());
+    }
+
+    #[test]
+    fn as_u64_accepts_only_exact_non_negative_integers() {
+        let num = |text: &str| Json::parse(text).unwrap().as_u64();
+        assert_eq!(num("0"), Some(0));
+        assert_eq!(num("42"), Some(42));
+        assert_eq!(num("4.0e1"), Some(40));
+        assert_eq!(num("9007199254740992"), Some(1 << 53));
+        for hostile in [
+            "-5",
+            "-0.5",
+            "2.7",
+            "1e30",
+            "9007199254740994",
+            "\"7\"",
+            "null",
+        ] {
+            assert_eq!(num(hostile), None, "{hostile}");
+        }
+        assert_eq!(Json::Num(f64::NAN).as_u64(), None);
+        assert_eq!(Json::Num(f64::INFINITY).as_u64(), None);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The shared driver core: state and bookkeeping common to every executor.
 //!
-//! `CpuSim` and `GpuSim` were ~300-line near-duplicates; everything that is
-//! not executor-specific (parameters, partition, vascular pool, history,
-//! metrics plumbing, comm-delta bookkeeping, recovery state) now lives here
-//! once, embedded by both.
+//! Everything a [`BspSim`](crate::BspSim) owns that is not the unit
+//! collection or the typed BSP mailboxes: parameters, partition, vascular
+//! pool, history, metrics plumbing, comm-delta bookkeeping, recovery state.
 
-use gpusim::metrics::{MetricsSink, SnapshotTaker, StepRecord};
+use gpusim::metrics::{SnapshotTaker, StepRecord};
 use gpusim::DeviceCounters;
 use pgas::fault::{FaultPlan, IntegrityRecord, RecoveryRecord};
 use pgas::{CommCounters, WorkPool};
@@ -17,7 +16,7 @@ use simcov_core::params::SimParams;
 use simcov_core::stats::TimeSeries;
 use simcov_core::tcell::VascularPool;
 use simcov_core::world::World;
-use simcov_telemetry::{HealthMonitor, Histogram, Telemetry};
+use simcov_telemetry::{HealthMonitor, Histogram, MetricsSink, Telemetry};
 use std::sync::Arc;
 
 use crate::error::ConfigError;
@@ -193,7 +192,7 @@ impl DriverCore {
             health: None,
             health_prev_comm: CommCounters::default(),
             retired_counters: DeviceCounters::new(),
-            recovery: None,
+            recovery,
             pending_recoveries: Vec::new(),
             integrity,
             pending_integrity: Vec::new(),
@@ -202,13 +201,7 @@ impl DriverCore {
             state,
             event_log: None,
             staged_rollback: None,
-        }
-        .with_recovery_manager(recovery))
-    }
-
-    fn with_recovery_manager(mut self, recovery: Option<RecoveryManager>) -> Self {
-        self.recovery = recovery;
-        self
+        })
     }
 
     /// Replace the private host-sized pool with a shared one. Scheduling is
@@ -256,13 +249,6 @@ impl DriverCore {
             self.pending_integrity.push(rec.clone());
         }
         self.integrity_log.push(rec);
-    }
-
-    /// Is a checkpoint due before computing the current step? Delegates to
-    /// the pure control state, which mirrors the store's newest generation
-    /// on the current timeline.
-    pub fn checkpoint_due(&self) -> bool {
-        self.state.checkpoint_due()
     }
 }
 

@@ -5,10 +5,13 @@
 //!
 //! - [`Simulation`] — the object-safe driver API (`Box<dyn Simulation>`)
 //!   the CLI, benches and tests program against;
-//! - [`Executor`] — the small executor-specific contract; the step loop,
-//!   checkpointing, recovery and metrics emission are implemented once in
-//!   the blanket `impl<E: Executor> Simulation for E`;
-//! - [`DriverCore`] — the shared per-run state both executors embed;
+//! - [`RunConfig`] — the one description of a run: every shared knob
+//!   declared once, plus the executor's own `exec` tail;
+//! - [`Unit`] — what genuinely differs per executor (how one rank or device
+//!   updates its subdomain), and [`BspSim`] — the one executor shell over
+//!   it: construction, re-partitioning, the step loop, checkpointing,
+//!   recovery and metrics emission, implemented once;
+//! - [`DriverCore`] — the shared per-run state the shell owns;
 //! - [`RecoveryPolicy`] / [`RecoveryManager`] — checkpoint-based rollback
 //!   and elastic re-partitioning around injected or detected faults;
 //! - [`ConfigError`] / [`SimError`] — typed errors replacing the panicking
@@ -20,6 +23,8 @@
 //! - [`durable`] — CRC-guarded on-disk checkpoint persistence for crash
 //!   restart (`--resume` in the CLI).
 
+pub mod bsp_sim;
+pub mod config;
 pub mod core;
 pub mod durable;
 pub mod error;
@@ -27,7 +32,9 @@ pub mod simulation;
 pub mod state;
 
 pub use crate::core::{DriverCore, RecoveryManager, RecoveryPolicy};
+pub use bsp_sim::{BspSim, Unit};
+pub use config::RunConfig;
 pub use durable::{load_checkpoint, persist_checkpoint, sweep_stale_stages};
 pub use error::{ConfigError, SimError};
-pub use simulation::{CheckpointStats, Executor, IntegrityStats, SerialDriver, Simulation};
+pub use simulation::{CheckpointStats, IntegrityStats, SerialDriver, Simulation};
 pub use state::{replay, DriverState, Effect, Event, Replay, StopCause};

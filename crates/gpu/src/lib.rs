@@ -33,4 +33,4 @@ pub use cost::{
 pub use counters::{DeviceCounters, KernelCategory};
 pub use device::Device;
 pub use kernel::{launch, LaunchConfig};
-pub use metrics::{MetricsSink, PhaseSnapshot, SharedSink, SnapshotTaker, StepRecord};
+pub use metrics::{PhaseSnapshot, SharedSink, SnapshotTaker, StepRecord};

@@ -1,12 +1,12 @@
-//! Structured per-step metrics: phase snapshots and the [`MetricsSink`]
-//! interface the executors emit into.
+//! Structured per-step metrics: phase snapshots and the record type the
+//! executors emit into a [`simcov_telemetry::MetricsSink`].
 //!
 //! The counters in [`crate::counters`] are cumulative totals; observability
 //! needs *per-step* deltas tied to named kernel phases (update / reduce /
 //! tile / halo) so that a regression in one phase is visible the step it
 //! happens. [`SnapshotTaker`] diffs cumulative [`DeviceCounters`] into
 //! per-step [`PhaseSnapshot`]s, and the simulation drivers publish one
-//! [`StepRecord`] per step through whatever [`MetricsSink`] the embedder
+//! [`StepRecord`] per step through whatever `MetricsSink` the embedder
 //! installs (an in-memory [`SharedSink`] for tests and benches, a JSON
 //! writer in the bench harness, ...).
 
@@ -122,11 +122,6 @@ impl SnapshotTaker {
 /// step, which is almost always an empty `Vec`.)
 pub type StepRecord = simcov_telemetry::StepRecord<PhaseSnapshot, RecoveryRecord, IntegrityRecord>;
 
-/// Consumer of per-step records (re-exported from the telemetry crate;
-/// generic over the record type). `Send` so an installed sink never stops a
-/// simulation from moving across threads.
-pub use simcov_telemetry::MetricsSink;
-
 /// A cloneable, thread-safe in-memory sink over the workspace's concrete
 /// [`StepRecord`]: hand one clone to the simulation and keep another to
 /// read the records afterwards.
@@ -135,6 +130,7 @@ pub type SharedSink = simcov_telemetry::SharedSink<StepRecord>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcov_telemetry::MetricsSink;
 
     #[test]
     fn category_names_are_stable() {

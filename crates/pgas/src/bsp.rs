@@ -24,9 +24,6 @@ use crate::fault::{
 };
 use crate::mailbox::{ExchangeFaults, Mailboxes, Outbox};
 use crate::pool::WorkPool;
-#[cfg(not(feature = "trace"))]
-use crate::trace::Span;
-use crate::trace::{SpanVolume, Trace};
 use crate::transport::{
     ExchangeTransport, ProcessTransport, ProcessTransportConfig, TransportCounters, WireOutcome,
 };
@@ -48,9 +45,6 @@ pub struct Bsp<M> {
     /// Per-rank bucketed outboxes, reused superstep over superstep.
     outboxes: Vec<Outbox<M>>,
     pub counters: CommCounters,
-    /// Per-superstep event log (disabled by default; see
-    /// [`Bsp::enable_trace`]).
-    pub trace: Trace,
     /// Scheduled fault injections (empty by default; see
     /// [`Bsp::inject_faults`]).
     plan: FaultPlan,
@@ -92,7 +86,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
             mail: Mailboxes::new(n_ranks),
             outboxes: (0..n_ranks).map(|_| Outbox::for_ranks(n_ranks)).collect(),
             counters: CommCounters::new(),
-            trace: Trace::disabled(),
             plan: FaultPlan::none(),
             verify_batches: false,
             retransmit_budget: DEFAULT_RETRANSMIT_BUDGET,
@@ -156,9 +149,9 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
     }
 
     /// Consume this runtime and return a fresh one over `n_ranks` ranks,
-    /// carrying the cumulative counters, trace log and remaining fault plan
-    /// forward. Used by recovery: after a rank death the driver rolls back
-    /// to a checkpoint and rebuilds the domain across the survivors —
+    /// carrying the cumulative counters and remaining fault plan forward.
+    /// Used by recovery: after a rank death the driver rolls back to a
+    /// checkpoint and rebuilds the domain across the survivors —
     /// in-flight messages from the failed epoch must not leak into the new
     /// one, so inboxes start empty. Integrity settings and still-pending
     /// state corruption carry over: a DRAM bit flip does not heal itself
@@ -186,7 +179,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
             mail: Mailboxes::new(n_ranks),
             outboxes: (0..n_ranks).map(|_| Outbox::for_ranks(n_ranks)).collect(),
             counters: self.counters,
-            trace: self.trace,
             plan: self.plan,
             verify_batches: self.verify_batches,
             retransmit_budget: self.retransmit_budget,
@@ -199,13 +191,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
             transport,
             wire_counters,
         }
-    }
-
-    /// Start recording one trace event per superstep (wall-clock plus
-    /// delivered message/byte volume). Without the `trace` cargo feature
-    /// this enables the log but supersteps record nothing.
-    pub fn enable_trace(&mut self) {
-        self.trace.enable();
     }
 
     /// Attach a unified telemetry handle. With an enabled handle every
@@ -296,12 +281,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
         F: Fn(usize, &mut S, &[M], &mut Outbox<M>) -> R + Sync,
     {
         assert_eq!(states.len(), self.n_ranks, "one state per rank");
-        // Without the `trace` feature the span is untimed, but `finish`
-        // still accumulates volume so counters never silently read zero.
-        #[cfg(feature = "trace")]
-        let span = self.trace.span("superstep");
-        #[cfg(not(feature = "trace"))]
-        let span = Span::disabled("superstep");
         let step_index = self.counters.supersteps;
         let tel = self.telemetry.clone();
         let tel_on = tel.is_enabled();
@@ -538,10 +517,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
                 action: IntegrityAction::Retransmit,
             });
         }
-        self.trace.finish(
-            span,
-            SpanVolume::new(vol.msgs, vol.bytes, vol.bulk_msgs, vol.bulk_bytes),
-        );
         if tel_on {
             tel.close(
                 0,

@@ -29,7 +29,6 @@ pub mod fault;
 pub mod mailbox;
 pub mod pool;
 pub mod reduce;
-pub mod trace;
 pub mod transport;
 pub mod wire;
 
@@ -44,7 +43,6 @@ pub use fault::{
 pub use mailbox::{ExchangeFaults, ExchangeVolume, Mailboxes, Outbox, BATCH_HEADER_BYTES};
 pub use pool::WorkPool;
 pub use reduce::{allreduce, tree_depth};
-pub use trace::{Span, SpanVolume, Trace, TraceEvent};
 pub use transport::{
     run_rank_worker, ExchangeTransport, ProcessTransport, ProcessTransportConfig, SpawnMode,
     TransportCounters, TransportMode, WireFault, WireFaultKind, WireFaultPlan, WireOutcome,

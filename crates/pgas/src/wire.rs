@@ -13,6 +13,8 @@
 //! structurally hostile to a *different* message schema (version skew, a
 //! buggy peer), so `decode` returns `None` rather than trusting anything.
 
+use crate::crc::Crc64;
+
 /// Bounds-checked little-endian reader over a received payload.
 pub struct WireReader<'a> {
     buf: &'a [u8],
@@ -119,13 +121,39 @@ impl WireWrite for Vec<u8> {
     }
 }
 
+/// Digesting is encoding into the checksum: a [`Payload::digest`] defined as
+/// `self.encode(crc)` covers exactly the bytes that cross the wire, with one
+/// field walk per message type.
+///
+/// [`Payload::digest`]: crate::crc::Payload::digest
+impl WireWrite for Crc64 {
+    fn put_u8(&mut self, v: u8) {
+        self.write_u8(v);
+    }
+    fn put_bool(&mut self, v: bool) {
+        self.write_u8(v as u8);
+    }
+    fn put_u32(&mut self, v: u32) {
+        self.write_u32(v);
+    }
+    fn put_u64(&mut self, v: u64) {
+        self.write_u64(v);
+    }
+    fn put_u128(&mut self, v: u128) {
+        self.write_u128(v);
+    }
+    fn put_f32(&mut self, v: f32) {
+        self.write_f32(v);
+    }
+}
+
 /// A message type that can cross a process boundary. Encoding must be
 /// canonical (one byte sequence per value) so a round-tripped bucket is
 /// bit-identical to the staged one — the process transport's counter and
 /// trajectory identity with the in-process path depends on it.
 pub trait WireCodec: Sized {
     /// Append this message's canonical encoding.
-    fn encode(&self, out: &mut Vec<u8>);
+    fn encode<W: WireWrite>(&self, out: &mut W);
     /// Decode one message; `None` on any structural violation.
     fn decode(r: &mut WireReader<'_>) -> Option<Self>;
 }
@@ -160,7 +188,7 @@ pub fn decode_bucket<M: WireCodec>(count: u64, payload: &[u8]) -> Option<Vec<M>>
 }
 
 impl WireCodec for u8 {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<W: WireWrite>(&self, out: &mut W) {
         out.put_u8(*self);
     }
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
@@ -169,7 +197,7 @@ impl WireCodec for u8 {
 }
 
 impl WireCodec for u32 {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<W: WireWrite>(&self, out: &mut W) {
         out.put_u32(*self);
     }
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
@@ -178,7 +206,7 @@ impl WireCodec for u32 {
 }
 
 impl WireCodec for u64 {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<W: WireWrite>(&self, out: &mut W) {
         out.put_u64(*self);
     }
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {

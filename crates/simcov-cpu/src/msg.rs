@@ -83,58 +83,10 @@ impl WireSize for CpuMsg {
 }
 
 impl Payload for CpuMsg {
+    /// Digesting is encoding into the checksum ([`WireCodec::encode`] is
+    /// the one field walk), so the digest covers exactly the wire bytes.
     fn digest(&self, crc: &mut Crc64) {
-        match self {
-            CpuMsg::MoveIntent {
-                src,
-                target,
-                bid,
-                tissue_steps,
-            } => {
-                crc.write_u8(0);
-                crc.write_u64(*src);
-                crc.write_u64(*target);
-                crc.write_u128(*bid);
-                crc.write_u32(*tissue_steps);
-            }
-            CpuMsg::BindIntent { src, target, bid } => {
-                crc.write_u8(1);
-                crc.write_u64(*src);
-                crc.write_u64(*target);
-                crc.write_u128(*bid);
-            }
-            CpuMsg::MoveResult { src, won } => {
-                crc.write_u8(2);
-                crc.write_u64(*src);
-                crc.write_u8(*won as u8);
-            }
-            CpuMsg::BindResult { src, won } => {
-                crc.write_u8(3);
-                crc.write_u64(*src);
-                crc.write_u8(*won as u8);
-            }
-            CpuMsg::GhostConc(cells) => {
-                crc.write_u8(4);
-                crc.write_len(cells.len());
-                for c in cells {
-                    c.digest_into(crc);
-                }
-            }
-            CpuMsg::GhostState { agents, conc } => {
-                crc.write_u8(5);
-                crc.write_len(agents.len());
-                for a in agents {
-                    crc.write_u64(a.gid);
-                    crc.write_u8(a.epi_state);
-                    crc.write_u32(a.tcell.0);
-                    crc.write_u8(a.active as u8);
-                }
-                crc.write_len(conc.len());
-                for c in conc {
-                    c.digest_into(crc);
-                }
-            }
-        }
+        self.encode(crc);
     }
 
     fn corrupt(&mut self, seed: u64) {
@@ -199,12 +151,6 @@ impl Payload for CpuMsg {
 }
 
 impl ConcCell {
-    fn digest_into(&self, crc: &mut Crc64) {
-        crc.write_u64(self.gid);
-        crc.write_f32(self.virions);
-        crc.write_f32(self.chem);
-    }
-
     fn corrupt_with(&mut self, rng: &mut SplitMix64) {
         match rng.next_u64() % 3 {
             0 => self.gid ^= 1 << (rng.next_u64() % 64),
@@ -230,7 +176,7 @@ fn pick<'a, T>(v: &'a mut [T], rng: &mut SplitMix64) -> Option<&'a mut T> {
 }
 
 impl ConcCell {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<W: WireWrite>(&self, out: &mut W) {
         out.put_u64(self.gid);
         out.put_f32(self.virions);
         out.put_f32(self.chem);
@@ -245,11 +191,10 @@ impl ConcCell {
     }
 }
 
-/// Process-boundary codec, mirroring the [`Payload::digest`] layout field
-/// for field (same variant tags, same little-endian scalar order) so the
-/// serialized form and the integrity digest describe the same bytes.
+/// Process-boundary codec; [`Payload::digest`] is this encoding fed to the
+/// CRC, so the serialized form and the integrity digest are the same bytes.
 impl WireCodec for CpuMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<W: WireWrite>(&self, out: &mut W) {
         match self {
             CpuMsg::MoveIntent {
                 src,
@@ -493,6 +438,13 @@ mod tests {
         let back: Vec<CpuMsg> =
             pgas::wire::decode_bucket(msgs.len() as u64, &payload).expect("clean payload");
         assert_eq!(back, msgs);
+        // One field walk: the digest is the CRC of exactly the wire bytes.
+        for m in &msgs {
+            let mut c = Crc64::new();
+            m.digest(&mut c);
+            let wire = pgas::wire::encode_bucket(std::slice::from_ref(m));
+            assert_eq!(c.finish(), pgas::crc64(&wire), "{m:?}");
+        }
         // A clipped payload or a flipped tag must fail decode, not panic.
         assert!(pgas::wire::decode_bucket::<CpuMsg>(
             msgs.len() as u64,

@@ -1,350 +1,96 @@
-//! The SIMCoV-CPU executor behind the unified [`Simulation`](simcov_driver::Simulation) driver API.
+//! The SIMCoV-CPU executor: [`CpuRank`] as a [`Unit`] of the shared
+//! [`BspSim`] shell.
 //!
-//! `CpuSim` owns the PGAS runtime and the rank states; everything else —
-//! the step loop, statistics, checkpointing, fault recovery, metrics — is
-//! the shared driver shell ([`simcov_driver::DriverCore`]) driven through
-//! the [`simcov_driver::Executor`] contract. Every recovery/retry/
-//! quarantine *decision* along the way is made by the pure control-plane
-//! core ([`simcov_driver::DriverState`]); with
-//! `Simulation::enable_event_recording` the run's control decisions replay
-//! deterministically from the recorded event log.
+//! Everything but the three-superstep body — configuration, construction,
+//! re-partitioning, the step loop, statistics, checkpointing, fault
+//! recovery, metrics — is the shell's ([`simcov_driver::BspSim`]); every
+//! recovery/retry/quarantine *decision* along the way is made by the pure
+//! control-plane core ([`simcov_driver::DriverState`]). This impl is the
+//! worked example of adding an executor.
 
 use gpusim::{CostModel, DeviceCounters, HwProfile};
-use pgas::fault::{FaultPlan, IntegrityRecord, PendingStateCorruption, SuperstepError};
-use pgas::{allreduce, Bsp, CommCounters, Trace, TransportMode, WorkPool};
-use simcov_core::decomp::{Partition, Strategy};
+use pgas::fault::SuperstepError;
+use pgas::{Bsp, WorkPool};
+use simcov_core::decomp::Partition;
 use simcov_core::extrav::TrialTable;
-use simcov_core::foi::FoiPattern;
 use simcov_core::lanes::KernelMode;
 use simcov_core::params::SimParams;
 use simcov_core::stats::StatsPartial;
 use simcov_core::world::World;
-use simcov_driver::{ConfigError, DriverCore, Executor, RecoveryPolicy};
+use simcov_driver::{BspSim, RunConfig, Unit};
 
 use crate::msg::CpuMsg;
 use crate::rank::CpuRank;
 
-/// Configuration of a CPU-baseline run.
-#[derive(Debug, Clone)]
-pub struct CpuSimConfig {
-    pub params: SimParams,
-    /// Number of logical CPU ranks (cores in the paper's terms).
-    pub n_ranks: usize,
-    pub strategy: Strategy,
-    pub pattern: FoiPattern,
-    /// Fault schedule to arm on the BSP runtime (empty: healthy run).
-    pub fault_plan: FaultPlan,
-    /// Explicit recovery policy. `None` engages the default policy when a
-    /// fault plan is armed, and no recovery otherwise.
-    pub recovery: Option<RecoveryPolicy>,
-    /// Integrity audit period override. `None` keeps the default behavior
-    /// (audits engage automatically when the fault plan injects
-    /// corruption); `Some(p)` engages the monitor explicitly with period
-    /// `p` (0 = scrub-only, no periodic invariant audit).
-    pub audit_period: Option<u64>,
-    /// In-barrier retransmit budget override for corrupt batches.
-    pub retransmit_budget: Option<u64>,
-    /// Diffusion kernel selection (default [`KernelMode::Wide`]; `Scalar`
-    /// keeps the reference path alive as the differential oracle). Bitwise
-    /// identical either way.
-    pub kernel: KernelMode,
-    /// Worker-thread count for the shared [`WorkPool`] running rank bodies
-    /// concurrently. `None` keeps the host-sized default pool; `Some(0)`
-    /// forces inline (serial) execution; `Some(n)` pins `n` workers.
-    /// Trajectories are bitwise identical for every value.
-    pub threads: Option<usize>,
-    /// Exchange transport. [`TransportMode::InProcess`] (default) uses the
-    /// double-buffered mailboxes; [`TransportMode::Process`] runs one worker
-    /// process per rank over local sockets. Bitwise identical either way.
-    pub transport: TransportMode,
-}
-
-impl CpuSimConfig {
-    pub fn new(params: SimParams, n_ranks: usize) -> Self {
-        CpuSimConfig {
-            params,
-            n_ranks,
-            strategy: Strategy::Blocks,
-            pattern: FoiPattern::UniformLattice,
-            fault_plan: FaultPlan::none(),
-            recovery: None,
-            audit_period: None,
-            retransmit_budget: None,
-            kernel: KernelMode::default(),
-            threads: None,
-            transport: TransportMode::InProcess,
-        }
-    }
-
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    pub fn with_pattern(mut self, pattern: FoiPattern) -> Self {
-        self.pattern = pattern;
-        self
-    }
-
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = Some(policy);
-        self
-    }
-
-    pub fn with_audit_period(mut self, period: u64) -> Self {
-        self.audit_period = Some(period);
-        self
-    }
-
-    pub fn with_retransmit_budget(mut self, budget: u64) -> Self {
-        self.retransmit_budget = Some(budget);
-        self
-    }
-
-    pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    pub fn with_transport(mut self, transport: TransportMode) -> Self {
-        self.transport = transport;
-        self
-    }
-}
-
 /// A running CPU-baseline simulation. Program against it through the
 /// [`Simulation`](simcov_driver::Simulation) trait.
-pub struct CpuSim {
-    core: DriverCore,
-    bsp: Bsp<CpuMsg>,
-    pub ranks: Vec<CpuRank>,
-    kernel: KernelMode,
-}
+pub type CpuSim = BspSim<CpuRank>;
 
-impl CpuSim {
-    pub fn new(cfg: CpuSimConfig) -> Result<Self, ConfigError> {
-        cfg.params.validate().map_err(ConfigError::InvalidParams)?;
-        let world = World::seeded(&cfg.params, cfg.pattern);
-        Self::from_world(cfg, world)
+/// Configuration of a CPU-baseline run: the shared knobs, no tail.
+pub type CpuSimConfig = RunConfig;
+
+impl Unit for CpuRank {
+    type Msg = CpuMsg;
+    type Knobs = ();
+    const NAME: &'static str = "cpu";
+
+    fn build(id: usize, partition: &Partition, world: &World, kernel: KernelMode, _: &()) -> Self {
+        CpuRank::new(id, partition, world, kernel)
     }
 
-    /// Build from an explicit initial world (carved airways, CT lesions...).
-    pub fn from_world(cfg: CpuSimConfig, world: World) -> Result<Self, ConfigError> {
-        let mut core = DriverCore::new(
-            cfg.params,
-            cfg.n_ranks,
-            cfg.strategy,
-            &cfg.fault_plan,
-            cfg.recovery,
-        )?;
-        if let Some(period) = cfg.audit_period {
-            core.enable_integrity(period);
-        }
-        core.check_world(&world)?;
-        if let Some(n) = cfg.threads {
-            // Pin the worker count: rank superstep bodies run truly
-            // concurrently on `n` workers (0 = inline). The pool only
-            // schedules — reduction order is fixed by `allreduce`/`ExactSum`
-            // — so every thread count yields the same bits.
-            core.share_pool(std::sync::Arc::new(WorkPool::new(n)));
-        }
-        let ranks: Vec<CpuRank> = (0..cfg.n_ranks)
-            .map(|r| CpuRank::new(r, &core.partition, &world, cfg.kernel))
-            .collect();
-        let mut bsp = Bsp::new(cfg.n_ranks);
-        bsp.inject_faults(cfg.fault_plan);
-        if let Some(budget) = cfg.retransmit_budget {
-            bsp.set_retransmit_budget(budget);
-        }
-        if let TransportMode::Process(tcfg) = cfg.transport {
-            bsp.attach_process_transport(tcfg)
-                .map_err(|e| ConfigError::Transport(e.to_string()))?;
-        }
-        Ok(CpuSim {
-            core,
-            bsp,
-            ranks,
-            kernel: cfg.kernel,
-        })
-    }
-
-    /// The current domain decomposition (re-partitioned after recovery).
-    pub fn partition(&self) -> &Partition {
-        &self.core.partition
-    }
-
-    /// The busiest rank's work counters (the compute critical path).
-    pub fn max_rank_counters(&self) -> DeviceCounters {
-        self.ranks
-            .iter()
-            .fold(DeviceCounters::new(), |acc, r| acc.max(&r.counters))
-    }
-}
-
-impl Executor for CpuSim {
-    fn core(&self) -> &DriverCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut DriverCore {
-        &mut self.core
-    }
-
-    fn exec_name(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn unit_count(&self) -> usize {
-        self.ranks.len()
-    }
-
-    fn live_active_units(&self) -> u64 {
-        self.ranks.iter().map(|r| r.n_active() as u64).sum()
-    }
-
-    fn live_counters(&self) -> DeviceCounters {
-        self.ranks.iter().fold(DeviceCounters::new(), |mut acc, r| {
-            acc.merge(&r.counters);
-            acc
-        })
-    }
-
-    fn hw_profile<'a>(&self, model: &'a CostModel) -> &'a HwProfile {
-        &model.cpu
-    }
-
-    fn bsp_counters(&self) -> CommCounters {
-        self.bsp.counters
-    }
-
-    fn bsp_trace(&self) -> &Trace {
-        &self.bsp.trace
-    }
-
-    fn bsp_enable_trace(&mut self) {
-        self.bsp.enable_trace();
-    }
-
-    fn wire_counters(&self) -> Option<pgas::TransportCounters> {
-        self.bsp
-            .has_transport()
-            .then(|| self.bsp.transport_counters().clone())
-    }
-
-    fn attach_unit_telemetry(&mut self) {
-        self.bsp.attach_telemetry(self.core.telemetry.clone());
-    }
-
-    fn take_rank_walls(&mut self) -> Vec<simcov_telemetry::RankWalls> {
-        self.bsp.take_rank_walls()
-    }
-
-    fn per_unit_active(&self) -> Vec<u64> {
-        self.ranks.iter().map(|r| r.n_active() as u64).collect()
-    }
-
-    /// One timestep = three supersteps + the statistics allreduce.
-    fn compute_step(
-        &mut self,
+    /// One timestep = three supersteps.
+    fn step(
+        bsp: &mut Bsp<CpuMsg>,
+        pool: &WorkPool,
+        ranks: &mut [Self],
+        p: &SimParams,
+        partition: &Partition,
         t: u64,
         trials: &TrialTable,
-    ) -> Result<StatsPartial, SuperstepError> {
-        let p = self.core.params.clone();
-        let partition = self.core.partition.clone();
-        let p_ref = &p;
-        let part_ref = &partition;
-
+    ) -> Result<Vec<StatsPartial>, SuperstepError> {
         // Superstep 1: plan.
-        let _extrav: Vec<u64> =
-            self.bsp
-                .try_superstep(&self.core.pool, &mut self.ranks, |rank, s, inbox, out| {
-                    debug_assert_eq!(rank, s.rank);
-                    s.plan(p_ref, t, trials, part_ref, inbox, out)
-                })?;
+        let _extrav: Vec<u64> = bsp.try_superstep(pool, ranks, |rank, s, inbox, out| {
+            debug_assert_eq!(rank, s.rank);
+            s.plan(p, t, trials, partition, inbox, out)
+        })?;
 
         // Superstep 2: resolve + FSM + production.
-        self.bsp
-            .try_superstep(&self.core.pool, &mut self.ranks, |_r, s, inbox, out| {
-                s.resolve(p_ref, t, inbox, out);
-            })?;
+        bsp.try_superstep(pool, ranks, |_r, s, inbox, out| {
+            s.resolve(p, t, inbox, out);
+        })?;
 
         // Superstep 3: finish + stats partial.
-        let partials: Vec<StatsPartial> =
-            self.bsp
-                .try_superstep(&self.core.pool, &mut self.ranks, |_r, s, inbox, out| {
-                    s.finish(p_ref, t, inbox, out)
-                })?;
-
-        // Statistics allreduce (the per-step UPC++ reduction of §3.3).
-        // Exact summation makes the result independent of rank count.
-        Ok(allreduce(
-            &partials,
-            |mut a, b| {
-                a += b;
-                a
-            },
-            std::mem::size_of::<StatsPartial>(),
-            &mut self.bsp.counters,
-        ))
+        bsp.try_superstep(pool, ranks, |_r, s, inbox, out| s.finish(p, t, inbox, out))
     }
 
-    fn take_pending_state_corruptions(&mut self) -> Vec<PendingStateCorruption> {
-        self.bsp.take_pending_state_corruptions()
+    fn n_active(&self) -> usize {
+        CpuRank::n_active(self)
     }
 
-    fn corrupt_unit_state(&mut self, unit: usize, seed: u64) {
-        if let Some(r) = self.ranks.get_mut(unit) {
-            r.corrupt_bit(seed);
-        }
+    fn counters(&self) -> DeviceCounters {
+        self.counters
     }
 
-    fn take_bsp_integrity_records(&mut self) -> Vec<IntegrityRecord> {
-        self.bsp.take_integrity_records()
+    fn corrupt_bit(&mut self, seed: u64) {
+        CpuRank::corrupt_bit(self, seed)
     }
 
-    fn rebuild(&mut self, world: &World, n_units: usize) -> Result<(), ConfigError> {
-        let partition = Partition::try_new(self.core.params.dims, n_units, self.core.strategy)
-            .map_err(ConfigError::Partition)?;
-        self.ranks = (0..n_units)
-            .map(|r| CpuRank::new(r, &partition, world, self.kernel))
-            .collect();
-        let bsp = std::mem::replace(&mut self.bsp, Bsp::new(1));
-        self.bsp = bsp.rebuilt(n_units);
-        // `rebuilt` carries the telemetry handle forward; re-attach from the
-        // core anyway so a rebuild can never silently shed instrumentation.
-        if self.core.telemetry.is_enabled() {
-            self.bsp.attach_telemetry(self.core.telemetry.clone());
-        }
-        self.core.partition = partition;
-        Ok(())
+    fn write_into(&self, world: &mut World) {
+        CpuRank::write_into(self, world)
     }
 
-    /// Assemble the full global world from all ranks (verification).
-    fn assemble_world(&self) -> World {
-        let mut world = World::healthy(self.core.params.dims);
-        for r in &self.ranks {
-            r.write_into(&mut world);
-        }
-        world
+    fn hw_profile(model: &CostModel) -> &HwProfile {
+        &model.cpu
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcov_core::decomp::Strategy;
     use simcov_core::grid::GridDims;
     use simcov_core::serial::SerialSim;
-    use simcov_driver::Simulation;
+    use simcov_driver::{ConfigError, Simulation};
 
     fn test_params(steps: u64) -> SimParams {
         SimParams::test_config(GridDims::new2d(24, 24), steps, 2, 42)

@@ -28,6 +28,6 @@ pub mod variants;
 
 pub use device::GpuDevice;
 pub use msg::{BidCell, GpuMsg, HaloCell};
-pub use sim::{GpuSim, GpuSimConfig};
+pub use sim::{max_device_link, GpuKnobs, GpuSim, GpuSimConfig};
 pub use tiles::{TileLayout, TileTracker};
 pub use variants::GpuVariant;

@@ -70,30 +70,10 @@ impl WireSize for GpuMsg {
 }
 
 impl Payload for GpuMsg {
+    /// Digesting is encoding into the checksum ([`WireCodec::encode`] is
+    /// the one field walk), so the digest covers exactly the wire bytes.
     fn digest(&self, crc: &mut Crc64) {
-        match self {
-            GpuMsg::Bids(cells) => {
-                crc.write_u8(0);
-                crc.write_len(cells.len());
-                for c in cells {
-                    crc.write_u64(c.gid);
-                    crc.write_u128(c.move_bid);
-                    crc.write_u128(c.bind_bid);
-                }
-            }
-            GpuMsg::Halo(cells) => {
-                crc.write_u8(1);
-                crc.write_len(cells.len());
-                for c in cells {
-                    crc.write_u64(c.gid);
-                    crc.write_u8(c.epi_state);
-                    crc.write_u32(c.epi_timer);
-                    crc.write_u32(c.tcell.0);
-                    crc.write_f32(c.virions);
-                    crc.write_f32(c.chem);
-                }
-            }
-        }
+        self.encode(crc);
     }
 
     fn corrupt(&mut self, seed: u64) {
@@ -140,10 +120,10 @@ impl Payload for GpuMsg {
     }
 }
 
-/// Process-boundary codec, mirroring the [`Payload::digest`] layout field
-/// for field (same variant tags, same little-endian scalar order).
+/// Process-boundary codec; [`Payload::digest`] is this encoding fed to the
+/// CRC, so the serialized form and the integrity digest are the same bytes.
 impl WireCodec for GpuMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<W: WireWrite>(&self, out: &mut W) {
         match self {
             GpuMsg::Bids(cells) => {
                 out.put_u8(0);
@@ -288,6 +268,13 @@ mod tests {
         let back: Vec<GpuMsg> =
             pgas::wire::decode_bucket(msgs.len() as u64, &payload).expect("clean payload");
         assert_eq!(back, msgs);
+        // One field walk: the digest is the CRC of exactly the wire bytes.
+        for m in &msgs {
+            let mut c = Crc64::new();
+            m.digest(&mut c);
+            let wire = pgas::wire::encode_bucket(std::slice::from_ref(m));
+            assert_eq!(c.finish(), pgas::crc64(&wire), "{m:?}");
+        }
         assert!(pgas::wire::decode_bucket::<GpuMsg>(
             msgs.len() as u64,
             &payload[..payload.len() - 1]

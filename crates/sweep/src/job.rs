@@ -12,7 +12,7 @@ use simcov_driver::{
     replay, CheckpointStats, DriverState, Event, IntegrityStats, Replay, SimError,
 };
 
-use crate::spec::RunSpec;
+use crate::spec::{int_field, RunSpec};
 
 /// One unit of work submitted to the sweep server.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,19 +96,14 @@ impl JobSpec {
             None => RunSpec::from_json(doc)?,
         };
         let mut spec = JobSpec::new(name, run);
-        if let Some(v) = doc.get("persist_every").and_then(|v| v.as_f64()) {
-            spec.persist_every = v as u64;
-        }
+        spec.persist_every = int_field(doc, "", "persist_every")?.unwrap_or(0);
         if doc
             .get("capture_world")
             .is_some_and(|v| matches!(v, Json::Bool(true)))
         {
             spec.capture_world = true;
         }
-        spec.halt_after = doc
-            .get("halt_after")
-            .and_then(|v| v.as_f64())
-            .map(|v| v as u64);
+        spec.halt_after = int_field(doc, "", "halt_after")?;
         Ok(spec)
     }
 }

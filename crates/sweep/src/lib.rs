@@ -26,4 +26,4 @@ pub mod spec;
 
 pub use job::{DeadLetter, JobReport, JobSpec, JobStatus};
 pub use server::{job_paths, SweepConfig, SweepServer};
-pub use spec::{ExecutorKind, FaultSpec, ParamPreset, RecoverySpec, RunSpec};
+pub use spec::{ExecutorKind, FaultSpec, ParamPreset, RunSpec};

@@ -1,11 +1,10 @@
 //! [`RunSpec`]: the single validated, JSON-round-trippable description of
 //! one simulation run.
 //!
-//! Before this type existed every embedder assembled runs through the
-//! duplicated `with_*` builder surfaces on [`CpuSimConfig`] and
-//! [`GpuSimConfig`] (and the serial driver had no config type at all). A
-//! `RunSpec` is the one schema all three executors construct from — and
-//! because it round-trips through [`simcov_core::json`], it doubles as the
+//! A `RunSpec` is the one schema all three executors construct from: it
+//! resolves to the shared [`RunConfig`] through a single `to_config` path
+//! (the serial driver takes the parameters alone) — and because it
+//! round-trips through [`simcov_core::json`], it doubles as the
 //! job-submission wire format of the sweep server: the CLI, the server and
 //! in-process embedders share one parse/validate path returning typed
 //! [`ConfigError`]s.
@@ -17,9 +16,9 @@ use simcov_core::foi::FoiPattern;
 use simcov_core::grid::GridDims;
 use simcov_core::json::Json;
 use simcov_core::params::SimParams;
-use simcov_cpu::{CpuSim, CpuSimConfig};
-use simcov_driver::{ConfigError, RecoveryPolicy, SerialDriver, Simulation};
-use simcov_gpu::{GpuSim, GpuSimConfig, GpuVariant};
+use simcov_cpu::CpuSim;
+use simcov_driver::{ConfigError, RecoveryPolicy, RunConfig, SerialDriver, Simulation};
+use simcov_gpu::{GpuKnobs, GpuSim, GpuVariant};
 use std::sync::Arc;
 
 /// Which executor runs the spec.
@@ -107,35 +106,6 @@ pub struct FaultSpec {
     pub rates: FaultRates,
 }
 
-/// Serializable face of [`RecoveryPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoverySpec {
-    pub checkpoint_period: u64,
-    pub max_retries: u32,
-    pub backoff_base_ns: u64,
-}
-
-impl Default for RecoverySpec {
-    fn default() -> Self {
-        let p = RecoveryPolicy::default();
-        RecoverySpec {
-            checkpoint_period: p.checkpoint_period,
-            max_retries: p.max_retries,
-            backoff_base_ns: p.backoff_base_ns,
-        }
-    }
-}
-
-impl RecoverySpec {
-    fn policy(&self) -> RecoveryPolicy {
-        RecoveryPolicy {
-            checkpoint_period: self.checkpoint_period,
-            max_retries: self.max_retries,
-            backoff_base_ns: self.backoff_base_ns,
-        }
-    }
-}
-
 /// One validated description of a simulation run, buildable on any executor
 /// and round-trippable through JSON.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,14 +122,11 @@ pub struct RunSpec {
     pub preset: ParamPreset,
     pub strategy: Strategy,
     pub pattern: FoiPattern,
-    // --- GPU-only knobs (ignored elsewhere) ---
-    pub variant: GpuVariant,
-    pub tile_side: usize,
-    pub check_period: Option<u64>,
-    pub devices_per_node: usize,
+    /// GPU-only knobs (ignored elsewhere).
+    pub gpu: GpuKnobs,
     // --- resilience ---
     pub fault: Option<FaultSpec>,
-    pub recovery: Option<RecoverySpec>,
+    pub recovery: Option<RecoveryPolicy>,
     pub audit_period: Option<u64>,
     pub retransmit_budget: Option<u64>,
 }
@@ -184,10 +151,7 @@ impl RunSpec {
             preset: ParamPreset::Test,
             strategy: Strategy::Blocks,
             pattern: FoiPattern::UniformLattice,
-            variant: GpuVariant::Combined,
-            tile_side: 8,
-            check_period: None,
-            devices_per_node: 4,
+            gpu: GpuKnobs::default(),
             fault: None,
             recovery: None,
             audit_period: None,
@@ -205,7 +169,7 @@ impl RunSpec {
         self
     }
 
-    pub fn with_recovery(mut self, recovery: RecoverySpec) -> Self {
+    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = Some(recovery);
         self
     }
@@ -246,59 +210,27 @@ impl RunSpec {
         self.params()
             .validate()
             .map_err(ConfigError::InvalidParams)?;
-        match self.executor {
-            ExecutorKind::Serial => Ok(()),
-            ExecutorKind::Cpu => {
-                if self.units == 0 {
-                    return Err(ConfigError::ZeroUnits);
-                }
-                Ok(())
-            }
-            ExecutorKind::Gpu => {
-                if self.units == 0 {
-                    return Err(ConfigError::ZeroUnits);
-                }
-                self.to_gpu_config().validate()
-            }
+        if self.executor != ExecutorKind::Serial && self.units == 0 {
+            return Err(ConfigError::ZeroUnits);
         }
+        if self.executor == ExecutorKind::Gpu {
+            self.gpu.validate()?;
+        }
+        Ok(())
     }
 
-    /// The CPU executor's config for this spec (the consolidated
-    /// replacement for chaining its `with_*` builders).
-    pub fn to_cpu_config(&self) -> CpuSimConfig {
-        CpuSimConfig {
-            params: self.params(),
-            n_ranks: self.units,
+    /// The executor config for this spec — the single path from the
+    /// submission schema to a [`RunConfig`]; `exec` is the executor's tail.
+    pub fn to_config<X: Default>(&self, exec: X) -> RunConfig<X> {
+        RunConfig {
             strategy: self.strategy,
             pattern: self.pattern,
             fault_plan: self.fault_plan(),
-            recovery: self.recovery.as_ref().map(|r| r.policy()),
+            recovery: self.recovery,
             audit_period: self.audit_period,
             retransmit_budget: self.retransmit_budget,
-            kernel: simcov_core::lanes::KernelMode::default(),
-            threads: None,
-            transport: pgas::TransportMode::InProcess,
-        }
-    }
-
-    /// The GPU executor's config for this spec.
-    pub fn to_gpu_config(&self) -> GpuSimConfig {
-        GpuSimConfig {
-            params: self.params(),
-            n_devices: self.units,
-            strategy: self.strategy,
-            pattern: self.pattern,
-            variant: self.variant,
-            tile_side: self.tile_side,
-            check_period: self.check_period,
-            devices_per_node: self.devices_per_node,
-            fault_plan: self.fault_plan(),
-            recovery: self.recovery.as_ref().map(|r| r.policy()),
-            audit_period: self.audit_period,
-            retransmit_budget: self.retransmit_budget,
-            kernel: simcov_core::lanes::KernelMode::default(),
-            threads: None,
-            transport: pgas::TransportMode::InProcess,
+            exec,
+            ..RunConfig::new(self.params(), self.units)
         }
     }
 
@@ -309,8 +241,8 @@ impl RunSpec {
                 self.params(),
                 self.pattern,
             )?)),
-            ExecutorKind::Cpu => Ok(Box::new(CpuSim::new(self.to_cpu_config())?)),
-            ExecutorKind::Gpu => Ok(Box::new(GpuSim::new(self.to_gpu_config())?)),
+            ExecutorKind::Cpu => Ok(Box::new(CpuSim::new(self.to_config(()))?)),
+            ExecutorKind::Gpu => Ok(Box::new(GpuSim::new(self.to_config(self.gpu))?)),
         }
     }
 
@@ -356,18 +288,18 @@ impl RunSpec {
         if self.executor == ExecutorKind::Gpu {
             doc.push(
                 "variant",
-                match self.variant {
+                match self.gpu.variant {
                     GpuVariant::Unoptimized => "unoptimized",
                     GpuVariant::FastReduction => "fast_reduction",
                     GpuVariant::MemoryTiling => "memory_tiling",
                     GpuVariant::Combined => "combined",
                 },
             );
-            doc.push("tile_side", self.tile_side as u64);
-            if let Some(p) = self.check_period {
+            doc.push("tile_side", self.gpu.tile_side as u64);
+            if let Some(p) = self.gpu.check_period {
                 doc.push("check_period", p);
             }
-            doc.push("devices_per_node", self.devices_per_node as u64);
+            doc.push("devices_per_node", self.gpu.devices_per_node as u64);
         }
         if let Some(f) = &self.fault {
             let mut fj = Json::Obj(Vec::new());
@@ -400,7 +332,6 @@ impl RunSpec {
     /// Parse (and validate) a submission document. Every malformed field is
     /// a typed [`ConfigError`] naming the field.
     pub fn from_json(doc: &Json) -> Result<Self, ConfigError> {
-        let bad = |what: &str| ConfigError::InvalidParams(format!("RunSpec: {what}"));
         let str_field = |key: &str| -> Result<Option<&str>, ConfigError> {
             match doc.get(key) {
                 None => Ok(None),
@@ -410,43 +341,29 @@ impl RunSpec {
                     .ok_or_else(|| bad(&format!("field {key:?} must be a string"))),
             }
         };
-        let num_field = |key: &str| -> Result<Option<f64>, ConfigError> {
-            match doc.get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| bad(&format!("field {key:?} must be a number"))),
-            }
-        };
-        let req_num = |key: &str| -> Result<f64, ConfigError> {
-            num_field(key)?.ok_or_else(|| bad(&format!("missing required field {key:?}")))
-        };
 
         let executor = match str_field("executor")? {
             Some(s) => ExecutorKind::parse(s)?,
             None => ExecutorKind::default(),
         };
+        let dim = |i: usize, v: &Json| int_value::<u32>(v, || format!("dims[{i}]"));
         let dims = match doc.get("dims").and_then(|d| d.as_arr()) {
-            Some([x, y]) => GridDims::new2d(
-                x.as_f64().ok_or_else(|| bad("dims[0] must be a number"))? as u32,
-                y.as_f64().ok_or_else(|| bad("dims[1] must be a number"))? as u32,
-            ),
+            Some([x, y]) => GridDims::new2d(dim(0, x)?, dim(1, y)?),
             Some([x, y, z]) => GridDims {
-                x: x.as_f64().ok_or_else(|| bad("dims[0] must be a number"))? as u32,
-                y: y.as_f64().ok_or_else(|| bad("dims[1] must be a number"))? as u32,
-                z: z.as_f64().ok_or_else(|| bad("dims[2] must be a number"))? as u32,
+                x: dim(0, x)?,
+                y: dim(1, y)?,
+                z: dim(2, z)?,
             },
             _ => return Err(bad("field \"dims\" must be [x, y] or [x, y, z]")),
         };
         let mut spec = RunSpec::test(
             executor,
             dims,
-            req_num("steps")? as u64,
-            req_num("num_foi")? as u32,
-            num_field("seed")?.unwrap_or(0.0) as u64,
+            required_int(doc, "", "steps")?,
+            required_int(doc, "", "num_foi")?,
+            int_field(doc, "", "seed")?.unwrap_or(0),
         );
-        spec.units = num_field("units")?.map(|v| v as usize).unwrap_or(4);
+        spec.units = int_field(doc, "", "units")?.unwrap_or(4);
         spec.preset = match str_field("preset")? {
             Some(s) => ParamPreset::parse(s)?,
             None => ParamPreset::Test,
@@ -458,16 +375,8 @@ impl RunSpec {
         };
         spec.pattern = if let Some(ct) = doc.get("ct_lesions") {
             FoiPattern::CtLesions {
-                clusters: ct
-                    .get("clusters")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| bad("ct_lesions.clusters must be a number"))?
-                    as u32,
-                radius: ct
-                    .get("radius")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| bad("ct_lesions.radius must be a number"))?
-                    as u32,
+                clusters: required_int(ct, "ct_lesions.", "clusters")?,
+                radius: required_int(ct, "ct_lesions.", "radius")?,
             }
         } else {
             match str_field("pattern")? {
@@ -478,22 +387,22 @@ impl RunSpec {
                 }
             }
         };
-        spec.variant = match str_field("variant")? {
+        spec.gpu.variant = match str_field("variant")? {
             None | Some("combined") => GpuVariant::Combined,
             Some("unoptimized") => GpuVariant::Unoptimized,
             Some("fast_reduction") => GpuVariant::FastReduction,
             Some("memory_tiling") => GpuVariant::MemoryTiling,
             Some(other) => return Err(bad(&format!("unknown variant {other:?}"))),
         };
-        if let Some(v) = num_field("tile_side")? {
-            spec.tile_side = v as usize;
+        if let Some(v) = int_field(doc, "", "tile_side")? {
+            spec.gpu.tile_side = v;
         }
-        spec.check_period = num_field("check_period")?.map(|v| v as u64);
-        if let Some(v) = num_field("devices_per_node")? {
-            spec.devices_per_node = v as usize;
+        spec.gpu.check_period = int_field(doc, "", "check_period")?;
+        if let Some(v) = int_field(doc, "", "devices_per_node")? {
+            spec.gpu.devices_per_node = v;
         }
         if let Some(f) = doc.get("fault") {
-            let fnum = |key: &str| -> Result<f64, ConfigError> {
+            let rate = |key: &str| -> Result<f64, ConfigError> {
                 match f.get(key) {
                     None => Ok(0.0),
                     Some(v) => v
@@ -502,40 +411,68 @@ impl RunSpec {
                 }
             };
             spec.fault = Some(FaultSpec {
-                seed: fnum("seed")? as u64,
+                seed: int_field(f, "fault.", "seed")?.unwrap_or(0),
                 rates: FaultRates {
-                    death: fnum("death")?,
-                    drop: fnum("drop")?,
-                    duplicate: fnum("duplicate")?,
-                    stall: fnum("stall")?,
-                    stall_ns: fnum("stall_ns")? as u64,
-                    payload_corruption: fnum("payload_corruption")?,
-                    state_corruption: fnum("state_corruption")?,
+                    death: rate("death")?,
+                    drop: rate("drop")?,
+                    duplicate: rate("duplicate")?,
+                    stall: rate("stall")?,
+                    stall_ns: int_field(f, "fault.", "stall_ns")?.unwrap_or(0),
+                    payload_corruption: rate("payload_corruption")?,
+                    state_corruption: rate("state_corruption")?,
                 },
             });
         }
         if let Some(r) = doc.get("recovery") {
-            let d = RecoverySpec::default();
-            let rnum = |key: &str, default: u64| -> Result<u64, ConfigError> {
-                match r.get(key) {
-                    None => Ok(default),
-                    Some(v) => v
-                        .as_f64()
-                        .map(|x| x as u64)
-                        .ok_or_else(|| bad(&format!("recovery.{key} must be a number"))),
-                }
-            };
-            spec.recovery = Some(RecoverySpec {
-                checkpoint_period: rnum("checkpoint_period", d.checkpoint_period)?,
-                max_retries: rnum("max_retries", d.max_retries as u64)? as u32,
-                backoff_base_ns: rnum("backoff_base_ns", d.backoff_base_ns)?,
+            let d = RecoveryPolicy::default();
+            spec.recovery = Some(RecoveryPolicy {
+                checkpoint_period: int_field(r, "recovery.", "checkpoint_period")?
+                    .unwrap_or(d.checkpoint_period),
+                max_retries: int_field(r, "recovery.", "max_retries")?.unwrap_or(d.max_retries),
+                backoff_base_ns: int_field(r, "recovery.", "backoff_base_ns")?
+                    .unwrap_or(d.backoff_base_ns),
             });
         }
-        spec.audit_period = num_field("audit_period")?.map(|v| v as u64);
-        spec.retransmit_budget = num_field("retransmit_budget")?.map(|v| v as u64);
+        spec.audit_period = int_field(doc, "", "audit_period")?;
+        spec.retransmit_budget = int_field(doc, "", "retransmit_budget")?;
         spec.validate()?;
         Ok(spec)
     }
+}
+
+fn bad(what: &str) -> ConfigError {
+    ConfigError::InvalidParams(format!("RunSpec: {what}"))
+}
+
+/// `v` as an integer of type `T`: an exact non-negative integer
+/// ([`Json::as_u64`]) that fits `T`. Anything else — negative, fractional,
+/// beyond 2^53, out of `T`'s range, not a number — is a typed error naming
+/// the field (`what` is only called to build that error); nothing is
+/// clamped.
+fn int_value<T: TryFrom<u64>>(v: &Json, what: impl FnOnce() -> String) -> Result<T, ConfigError> {
+    v.as_u64().and_then(|n| T::try_from(n).ok()).ok_or_else(|| {
+        bad(&format!(
+            "field {:?} must be a non-negative integer in range",
+            what()
+        ))
+    })
+}
+
+/// Optional integer field `key` of `obj` (see [`int_value`]); `path` prefixes
+/// the field name in the error (`"fault."`, `"recovery."`).
+pub(crate) fn int_field<T: TryFrom<u64>>(
+    obj: &Json,
+    path: &str,
+    key: &str,
+) -> Result<Option<T>, ConfigError> {
+    obj.get(key)
+        .map(|v| int_value(v, || format!("{path}{key}")))
+        .transpose()
+}
+
+fn required_int<T: TryFrom<u64>>(obj: &Json, path: &str, key: &str) -> Result<T, ConfigError> {
+    int_field(obj, path, key)?
+        .ok_or_else(|| bad(&format!("missing required field \"{path}{key}\"")))
 }
 
 #[cfg(test)]
@@ -553,11 +490,11 @@ mod tests {
                     ..FaultRates::default()
                 },
             })
-            .with_recovery(RecoverySpec {
+            .with_recovery(RecoveryPolicy {
                 checkpoint_period: 8,
-                ..RecoverySpec::default()
+                ..RecoveryPolicy::default()
             });
-        s.check_period = Some(4);
+        s.gpu.check_period = Some(4);
         s.audit_period = Some(8);
         s.retransmit_budget = Some(2);
         s
@@ -610,13 +547,13 @@ mod tests {
     #[test]
     fn validation_surfaces_executor_specific_errors() {
         let mut spec = RunSpec::test(ExecutorKind::Gpu, GridDims::new2d(16, 16), 10, 2, 0);
-        spec.tile_side = 0;
+        spec.gpu.tile_side = 0;
         assert!(matches!(spec.validate(), Err(ConfigError::ZeroTileSide)));
         let mut spec = RunSpec::test(ExecutorKind::Cpu, GridDims::new2d(16, 16), 10, 2, 0);
         spec.units = 0;
         assert!(matches!(spec.validate(), Err(ConfigError::ZeroUnits)));
         let mut spec = RunSpec::test(ExecutorKind::Gpu, GridDims::new2d(16, 16), 10, 2, 0);
-        spec.check_period = Some(99);
+        spec.gpu.check_period = Some(99);
         assert!(matches!(
             spec.validate(),
             Err(ConfigError::CheckPeriodOutOfRange { .. })
@@ -637,9 +574,9 @@ mod tests {
     #[test]
     fn spec_built_config_matches_hand_built_config() {
         let spec = full_spec();
-        let cfg = spec.to_gpu_config();
-        assert_eq!(cfg.n_devices, 3);
-        assert_eq!(cfg.check_period, Some(4));
+        let cfg = spec.to_config(spec.gpu);
+        assert_eq!(cfg.units, 3);
+        assert_eq!(cfg.exec.check_period, Some(4));
         assert_eq!(cfg.audit_period, Some(8));
         assert_eq!(cfg.retransmit_budget, Some(2));
         assert_eq!(

@@ -9,8 +9,8 @@
 //! - [`Telemetry`] + [`SpanEvent`]: hierarchical spans with parent ids over
 //!   bounded per-track [`EventRing`]s — fixed capacity, explicit drop
 //!   counters, no allocation on the hot path.
-//! - [`MonotonicClock`]: the one timestamp source shared by spans, the
-//!   `pgas` trace, and the bench harness.
+//! - [`MonotonicClock`]: the one timestamp source shared by spans and the
+//!   bench harness.
 //! - Exporters: [`chrome`] (trace-event JSON for `chrome://tracing` /
 //!   Perfetto) and [`prometheus`] (text exposition).
 //! - [`HealthMonitor`]: online straggler / load-imbalance / comm-spike

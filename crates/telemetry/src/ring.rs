@@ -1,8 +1,8 @@
 //! Bounded single-writer event rings.
 //!
 //! The hot path of the runtime must never allocate or block to record an
-//! event, and a long run must never grow an unbounded trace (the failure
-//! mode of the original `pgas::trace` `Vec`). An [`EventRing`] is a
+//! event, and a long run must never grow an unbounded trace. An
+//! [`EventRing`] is a
 //! fixed-capacity circular buffer: pushes are wait-free stores from a single
 //! writer thread, the ring keeps the most recent `capacity` events, and
 //! everything older is counted — never silently lost — in [`EventRing::dropped`].

@@ -93,10 +93,10 @@ fn main() {
         "active tiles at end:    {:.1}% (memory tiling, §3.2)",
         100.0
             * sim
-                .devices
+                .units
                 .iter()
                 .map(|d| d.active_tile_fraction())
                 .sum::<f64>()
-            / sim.devices.len() as f64
+            / sim.units.len() as f64
     );
 }

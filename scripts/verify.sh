@@ -333,4 +333,15 @@ print(f"sweep gate OK: resumed CSVs identical, DLQ entry replayable "
       f"(halt={dlq['replay_halt']!r}, {dlq['events']} events)")
 EOF
 
+# The out-of-workspace benchmark package calls the crates' public API as it
+# was written when the benchmark was frozen, and nothing above compiles it:
+# build it offline and run its smoke sizes (output checks included) so a
+# crate API change cannot break the yardstick unnoticed.
+echo "== benchmark package (offline build + --quick run) =="
+benchmark/run.sh --quick >/dev/null
+echo "benchmark/run.sh --quick OK"
+
+echo "== size =="
+echo "crates/**/*.rs lines: $(git ls-files 'crates/**/*.rs' | xargs cat | wc -l)"
+
 echo "== all checks passed =="

@@ -13,7 +13,7 @@ use simcov_repro::simcov_core::serial::SerialSim;
 use simcov_repro::simcov_core::world::World;
 use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
 use simcov_repro::simcov_driver::Simulation;
-use simcov_repro::simcov_gpu::{GpuSim, GpuSimConfig, GpuVariant};
+use simcov_repro::simcov_gpu::{GpuKnobs, GpuSim, GpuSimConfig, GpuVariant};
 
 fn check_all(params: SimParams, world: World, ranks: &[usize], devices: &[usize]) {
     let mut serial = SerialSim::from_world(params.clone(), world.clone());
@@ -37,7 +37,10 @@ fn check_all(params: SimParams, world: World, ranks: &[usize], devices: &[usize]
     }
     for &d in devices {
         for v in GpuVariant::ALL {
-            let cfg = GpuSimConfig::new(params.clone(), d).with_variant(v);
+            let cfg = GpuSimConfig::new(params.clone(), d).with_exec(GpuKnobs {
+                variant: v,
+                ..GpuKnobs::default()
+            });
             let mut gpu = GpuSim::from_world(cfg, world.clone()).expect("valid config");
             gpu.run().expect("healthy run");
             if let Some((idx, why)) = serial.world.first_difference(&gpu.gather_world()) {
@@ -134,7 +137,10 @@ fn tile_side_does_not_change_results() {
     let world = World::seeded(&params, FoiPattern::UniformLattice);
     let mut reference: Option<World> = None;
     for tile_side in [2usize, 4, 8, 16] {
-        let cfg = GpuSimConfig::new(params.clone(), 4).with_tile_side(tile_side);
+        let cfg = GpuSimConfig::new(params.clone(), 4).with_exec(GpuKnobs {
+            tile_side,
+            ..GpuKnobs::default()
+        });
         let mut gpu = GpuSim::from_world(cfg, world.clone()).expect("valid config");
         gpu.run().expect("healthy run");
         let w = gpu.gather_world();

@@ -584,7 +584,7 @@ fn cpu_event_log_replays_to_the_live_control_state() {
     );
     assert_eq!(
         r.final_state.integrity_log,
-        simcov_repro::simcov_driver::Executor::core(&sim).integrity_log,
+        sim.integrity_log(),
         "replayed integrity stream diverged"
     );
 }

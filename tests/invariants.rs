@@ -14,7 +14,7 @@ use simcov_repro::simcov_core::serial::SerialSim;
 use simcov_repro::simcov_core::world::World;
 use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
 use simcov_repro::simcov_driver::Simulation;
-use simcov_repro::simcov_gpu::{GpuSim, GpuSimConfig, GpuVariant};
+use simcov_repro::simcov_gpu::{GpuKnobs, GpuSim, GpuSimConfig, GpuVariant};
 
 const CASES: u64 = 12;
 
@@ -114,7 +114,10 @@ fn executors_agree_on_random_configs() {
             .expect("valid config");
         cpu.run().expect("healthy run");
         let mut gpu = GpuSim::from_world(
-            GpuSimConfig::new(p, devices).with_variant(GpuVariant::Combined),
+            GpuSimConfig::new(p, devices).with_exec(GpuKnobs {
+                variant: GpuVariant::Combined,
+                ..GpuKnobs::default()
+            }),
             world,
         )
         .expect("valid config");

@@ -1,7 +1,7 @@
 //! Integration tests for the observability layer: per-step [`StepRecord`]s
-//! emitted through a [`MetricsSink`] must agree across executors, and the
-//! runtime's per-superstep trace must reconcile exactly with the BSP
-//! communication counters.
+//! emitted through a `MetricsSink` must agree across executors, and the
+//! telemetry stream's per-superstep spans must reconcile exactly with the
+//! BSP communication counters.
 
 use simcov_repro::gpusim::SharedSink;
 use simcov_repro::simcov_core::grid::GridDims;
@@ -9,6 +9,7 @@ use simcov_repro::simcov_core::params::SimParams;
 use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
 use simcov_repro::simcov_driver::Simulation;
 use simcov_repro::simcov_gpu::{GpuSim, GpuSimConfig};
+use simcov_repro::simcov_telemetry::Telemetry;
 
 fn params(seed: u64) -> SimParams {
     SimParams::test_config(GridDims::new2d(32, 32), 30, 6, seed)
@@ -76,43 +77,50 @@ fn step_record_comm_deltas_sum_to_counters() {
     assert_eq!(rec_bytes, comm.bytes + comm.bulk_bytes);
 }
 
-/// The trace's per-superstep events must reconcile exactly with the BSP
-/// counters: one event per superstep, and summed volumes equal the
-/// cumulative totals — on both executors.
+/// The telemetry stream's superstep spans must reconcile exactly with the
+/// BSP counters: one `superstep` span per counted superstep, and the
+/// `exchange` span volumes sum to the cumulative totals — on both executors.
 #[test]
 fn trace_comm_totals_equal_bsp_counters() {
     let mut cpu = CpuSim::new(CpuSimConfig::new(params(11), 4)).expect("valid config");
-    cpu.enable_trace();
+    cpu.enable_telemetry(Telemetry::enabled(5, 1 << 14));
     cpu.run().expect("healthy run");
-    check_trace_matches_counters(cpu.trace(), cpu.comm_counters(), "cpu");
+    check_trace_matches_counters(&cpu, "cpu");
 
     let mut gpu = GpuSim::new(GpuSimConfig::new(params(11), 4)).expect("valid config");
-    gpu.enable_trace();
+    gpu.enable_telemetry(Telemetry::enabled(5, 1 << 14));
     gpu.run().expect("healthy run");
-    check_trace_matches_counters(gpu.trace(), gpu.comm_counters(), "gpu");
+    check_trace_matches_counters(&gpu, "gpu");
 }
 
-fn check_trace_matches_counters(
-    trace: &simcov_repro::pgas::Trace,
-    comm: simcov_repro::pgas::CommCounters,
-    who: &str,
-) {
-    let events: Vec<_> = trace.events_for("superstep").collect();
+fn check_trace_matches_counters(sim: &dyn Simulation, who: &str) {
+    let tel = sim.telemetry_handle();
+    assert_eq!(tel.dropped(), 0, "{who}: the ring must hold the whole run");
+    let events = tel.events();
+    let comm = sim.comm_counters();
+    let labelled = |label: &'static str| events.iter().filter(move |e| e.label == label);
     assert_eq!(
-        events.len() as u64,
+        labelled("superstep").count() as u64,
         comm.supersteps,
-        "{who}: one trace event per superstep"
+        "{who}: one superstep span per superstep"
     );
-    let v = trace.total_volume();
-    assert_eq!(v.messages, comm.messages, "{who}: p2p message totals");
-    assert_eq!(v.bytes, comm.bytes, "{who}: p2p byte totals");
     assert_eq!(
-        v.bulk_messages, comm.bulk_messages,
-        "{who}: bulk message totals"
+        labelled("exchange").count() as u64,
+        comm.supersteps,
+        "{who}: one exchange span per superstep"
     );
-    assert_eq!(v.bulk_bytes, comm.bulk_bytes, "{who}: bulk byte totals");
-    for e in &events {
-        assert!(e.wall_ns > 0, "{who}: every superstep span measured time");
+    assert_eq!(
+        labelled("exchange").map(|e| e.a).sum::<u64>(),
+        comm.messages + comm.bulk_messages,
+        "{who}: message totals"
+    );
+    assert_eq!(
+        labelled("exchange").map(|e| e.b).sum::<u64>(),
+        comm.bytes + comm.bulk_bytes,
+        "{who}: byte totals"
+    );
+    for e in labelled("superstep").chain(labelled("exchange")) {
+        assert!(e.dur_ns > 0, "{who}: every {} span measured time", e.label);
     }
 }
 
@@ -126,7 +134,7 @@ fn metrics_sink_does_not_perturb_simulation() {
     let sink = SharedSink::new();
     let mut observed = CpuSim::new(CpuSimConfig::new(params(23), 3)).expect("valid config");
     observed.set_metrics_sink(Box::new(sink.clone()));
-    observed.enable_trace();
+    observed.enable_telemetry(Telemetry::enabled(4, 1 << 14));
     observed.run().expect("healthy run");
 
     assert_eq!(plain.history().steps.len(), observed.history().steps.len());

@@ -7,7 +7,7 @@ use simcov_repro::simcov_core::grid::GridDims;
 use simcov_repro::simcov_core::params::SimParams;
 use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
 use simcov_repro::simcov_driver::Simulation;
-use simcov_repro::simcov_gpu::{GpuSim, GpuSimConfig, GpuVariant};
+use simcov_repro::simcov_gpu::{GpuKnobs, GpuSim, GpuSimConfig, GpuVariant};
 
 fn params(side: u32, steps: u64, foi: u32) -> SimParams {
     SimParams::test_config(GridDims::new2d(side, side), steps, foi, 3)
@@ -34,7 +34,10 @@ fn gpu_full_sweep_variants_do_not_grow_with_foi() {
     let mut elems = Vec::new();
     for foi in [1u32, 16] {
         let mut gpu = GpuSim::new(
-            GpuSimConfig::new(params(48, 60, foi), 4).with_variant(GpuVariant::FastReduction),
+            GpuSimConfig::new(params(48, 60, foi), 4).with_exec(GpuKnobs {
+                variant: GpuVariant::FastReduction,
+                ..GpuKnobs::default()
+            }),
         )
         .expect("valid config");
         gpu.run().expect("healthy run");
@@ -54,9 +57,11 @@ fn reduction_cost_dominates_unoptimized_variant() {
     // Fig 4's headline: reductions are the biggest cost without the fast
     // reduction, and the tree reduction removes almost all of it.
     let model = CostModel::default();
-    let mut unopt =
-        GpuSim::new(GpuSimConfig::new(params(48, 60, 8), 4).with_variant(GpuVariant::Unoptimized))
-            .expect("valid config");
+    let mut unopt = GpuSim::new(GpuSimConfig::new(params(48, 60, 8), 4).with_exec(GpuKnobs {
+        variant: GpuVariant::Unoptimized,
+        ..GpuKnobs::default()
+    }))
+    .expect("valid config");
     unopt.run().expect("healthy run");
     // Zero out launch overheads: at this miniature scale fixed per-step
     // launches dominate everything; the paper-scale balance is between the
@@ -68,7 +73,7 @@ fn reduction_cost_dominates_unoptimized_variant() {
         c.halo.launches = 0;
         c
     };
-    let b_unopt = model.device_breakdown(&GPU_A100, &strip_launches(unopt.max_device_counters()));
+    let b_unopt = model.device_breakdown(&GPU_A100, &strip_launches(unopt.max_unit_counters()));
     assert!(
         b_unopt.reduce_s > b_unopt.update_s,
         "unoptimized: reduce {} should exceed update {}",
@@ -76,11 +81,13 @@ fn reduction_cost_dominates_unoptimized_variant() {
         b_unopt.update_s
     );
 
-    let mut fast =
-        GpuSim::new(GpuSimConfig::new(params(48, 60, 8), 4).with_variant(GpuVariant::Combined))
-            .expect("valid config");
+    let mut fast = GpuSim::new(GpuSimConfig::new(params(48, 60, 8), 4).with_exec(GpuKnobs {
+        variant: GpuVariant::Combined,
+        ..GpuKnobs::default()
+    }))
+    .expect("valid config");
     fast.run().expect("healthy run");
-    let b_fast = model.device_breakdown(&GPU_A100, &strip_launches(fast.max_device_counters()));
+    let b_fast = model.device_breakdown(&GPU_A100, &strip_launches(fast.max_unit_counters()));
     assert!(
         b_fast.reduce_s < 0.2 * b_unopt.reduce_s,
         "tree reduction should slash reduce time: {} vs {}",
@@ -95,7 +102,7 @@ fn more_devices_less_max_device_work() {
     for d in [1usize, 4, 16] {
         let mut gpu = GpuSim::new(GpuSimConfig::new(params(64, 60, 16), d)).expect("valid config");
         gpu.run().expect("healthy run");
-        let w = gpu.max_device_counters().reduce.elements;
+        let w = gpu.max_unit_counters().reduce.elements;
         assert!(w < prev, "reduce sweep per device must shrink with devices");
         prev = w;
     }
@@ -148,7 +155,7 @@ fn multinode_sync_shapes_strong_scaling() {
 fn extrapolation_preserves_per_step_ratios() {
     let mut gpu = GpuSim::new(GpuSimConfig::new(params(48, 60, 8), 4)).expect("valid config");
     gpu.run().expect("healthy run");
-    let c = gpu.max_device_counters();
+    let c = gpu.max_unit_counters();
     let e = c.extrapolate(8.0);
     // Area-class: ×8³; launches: ×8.
     assert_eq!(e.reduce.elements, c.reduce.elements * 512);

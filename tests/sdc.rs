@@ -15,7 +15,7 @@ use simcov_repro::simcov_core::grid::GridDims;
 use simcov_repro::simcov_core::params::SimParams;
 use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
 use simcov_repro::simcov_driver::{
-    load_checkpoint, persist_checkpoint, Executor, RecoveryPolicy, SimError, Simulation,
+    load_checkpoint, persist_checkpoint, RecoveryPolicy, SimError, Simulation,
 };
 use simcov_repro::simcov_gpu::{GpuSim, GpuSimConfig};
 
@@ -83,7 +83,7 @@ fn cpu_payload_corruption_heals_in_barrier() {
         faulty.recovery_log().is_empty(),
         "in-barrier healing needs no rollback"
     );
-    let log = &faulty.core().integrity_log;
+    let log = faulty.integrity_log();
     assert_eq!(log.len(), 1);
     assert_eq!(log[0].kind, CorruptionKind::Payload);
     assert_eq!(log[0].detector, IntegrityDetector::BatchCrc);
@@ -135,7 +135,7 @@ fn cpu_state_corruption_scrubs_and_rolls_back() {
     assert_eq!(rec[0].survivors, 4, "SDC rollback keeps the partition");
     assert_eq!(faulty.n_units(), 4);
 
-    let log = &faulty.core().integrity_log;
+    let log = faulty.integrity_log();
     let state_recs: Vec<_> = log
         .iter()
         .filter(|r| r.kind == CorruptionKind::State)
@@ -168,7 +168,7 @@ fn gpu_state_corruption_scrubs_and_rolls_back() {
 
     assert_eq!(faulty.recovery_log().len(), 1);
     assert_eq!(faulty.n_units(), 4, "no shrink on SDC rollback");
-    let log = &faulty.core().integrity_log;
+    let log = faulty.integrity_log();
     assert!(log.iter().any(|r| r.kind == CorruptionKind::State
         && r.detector == IntegrityDetector::SealScrub
         && r.action == IntegrityAction::Rollback));
@@ -227,7 +227,7 @@ fn corruption_during_rollback_replay_recovers_again() {
     faulty.run().expect("both flips must be absorbed");
 
     assert_eq!(faulty.recovery_log().len(), 2, "two rollbacks");
-    let log = &faulty.core().integrity_log;
+    let log = faulty.integrity_log();
     assert_eq!(
         log.iter()
             .filter(|r| r.kind == CorruptionKind::State)
@@ -262,7 +262,7 @@ fn zero_retransmit_budget_escalates_to_rollback() {
     assert_eq!(rec.len(), 1, "escalated to one rollback");
     assert!(rec[0].dead_ranks.is_empty());
     assert_eq!(faulty.comm_counters().retransmits, 0, "budget was zero");
-    let log = &faulty.core().integrity_log;
+    let log = faulty.integrity_log();
     assert!(log
         .iter()
         .any(|r| r.kind == CorruptionKind::Payload && r.action == IntegrityAction::Rollback));
@@ -307,11 +307,8 @@ fn audit_period_one_has_zero_false_positives_on_both_executors() {
     let mut audited_cpu =
         CpuSim::new(CpuSimConfig::new(params(19), 4).with_audit_period(1)).expect("valid config");
     audited_cpu.run().expect("no faults");
-    assert!(
-        audited_cpu.core().integrity_log.is_empty(),
-        "false positive"
-    );
-    let mon = audited_cpu.core().integrity.as_ref().expect("engaged");
+    assert!(audited_cpu.integrity_log().is_empty(), "false positive");
+    let mon = audited_cpu.integrity_stats();
     assert_eq!(mon.audits_run, 60, "audited every step");
     assert_eq!(mon.violations, 0);
     assert_identical(&plain_cpu, &audited_cpu);
@@ -321,10 +318,7 @@ fn audit_period_one_has_zero_false_positives_on_both_executors() {
     let mut audited_gpu =
         GpuSim::new(GpuSimConfig::new(params(19), 4).with_audit_period(1)).expect("valid config");
     audited_gpu.run().expect("no faults");
-    assert!(
-        audited_gpu.core().integrity_log.is_empty(),
-        "false positive"
-    );
+    assert!(audited_gpu.integrity_log().is_empty(), "false positive");
     assert_identical(&plain_gpu, &audited_gpu);
 }
 

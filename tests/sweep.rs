@@ -6,10 +6,12 @@ use std::fs;
 use std::path::PathBuf;
 
 use simcov_repro::pgas::fault::FaultRates;
+use simcov_repro::simcov_core::foi::FoiPattern;
 use simcov_repro::simcov_core::grid::GridDims;
+use simcov_repro::simcov_core::json::Json;
+use simcov_repro::simcov_driver::{ConfigError, RecoveryPolicy};
 use simcov_repro::simcov_sweep::{
-    job_paths, ExecutorKind, FaultSpec, JobSpec, JobStatus, RecoverySpec, RunSpec, SweepConfig,
-    SweepServer,
+    job_paths, ExecutorKind, FaultSpec, JobSpec, JobStatus, RunSpec, SweepConfig, SweepServer,
 };
 
 /// A process-unique scratch root, wiped on entry so re-runs start clean.
@@ -96,7 +98,7 @@ fn ladder_exhaustion_dead_letters_with_replayable_log() {
                 ..FaultRates::default()
             },
         })
-        .with_recovery(RecoverySpec {
+        .with_recovery(RecoveryPolicy {
             checkpoint_period: 4,
             max_retries: 2,
             backoff_base_ns: 1_000,
@@ -193,4 +195,94 @@ fn hundred_job_sweep_completes_with_streamed_records() {
             "one streamed record per step"
         );
     }
+}
+
+/// The value at `path` inside `doc` (object keys; decimal segments index
+/// arrays).
+fn slot<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Json {
+    path.iter().fold(doc, |at, seg| match at {
+        Json::Obj(pairs) => pairs
+            .iter_mut()
+            .find(|(k, _)| k == seg)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("no field {seg:?}")),
+        Json::Arr(items) => &mut items[seg.parse::<usize>().expect("array index")],
+        other => panic!("cannot descend into {other:?}"),
+    })
+}
+
+/// Hostile numbers in a submission are typed errors naming the field —
+/// never a panic, a hang, or a silently clamped value. Before the integer
+/// fields were read through `Json::as_u64`, `"steps": -5` became 0,
+/// `"units": 2.7` became 2, `"units": 1e30` became `usize::MAX`, and a seed
+/// above 2^53 changed value.
+#[test]
+fn hostile_integers_are_typed_errors_in_every_field() {
+    let mut run = RunSpec::test(ExecutorKind::Gpu, GridDims::new2d(24, 24), 30, 2, 7)
+        .with_units(3)
+        .with_fault(FaultSpec {
+            seed: 9,
+            rates: FaultRates {
+                stall: 0.001,
+                stall_ns: 5,
+                ..FaultRates::default()
+            },
+        })
+        .with_recovery(RecoveryPolicy::default());
+    run.pattern = FoiPattern::CtLesions {
+        clusters: 2,
+        radius: 3,
+    };
+    run.gpu.check_period = Some(4);
+    run.audit_period = Some(8);
+    run.retransmit_budget = Some(2);
+    let job = JobSpec::new("hostile", run)
+        .with_persist_every(4)
+        .with_halt_after(9);
+    let doc = job.to_json();
+    assert_eq!(JobSpec::from_json(&doc).expect("the clean document"), job);
+
+    // Every integer field of both parsers.
+    let fields: [&[&str]; 21] = [
+        &["persist_every"],
+        &["halt_after"],
+        &["run", "units"],
+        &["run", "dims", "0"],
+        &["run", "dims", "1"],
+        &["run", "dims", "2"],
+        &["run", "steps"],
+        &["run", "num_foi"],
+        &["run", "seed"],
+        &["run", "ct_lesions", "clusters"],
+        &["run", "ct_lesions", "radius"],
+        &["run", "tile_side"],
+        &["run", "check_period"],
+        &["run", "devices_per_node"],
+        &["run", "fault", "seed"],
+        &["run", "fault", "stall_ns"],
+        &["run", "recovery", "checkpoint_period"],
+        &["run", "recovery", "max_retries"],
+        &["run", "recovery", "backoff_base_ns"],
+        &["run", "audit_period"],
+        &["run", "retransmit_budget"],
+    ];
+    for path in fields {
+        // Negative, fractional, astronomically large, and just past the
+        // last integer an f64 holds exactly (2^53 + 2).
+        for hostile in [-5.0, 2.7, 1e30, 9_007_199_254_740_994.0] {
+            let mut bad = doc.clone();
+            *slot(&mut bad, path) = Json::Num(hostile);
+            let name = path.iter().rfind(|s| s.parse::<usize>().is_err()).unwrap();
+            match JobSpec::from_json(&bad) {
+                Err(ConfigError::InvalidParams(msg)) => {
+                    assert!(msg.contains(name), "{path:?} = {hostile}: {msg:?}")
+                }
+                other => panic!("{path:?} = {hostile}: expected a typed error, got {other:?}"),
+            }
+        }
+    }
+    // The largest exactly-representable integer still parses to itself.
+    let mut edge = doc.clone();
+    *slot(&mut edge, &["run", "seed"]) = Json::Num(9_007_199_254_740_992.0);
+    assert_eq!(JobSpec::from_json(&edge).expect("2^53").run.seed, 1 << 53);
 }
