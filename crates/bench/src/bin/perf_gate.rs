@@ -49,11 +49,13 @@ use simcov_bench::json::write_json;
 use simcov_bench::microbench::{Bench, BenchResult};
 use simcov_core::diffusion::{diffuse_voxel, DiffuseCoeffs};
 use simcov_core::exact::ExactSum;
+use simcov_core::extrav::TrialTable;
 use simcov_core::fields::Field;
 use simcov_core::grid::GridDims;
 use simcov_core::json::Json;
 use simcov_core::lanes;
 use simcov_core::params::SimParams;
+use simcov_core::rules::extrav_voxel;
 use simcov_core::serial::SerialSim;
 use simcov_core::soa::StencilDeltas;
 use simcov_cpu::{CpuSim, CpuSimConfig};
@@ -68,6 +70,10 @@ const MIN_DIFFUSION_SPEEDUP: f64 = 1.8;
 /// The coalesced halo exchange must hold this speedup over per-message
 /// delivery (measured ~3.5x; the floor leaves noise headroom).
 const MIN_HALO_SPEEDUP: f64 = 2.0;
+
+/// The bucket-placed extravasation trial table must hold this speedup over
+/// the comparison sort it replaced (measured ~3.6x at steady-state size).
+const MIN_TRIAL_TABLE_SPEEDUP: f64 = 2.0;
 
 /// Instrumentation budget: a telemetry-on e2e run may cost at most 15% more
 /// wall clock than the identical telemetry-off run. The measured ratio sits
@@ -368,6 +374,43 @@ fn run_benches(smoke: bool, threads: usize, tel: &Telemetry) -> (Vec<BenchResult
         s.to_f64()
     });
 
+    // --- Extravasation trial table at cpu_arc's steady-state size: the
+    // comparison sort that defines the order vs the in-place bucket
+    // placement (asserted entry-for-entry equal first), as an interleaved
+    // pair so the ratio survives a loaded host. ---
+    let trial_p = SimParams {
+        dims: GridDims::new2d(160, 160),
+        seed: 2024,
+        ..SimParams::default()
+    };
+    const TRIALS: u64 = 130_000;
+    let sorted_trials = || {
+        let mut v: Vec<(usize, u64)> = (0..TRIALS)
+            .map(|i| (extrav_voxel(&trial_p, 200, i), i))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    let mut table = TrialTable::default();
+    table.rebuild(&trial_p, 200, TRIALS);
+    assert!(
+        table
+            .all()
+            .iter()
+            .map(|e| (e.voxel as usize, u64::from(e.trial)))
+            .eq(sorted_trials()),
+        "bucket-placed trial table must equal the comparison sort entry for entry"
+    );
+    b.bench_pair(
+        "extrav/trial_sort_160sq",
+        || sorted_trials().len(),
+        "extrav/trial_table_160sq",
+        || {
+            table.rebuild(&trial_p, 200, TRIALS);
+            table.len()
+        },
+    );
+
     // --- Small end-to-end run on the serial reference executor. Each
     // iteration runs the same deterministic 8-step simulation from scratch,
     // so the workload is stationary (a warmed sim that keeps advancing
@@ -511,6 +554,10 @@ fn compute_speedups(results: &[BenchResult], tel_overhead: f64) -> Vec<(String, 
             "halo_exchange".to_string(),
             speedup("halo_exchange/per_message", "halo_exchange/coalesced"),
         ),
+        (
+            "trial_table".to_string(),
+            speedup("extrav/trial_sort_160sq", "extrav/trial_table_160sq"),
+        ),
         ("telemetry_overhead".to_string(), tel_overhead),
     ]
 }
@@ -548,6 +595,13 @@ fn evaluate_gate(
     if sp_halo < MIN_HALO_SPEEDUP {
         failures.push(format!(
             "coalesced halo speedup {sp_halo:.2}x is below the {MIN_HALO_SPEEDUP}x floor"
+        ));
+    }
+    let sp_trial_table = speedup_of(speedups, "trial_table");
+    if sp_trial_table < MIN_TRIAL_TABLE_SPEEDUP {
+        failures.push(format!(
+            "trial-table speedup {sp_trial_table:.2}x over the comparison sort is below \
+             the {MIN_TRIAL_TABLE_SPEEDUP}x floor"
         ));
     }
     if tel_overhead <= 0.0 {
@@ -674,6 +728,10 @@ fn main() {
     eprintln!(
         "speedup halo coalesced/per-message: {:.2}x",
         speedup_of(&speedups, "halo_exchange")
+    );
+    eprintln!(
+        "speedup trial table bucket/sort:    {:.2}x",
+        speedup_of(&speedups, "trial_table")
     );
     eprintln!("telemetry on/off overhead:          {tel_overhead:.3}x");
 

@@ -225,6 +225,18 @@ impl SimParams {
         if self.dims.nvoxels() == 0 {
             return Err("grid has zero voxels".into());
         }
+        // Global voxel indices are stored in 32 bits (extravasation trial
+        // table entries).
+        if u32::try_from(self.dims.nvoxels()).is_err() {
+            return Err(format!(
+                "dims = {} x {} x {} is {} voxels, above the 32-bit voxel index limit {}",
+                self.dims.x,
+                self.dims.y,
+                self.dims.z,
+                self.dims.nvoxels(),
+                u32::MAX
+            ));
+        }
         for (name, v) in [
             ("virion_diffusion", self.virion_diffusion),
             ("chemokine_diffusion", self.chemokine_diffusion),
@@ -326,6 +338,22 @@ mod tests {
         let p = SimParams::test_config(GridDims::new2d(32, 32), 200, 2, 3);
         p.validate().unwrap();
         assert!(p.tcell_initial_delay <= 20);
+    }
+
+    #[test]
+    fn validation_rejects_grids_beyond_the_32_bit_voxel_index() {
+        // Validation only multiplies the extents; nothing is allocated.
+        let p = SimParams {
+            dims: GridDims::new2d(65_536, 65_536),
+            ..SimParams::default()
+        };
+        let err = p.validate().unwrap_err();
+        assert!(err.contains("dims") && err.contains("32-bit"), "{err}");
+        let p = SimParams {
+            dims: GridDims::new2d(65_536, 65_535),
+            ..SimParams::default()
+        };
+        p.validate().unwrap();
     }
 
     #[test]

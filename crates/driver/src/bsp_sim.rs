@@ -117,6 +117,9 @@ pub struct BspSim<U: Unit> {
     /// The live execution units, in partition order (shrinks after a
     /// recovery from rank death).
     pub units: Vec<U>,
+    /// The step's extravasation trials, rebuilt in place every step (pure in
+    /// `(params, step, pool size)`, so it is never checkpointed).
+    trials: TrialTable,
     kernel: KernelMode,
     knobs: U::Knobs,
 }
@@ -163,6 +166,7 @@ impl<U: Unit> BspSim<U> {
             core,
             bsp,
             units,
+            trials: TrialTable::default(),
             kernel: cfg.kernel,
             knobs: cfg.exec,
         })
@@ -225,14 +229,12 @@ impl<U: Unit> BspSim<U> {
         }
     }
 
-    /// One timestep = the unit's supersteps + the statistics allreduce (the
-    /// per-step UPC++ reduction of §3.3). Exact summation makes the result
-    /// independent of the unit count.
-    fn compute_step(
-        &mut self,
-        t: u64,
-        trials: &TrialTable,
-    ) -> Result<StatsPartial, SuperstepError> {
+    /// One timestep = the shared trial table + the unit's supersteps + the
+    /// statistics allreduce (the per-step UPC++ reduction of §3.3). Exact
+    /// summation makes the result independent of the unit count.
+    fn compute_step(&mut self, t: u64) -> Result<StatsPartial, SuperstepError> {
+        self.trials
+            .rebuild(&self.core.params, t, self.core.vascular.circulating());
         let partials = U::step(
             &mut self.bsp,
             &self.core.pool,
@@ -240,7 +242,7 @@ impl<U: Unit> BspSim<U> {
             &self.core.params,
             &self.core.partition,
             t,
-            trials,
+            &self.trials,
         )?;
         Ok(allreduce(
             &partials,
@@ -540,8 +542,7 @@ impl<U: Unit> Simulation for BspSim<U> {
                 tel.set_step_parent(step_open.id);
             }
             let start = self.core.metrics.as_ref().map(|_| Instant::now());
-            let trials = TrialTable::build(&self.core.params, t, self.core.vascular.circulating());
-            match self.compute_step(t, &trials) {
+            match self.compute_step(t) {
                 Ok(partial) => {
                     self.dispatch(Event::StepComputed { step: t })?;
                     self.finish_step(t, partial, start);

@@ -7,8 +7,9 @@
 //! processing order is deterministic.
 
 /// A set of local voxel indices with O(1) insert/test and deterministic
-/// sorted iteration.
-#[derive(Debug, Clone)]
+/// sorted iteration. The `Default` value has capacity zero: it only stands in
+/// while a set is `std::mem::take`n out of its owner for iteration.
+#[derive(Debug, Clone, Default)]
 pub struct ActiveSet {
     bits: Vec<u64>,
     list: Vec<u32>,

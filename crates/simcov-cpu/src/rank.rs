@@ -8,7 +8,7 @@ use pgas::Outbox;
 use simcov_core::decomp::{Partition, Subdomain};
 use simcov_core::epithelial::EpiState;
 use simcov_core::exact::ExactSum;
-use simcov_core::extrav::TrialTable;
+use simcov_core::extrav::{Trial, TrialTable};
 use simcov_core::grid::{Coord, GridDims};
 use simcov_core::halo::HaloBox;
 use simcov_core::lanes::{self, KernelMode};
@@ -237,13 +237,17 @@ impl CpuRank {
         out: &mut Outbox<CpuMsg>,
     ) -> u64 {
         // Rebuild the processed set from last step's activity marks.
+        // (The sets are taken out of `self` while iterated, here and below,
+        // so the loop bodies can borrow `self` mutably without copying the
+        // member list; nothing in a loop touches the set it iterates.)
         self.processed.clear();
-        let marks: Vec<u32> = self.marks.sorted().to_vec();
-        self.marks.clear();
-        for m in marks {
+        let mut marks = std::mem::take(&mut self.marks);
+        for &m in marks.sorted() {
             let c = self.hb.global(m as usize);
             self.dilate_into_processed(c);
         }
+        marks.clear();
+        self.marks = marks;
         // Drain ghost state updates (sent at the end of the previous step).
         for msg in inbox {
             if let CpuMsg::GhostState { agents, conc } = msg {
@@ -284,18 +288,22 @@ impl CpuRank {
                 if x0 >= x1 {
                     continue;
                 }
-                let g0 = self.dims.index(Coord::new(x0, y, z));
+                // Global and local indices both run contiguously along x.
+                let row = Coord::new(x0, y, z);
+                let g0 = self.dims.index(row);
                 let g1 = g0 + (x1 - x0) as usize;
-                for &(gv, trial) in trials.in_gid_range(g0, g1) {
-                    let c = self.dims.coord(gv);
-                    let li = self.hb.local(c);
+                let row_base = self.hb.local(row);
+                for &Trial { voxel, trial } in trials.in_gid_range(g0, g1) {
+                    let dx = voxel as usize - g0;
+                    let li = row_base + dx;
                     if self.soa.tcells[li].occupied() {
                         continue;
                     }
+                    let trial = u64::from(trial);
                     if extrav_succeeds(p, t, trial, self.soa.chem.get(li)) {
                         let life = extrav_lifetime(p, t, trial);
                         self.soa.tcells[li] = TCellSlot::fresh(life);
-                        if self.hb.is_core(c) {
+                        if self.hb.is_core(row.offset(dx as i64, 0, 0)) {
                             self.extravasated += 1;
                             self.stat_tcells += 1;
                             self.fresh_placed.push(li as u32);
@@ -314,8 +322,8 @@ impl CpuRank {
         self.move_bids.clear();
         self.bind_bids.clear();
         self.remote_intents.clear();
-        let processed: Vec<u32> = self.processed.sorted().to_vec();
-        for &li in &processed {
+        let mut processed_set = std::mem::take(&mut self.processed);
+        for &li in processed_set.sorted() {
             let slot = self.soa.tcells[li as usize];
             if !slot.occupied() || slot.is_fresh() {
                 continue;
@@ -360,6 +368,7 @@ impl CpuRank {
                 _ => self.local_actions.push((li, action)),
             }
         }
+        self.processed = processed_set;
         self.extravasated
     }
 
@@ -470,8 +479,9 @@ impl CpuRank {
         }
 
         // Epithelial FSM + production over the processed set.
-        let processed: Vec<u32> = self.processed.sorted().to_vec();
-        for &li in &processed {
+        let mut processed_set = std::mem::take(&mut self.processed);
+        let processed = processed_set.sorted();
+        for &li in processed {
             let li = li as usize;
             let s = self.soa.epi.get(li);
             if s == EpiState::Airway || s == EpiState::Dead {
@@ -535,7 +545,7 @@ impl CpuRank {
         // neighbor).
         let mut per_neighbor: Vec<Vec<crate::msg::ConcCell>> =
             vec![Vec::new(); self.neighbors.len()];
-        for &li in &processed {
+        for &li in processed {
             let c = self.hb.global(li as usize);
             if self.hb.is_boundary(c) {
                 let cell = crate::msg::ConcCell {
@@ -550,6 +560,7 @@ impl CpuRank {
                 }
             }
         }
+        self.processed = processed_set;
         for (i, cells) in per_neighbor.into_iter().enumerate() {
             if !cells.is_empty() {
                 out.send(self.neighbors[i].0, CpuMsg::GhostConc(cells));
@@ -651,7 +662,8 @@ impl CpuRank {
         }
 
         // Diffusion over the processed set (staged write-back).
-        let processed: Vec<u32> = self.processed.sorted().to_vec();
+        let mut processed_set = std::mem::take(&mut self.processed);
+        let processed = processed_set.sorted();
         self.diffuse_out.clear();
         let mut virions_sum = ExactSum::zero();
         let mut chem_sum = ExactSum::zero();
@@ -726,7 +738,7 @@ impl CpuRank {
         self.diffuse_out.clear();
 
         // Re-mark voxels that still hold agents/transient state.
-        for &li in &processed {
+        for &li in processed {
             let li = li as usize;
             if self.soa.tcells[li].occupied() || self.soa.epi.get(li).is_transient() {
                 self.mark(li);
@@ -741,7 +753,7 @@ impl CpuRank {
             vec![Vec::new(); self.neighbors.len()];
         let mut conc_batches: Vec<Vec<crate::msg::ConcCell>> =
             vec![Vec::new(); self.neighbors.len()];
-        for &li in &processed {
+        for &li in processed {
             let c = self.hb.global(li as usize);
             if self.hb.is_boundary(c) {
                 let li = li as usize;
@@ -771,6 +783,7 @@ impl CpuRank {
                 }
             }
         }
+        self.processed = processed_set;
         for i in 0..self.neighbors.len() {
             if !agent_batches[i].is_empty() {
                 out.send(

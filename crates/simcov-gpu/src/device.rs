@@ -23,7 +23,7 @@ use pgas::fault::SplitMix64;
 use pgas::Outbox;
 use simcov_core::decomp::{Partition, Subdomain};
 use simcov_core::epithelial::EpiState;
-use simcov_core::extrav::TrialTable;
+use simcov_core::extrav::{Trial, TrialTable};
 use simcov_core::grid::{Coord, GridDims};
 use simcov_core::halo::HaloBox;
 use simcov_core::lanes::{self, KernelMode};
@@ -291,14 +291,17 @@ impl GpuDevice {
                 if x0 >= x1 {
                     continue;
                 }
-                let g0 = self.dims.index(Coord::new(x0, y, z));
+                let row = Coord::new(x0, y, z);
+                let g0 = self.dims.index(row);
                 let g1 = g0 + (x1 - x0) as usize;
-                for &(gv, trial) in trials.in_gid_range(g0, g1) {
-                    let c = self.dims.coord(gv);
+                for &Trial { voxel, trial } in trials.in_gid_range(g0, g1) {
+                    // Global indices run contiguously along x.
+                    let c = row.offset((voxel as usize - g0) as i64, 0, 0);
                     let li = self.layout.local(c);
                     if self.soa.tcells[li].occupied() {
                         continue;
                     }
+                    let trial = u64::from(trial);
                     if extrav_succeeds(p, t, trial, self.soa.chem.get(li)) {
                         let life = extrav_lifetime(p, t, trial);
                         self.soa.tcells[li] = TCellSlot::fresh(life);

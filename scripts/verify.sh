@@ -220,7 +220,8 @@ cargo test -q --test driver_state 2>/dev/null | tail -2
 # The perf gate fails (exit 1) if any hot kernel's best time regresses more
 # than 25% past the committed BENCH_baseline.json, if the wide-lane
 # diffusion kernel drops below 1.8x over the naive sweep, if the coalesced
-# halo exchange drops below 2.0x over per-message delivery, or if the
+# halo exchange drops below 2.0x over per-message delivery, if the
+# bucket-placed trial table drops below 2.0x over the comparison sort, or if the
 # telemetry-on e2e run costs more than 15% over the identical telemetry-off
 # run (interleaved-pair min/min ratio). --threads 2 pins the parallel-rank
 # e2e kernel's worker count so the gate's numbers are reproducible. Refresh
@@ -243,6 +244,7 @@ assert "e2e/cpu_4ranks_threaded" in names, "parallel-rank kernel missing from ru
 sp = doc["speedups"]
 assert sp["diffusion_wide"] >= 1.8, f"wide diffusion below 1.8x: {sp}"
 assert sp["halo_exchange"] >= 2.0, f"coalesced halo below 2.0x: {sp}"
+assert sp["trial_table"] >= 2.0, f"bucket-placed trial table below 2.0x: {sp}"
 overhead = sp["telemetry_overhead"]
 assert 0.0 < overhead <= 1.15, f"telemetry overhead {overhead:.3f}x over budget"
 lines = [l for l in open("target/BENCH_perf_smoke.prom")

@@ -352,3 +352,22 @@ fn exact_sum_beats_naive_f32_on_reordering() {
     assert_eq!(exact_fwd, exact_of(&reversed), "exact sum reordered");
     assert_eq!(exact_fwd.to_f64(), 16_777_216.0 + 255.0);
 }
+
+/// Voxel indices are 32-bit in the extravasation trial table; a grid past
+/// that is refused by name at construction, before anything is allocated.
+#[test]
+fn oversized_grid_is_a_typed_config_error() {
+    use simcov_repro::simcov_driver::ConfigError;
+    let p = SimParams {
+        dims: GridDims::new2d(65_536, 65_536),
+        ..SimParams::default()
+    };
+    match CpuSim::new(CpuSimConfig::new(p.clone(), 4)) {
+        Err(ConfigError::InvalidParams(why)) => assert!(why.contains("dims"), "{why}"),
+        other => panic!("expected InvalidParams, got {:?}", other.map(|_| ())),
+    }
+    match GpuSim::new(GpuSimConfig::new(p, 4)) {
+        Err(ConfigError::InvalidParams(why)) => assert!(why.contains("dims"), "{why}"),
+        other => panic!("expected InvalidParams, got {:?}", other.map(|_| ())),
+    }
+}

@@ -35,26 +35,30 @@ fn seeded_slow_rank_is_flagged_within_three_supersteps() {
     sim.enable_health(HealthConfig::default());
     sim.run().expect("a stall is not a failure");
 
-    let stragglers: Vec<_> = sim
+    // Wall clocks on a loaded host can show a genuine straggler elsewhere in
+    // the run; only the records inside the detection window are about the
+    // injected stall.
+    let in_window: Vec<_> = sim
         .health_records()
         .iter()
         .filter_map(|r| match &r.kind {
-            HealthKind::Straggler { rank, z, .. } => Some((r.superstep, *rank, *z)),
+            HealthKind::Straggler { rank, z, .. }
+                if (inject_at..=inject_at + 3).contains(&r.superstep) =>
+            {
+                Some((r.superstep, *rank, *z))
+            }
             _ => None,
         })
         .collect();
     assert!(
-        !stragglers.is_empty(),
-        "injected stall never flagged: {:?}",
+        !in_window.is_empty(),
+        "injected stall not flagged within three supersteps of {inject_at}: {:?}",
         sim.health_records()
     );
-    let (ss, rank, z) = stragglers[0];
-    assert_eq!(rank, 1, "wrong rank blamed");
-    assert!(
-        ss >= inject_at && ss <= inject_at + 3,
-        "flagged at superstep {ss}, injected at {inject_at}"
-    );
-    assert!(z >= 4.0, "z = {z}");
+    for &(ss, rank, z) in &in_window {
+        assert_eq!(rank, 1, "wrong rank blamed at superstep {ss}");
+        assert!(z >= 4.0, "z = {z} at superstep {ss}");
+    }
 }
 
 /// Telemetry and health monitoring are pure observation: the instrumented
