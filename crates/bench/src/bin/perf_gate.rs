@@ -6,14 +6,17 @@
 //! halo exchange (per-message delivery vs the coalesced [`Mailboxes`]
 //! barrier), exact summation, a small end-to-end serial step, and a
 //! truly-concurrent 4-rank CPU run on a pinned worker pool (`--threads`,
-//! default 2) — then:
+//! default 2), and a dense `GpuDevice` step against the bare stencil kernel
+//! on the same grid — then:
 //!
 //! 1. writes the results as a JSON artifact (`--json`, default
 //!    `BENCH_perf.json`),
 //! 2. checks the *in-run* speedups: the wide-lane diffusion kernel must
 //!    beat the naive sweep by [`MIN_DIFFUSION_SPEEDUP`] and the coalesced
 //!    exchange must beat per-message delivery by [`MIN_HALO_SPEEDUP`]
-//!    (machine-independent — both sides measured in the same process),
+//!    (machine-independent — both sides measured in the same process), and
+//!    the dense GPU device step may cost at most
+//!    [`MAX_GPU_STEP_OVER_STENCIL`] times the bare stencil per voxel,
 //! 3. compares each kernel's best (min) time against the committed
 //!    baseline (`--baseline`, default `BENCH_baseline.json`) and fails on
 //!    regressions beyond the tolerance band (`--tolerance`, default 0.25).
@@ -47,19 +50,23 @@ use pgas::{Mailboxes, Outbox, WorkPool};
 use simcov_bench::cli::{self, CommonFlags};
 use simcov_bench::json::write_json;
 use simcov_bench::microbench::{Bench, BenchResult};
+use simcov_core::decomp::{Partition, Strategy};
 use simcov_core::diffusion::{diffuse_voxel, DiffuseCoeffs};
 use simcov_core::exact::ExactSum;
 use simcov_core::extrav::TrialTable;
 use simcov_core::fields::Field;
+use simcov_core::foi::FoiPattern;
 use simcov_core::grid::GridDims;
 use simcov_core::json::Json;
-use simcov_core::lanes;
+use simcov_core::lanes::{self, KernelMode};
 use simcov_core::params::SimParams;
 use simcov_core::rules::extrav_voxel;
 use simcov_core::serial::SerialSim;
 use simcov_core::soa::StencilDeltas;
+use simcov_core::world::World;
 use simcov_cpu::{CpuSim, CpuSimConfig};
 use simcov_driver::Simulation;
+use simcov_gpu::{GpuDevice, GpuMsg, GpuVariant};
 use simcov_telemetry::{prometheus, Telemetry};
 
 /// The wide-lane diffusion kernel must hold this speedup over the naive
@@ -74,6 +81,15 @@ const MIN_HALO_SPEEDUP: f64 = 2.0;
 /// The bucket-placed extravasation trial table must hold this speedup over
 /// the comparison sort it replaced (measured ~3.6x at steady-state size).
 const MIN_TRIAL_TABLE_SPEEDUP: f64 = 2.0;
+
+/// A dense `GpuDevice` step (every tile active: plan, FSM, diffusion,
+/// reduction, halo pack) may cost at most this many times the bare
+/// `diffuse_interior_run` stencil per voxel on the same grid. The ratio, not a
+/// time, is gated: both sides run interleaved in this process. Measured ~5x;
+/// it was ~17x while the step staged tuples and tested geometry per voxel.
+const MAX_GPU_STEP_OVER_STENCIL: f64 = 8.0;
+/// Grid side of that pair.
+const GPU_STEP_SIDE: u32 = 256;
 
 /// Instrumentation budget: a telemetry-on e2e run may cost at most 15% more
 /// wall clock than the identical telemetry-off run. The measured ratio sits
@@ -411,6 +427,68 @@ fn run_benches(smoke: bool, threads: usize, tel: &Telemetry) -> (Vec<BenchResult
         },
     );
 
+    // --- Dense GPU device step vs the bare stencil on the same grid, as an
+    // interleaved pair: the `gpu_dense` benchmark workload's focus density
+    // (one per 1024 voxels) warmed up until every tile is active, and kept
+    // before T cells enter (no trials, no bids), so the step is diffusion,
+    // FSM, reduction and their sweep overhead — the part that should cost a
+    // small multiple of the stencil. ---
+    let gpu_dims = GridDims::new2d(GPU_STEP_SIDE, GPU_STEP_SIDE);
+    let gpu_p = SimParams::scaled_to(gpu_dims, 518, 64, 2024);
+    let mut dev = GpuDevice::new(
+        0,
+        &Partition::new(gpu_dims, 1, Strategy::Blocks),
+        &World::seeded(&gpu_p, FoiPattern::UniformLattice),
+        GpuVariant::Combined,
+        8,
+        8,
+        4,
+        KernelMode::Wide,
+    );
+    let no_trials = TrialTable::default();
+    let mut gpu_out: Outbox<GpuMsg> = Outbox::for_ranks(1);
+    let mut gpu_t = 0u64;
+    let mut gpu_step = |dev: &mut GpuDevice| {
+        assert!(gpu_t < gpu_p.tcell_initial_delay, "T cells would enter");
+        dev.plan_and_bid(&gpu_p, gpu_t, &no_trials, &[], &mut gpu_out);
+        let stats = dev.resolve_and_update(&gpu_p, gpu_t, &[], &mut gpu_out);
+        gpu_t += 1;
+        stats.epi_healthy
+    };
+    while dev.active_tile_fraction() < 1.0 {
+        gpu_step(&mut dev);
+    }
+    let gpu_st = StencilDeltas::for_grid(gpu_dims);
+    let (ga, gb) = diffusion_inputs(gpu_dims);
+    let mut g_out = vec![0.0f32; gpu_dims.nvoxels()];
+    let (vc, cc) = (gpu_p.virion_coeffs(), gpu_p.chemokine_coeffs());
+    b.bench_pair(
+        "gpu_step/stencil_256sq",
+        || {
+            let nx = gpu_dims.x as usize;
+            for y in 1..gpu_dims.y as usize - 1 {
+                lanes::diffuse_interior_run(
+                    &gpu_st,
+                    y * nx + 1,
+                    nx - 2,
+                    &ga,
+                    &gb,
+                    vc,
+                    cc,
+                    |v, nv, nc| g_out[v] = nv + nc,
+                );
+            }
+            g_out[nx + 1]
+        },
+        "gpu_step/device_256sq",
+        || gpu_step(&mut dev),
+    );
+    assert_eq!(
+        dev.active_tile_fraction(),
+        1.0,
+        "the dense device step must keep every tile active"
+    );
+
     // --- Small end-to-end run on the serial reference executor. Each
     // iteration runs the same deterministic 8-step simulation from scratch,
     // so the workload is stationary (a warmed sim that keeps advancing
@@ -558,6 +636,12 @@ fn compute_speedups(results: &[BenchResult], tel_overhead: f64) -> Vec<(String, 
             "trial_table".to_string(),
             speedup("extrav/trial_sort_160sq", "extrav/trial_table_160sq"),
         ),
+        (
+            // Per voxel: the stencil side covers the interior voxels only.
+            "gpu_step_over_stencil".to_string(),
+            speedup("gpu_step/device_256sq", "gpu_step/stencil_256sq")
+                * (f64::from(GPU_STEP_SIDE - 2) / f64::from(GPU_STEP_SIDE)).powi(2),
+        ),
         ("telemetry_overhead".to_string(), tel_overhead),
     ]
 }
@@ -602,6 +686,15 @@ fn evaluate_gate(
         failures.push(format!(
             "trial-table speedup {sp_trial_table:.2}x over the comparison sort is below \
              the {MIN_TRIAL_TABLE_SPEEDUP}x floor"
+        ));
+    }
+    let gpu_ratio = speedup_of(speedups, "gpu_step_over_stencil");
+    if gpu_ratio <= 0.0 {
+        failures.push("GPU device step pair did not run".to_string());
+    } else if gpu_ratio > MAX_GPU_STEP_OVER_STENCIL {
+        failures.push(format!(
+            "dense GPU device step costs {gpu_ratio:.2}x the bare stencil per voxel, over \
+             the {MAX_GPU_STEP_OVER_STENCIL}x ceiling"
         ));
     }
     if tel_overhead <= 0.0 {
@@ -732,6 +825,10 @@ fn main() {
     eprintln!(
         "speedup trial table bucket/sort:    {:.2}x",
         speedup_of(&speedups, "trial_table")
+    );
+    eprintln!(
+        "GPU device step / bare stencil:     {:.2}x",
+        speedup_of(&speedups, "gpu_step_over_stencil")
     );
     eprintln!("telemetry on/off overhead:          {tel_overhead:.3}x");
 

@@ -14,6 +14,12 @@
 //!   of voxels, each block folds its threads through shared memory
 //!   (`block_size` shared-memory ops per block), and one global atomic per
 //!   lane per block publishes the block partial.
+//!
+//! The cost of each strategy lives in [`meter_tree_reduce`] /
+//! [`meter_atomic_reduce`], which the folds call. A caller whose combine is
+//! exactly associative (so the fold's shape cannot show in the result) may
+//! accumulate however is fastest on the host and meter the modelled kernel
+//! through the same two functions.
 
 use crate::counters::{DeviceCounters, KernelCategory};
 use crate::kernel::LaunchConfig;
@@ -49,14 +55,28 @@ where
         }
         combine(&mut total, &partial);
     }
+    meter_tree_reduce(counters, cfg, n, lanes, bytes_per_elem);
+    total
+}
+
+/// Meter one shared-memory tree-reduction kernel over `n` elements: one
+/// launch, one read of every element, ~`block_size` shared-memory operations
+/// per block (the halving tree) and one global atomic per lane per block.
+pub fn meter_tree_reduce(
+    counters: &mut DeviceCounters,
+    cfg: LaunchConfig,
+    n: usize,
+    lanes: u64,
+    bytes_per_elem: u64,
+) {
+    let block_elems = cfg.block_size.max(1);
+    let n_blocks = n.div_ceil(block_elems);
     let cat = counters.category_mut(KernelCategory::ReduceStats);
     cat.launches += 1;
     cat.elements += n as u64;
     cat.bytes += n as u64 * bytes_per_elem;
-    // Halving tree: ~block_size shared-memory operations per block.
     cat.smem_ops += (n_blocks * block_elems) as u64;
     cat.atomics += n_blocks as u64 * lanes;
-    total
 }
 
 /// Fold `map(0..n)` with `combine`, metering the cost of per-element global
@@ -79,9 +99,14 @@ where
     for i in 0..n {
         combine(&mut total, &map(i));
     }
-    let cat = counters.category_mut(KernelCategory::ReduceStats);
-    cat.atomics += n as u64 * lanes;
+    meter_atomic_reduce(counters, n, lanes);
     total
+}
+
+/// Meter `n` elements accumulated with one global atomic per lane each,
+/// issued from within the update kernels (no launch, no extra sweep).
+pub fn meter_atomic_reduce(counters: &mut DeviceCounters, n: usize, lanes: u64) {
+    counters.category_mut(KernelCategory::ReduceStats).atomics += n as u64 * lanes;
 }
 
 #[cfg(test)]

@@ -17,13 +17,16 @@
 
 use gpusim::device::LinkTraffic;
 use gpusim::kernel::LaunchConfig;
-use gpusim::reduce::{atomic_reduce, tree_reduce};
+use gpusim::reduce::{meter_atomic_reduce, meter_tree_reduce};
 use gpusim::{DeviceCounters, KernelCategory};
+use pgas::counters::WireSize;
 use pgas::fault::SplitMix64;
 use pgas::Outbox;
 use simcov_core::decomp::{Partition, Subdomain};
+use simcov_core::diffusion::{produce_chemokine, produce_virions};
 use simcov_core::epithelial::EpiState;
 use simcov_core::extrav::{Trial, TrialTable};
+use simcov_core::fields::Field;
 use simcov_core::grid::{Coord, GridDims};
 use simcov_core::halo::HaloBox;
 use simcov_core::lanes::{self, KernelMode};
@@ -37,10 +40,10 @@ use simcov_core::stats::StatsPartial;
 use simcov_core::tcell::TCellSlot;
 use simcov_core::world::World;
 
-use simcov_telemetry::Telemetry;
+use simcov_telemetry::{OpenSpan, Telemetry};
 
 use crate::msg::{BidCell, GpuMsg, HaloCell};
-use crate::tiles::{TileLayout, TileTracker};
+use crate::tiles::{SweepBoxes, TileLayout, TileSpan, TileTracker};
 use crate::variants::GpuVariant;
 
 /// Statistic lanes reduced per step (virions, chemokine, tissue T cells,
@@ -65,10 +68,26 @@ pub struct GpuDevice {
     pub variant: GpuVariant,
     devices_per_node: usize,
 
+    boxes: SweepBoxes,
+    /// Core cells on the core's faces with the neighbors that hold a ghost
+    /// copy of each, in tile-major order — the halo wave's pack list.
+    boundary: Vec<BoundaryCell>,
+    /// Boundary cells per neighbor (the halo wave's bucket sizes).
+    halo_caps: Vec<usize>,
+
     /// SoA voxel state in tile-major padded storage.
     soa: VoxelSoA,
-    /// Constant stencil deltas for within-tile strides `(1, tile, tile²)`.
+    /// Constant stencil deltas over the apron scratch block (side `tile + 2`).
     stencil: StencilDeltas,
+    /// Apron scratch block: one tile's core cells plus a one-voxel apron of
+    /// each concentration field, row-major — the diffusion kernel's
+    /// shared-memory stage.
+    block_v: Field,
+    block_c: Field,
+    /// Diffusion destination fields (same indexing as `soa`), copied back
+    /// per tile row once every work tile has gathered its apron.
+    next_v: Vec<f32>,
+    next_c: Vec<f32>,
     /// Which diffusion kernel this device runs (bitwise identical either
     /// way; `Scalar` is the differential oracle).
     kernel: KernelMode,
@@ -80,13 +99,20 @@ pub struct GpuDevice {
     actions: Vec<(u32, TCellAction)>,
     fresh_placed: Vec<u32>,
     extravasated: u64,
-    diffuse_out: Vec<(u32, f32, f32)>,
 
     pub counters: DeviceCounters,
     pub link: LinkTraffic,
     /// Telemetry handle for kernel-phase spans (disabled unless attached;
     /// spans land on this device's rank track, parented to its compute span).
     tel: Telemetry,
+}
+
+/// One entry of the halo wave's pack list.
+struct BoundaryCell {
+    li: u32,
+    gid: u64,
+    /// Bit `i` set iff `neighbors[i]` holds this cell in its halo reach.
+    mask: u32,
 }
 
 struct DeviceView<'a> {
@@ -135,18 +161,19 @@ impl GpuDevice {
         let layout = TileLayout::new(hb, tile_side);
         let n = layout.len();
         let mut soa = VoxelSoA::airway(n);
-        let stencil = StencilDeltas::for_strides(dims, tile_side, tile_side);
+        let stencil = StencilDeltas::for_strides(dims, tile_side + 2, tile_side + 2);
+        let boxes = SweepBoxes::new(dims, &layout);
         for t in 0..layout.n_tiles() {
-            for (li, c) in layout.tile_coords(t) {
-                if !dims.in_bounds(c) {
-                    continue;
-                }
-                let gi = dims.index(c);
-                soa.epi.state[li] = world.epi.state[gi];
-                soa.epi.timer[li] = world.epi.timer[gi];
-                soa.tcells[li] = world.tcells[gi];
-                soa.virions.set(li, world.virions.get(gi));
-                soa.chem.set(li, world.chemokine.get(gi));
+            let span = layout.tile_span(t);
+            let gb = span.clip(boxes.grid);
+            let len = gb.nx();
+            for (oy, oz, li) in span.rows(gb) {
+                let gi = dims.index(span.origin.offset(gb.x0 as i64, oy as i64, oz as i64));
+                soa.epi.state[li..li + len].copy_from_slice(&world.epi.state[gi..gi + len]);
+                soa.epi.timer[li..li + len].copy_from_slice(&world.epi.timer[gi..gi + len]);
+                soa.tcells[li..li + len].copy_from_slice(&world.tcells[gi..gi + len]);
+                soa.virions.data[li..li + len].copy_from_slice(&world.virions.data[gi..gi + len]);
+                soa.chem.data[li..li + len].copy_from_slice(&world.chemokine.data[gi..gi + len]);
             }
         }
         let mut tracker = TileTracker::new(&layout, check_period);
@@ -158,10 +185,25 @@ impl GpuDevice {
             let found = scan_tile_activity(&layout, &soa);
             tracker.apply_check(&layout, &found);
         }
-        let neighbors = partition
+        let neighbors: Vec<(usize, Subdomain)> = partition
             .neighbor_ranks(id)
             .into_iter()
             .map(|r| (r, *partition.sub(r)))
+            .collect();
+        assert!(neighbors.len() <= 32, "neighbor mask is 32 bits");
+        let boundary: Vec<BoundaryCell> = layout
+            .boundary_cells()
+            .into_iter()
+            .map(|(li, c)| BoundaryCell {
+                li: li as u32,
+                gid: dims.index(c) as u64,
+                mask: (0..neighbors.len())
+                    .filter(|&i| neighbors[i].1.in_halo_reach(c))
+                    .fold(0, |m, i| m | 1 << i),
+            })
+            .collect();
+        let halo_caps = (0..neighbors.len())
+            .map(|i| boundary.iter().filter(|b| b.mask >> i & 1 == 1).count())
             .collect();
         GpuDevice {
             id,
@@ -169,8 +211,15 @@ impl GpuDevice {
             neighbors,
             variant,
             devices_per_node,
+            boxes,
+            boundary,
+            halo_caps,
             soa,
             stencil,
+            block_v: Field::zeros(layout.block_len()),
+            block_c: Field::zeros(layout.block_len()),
+            next_v: vec![0.0; n],
+            next_c: vec![0.0; n],
             kernel,
             move_bid: vec![Bid::EMPTY; n],
             bind_bid: vec![Bid::EMPTY; n],
@@ -179,7 +228,6 @@ impl GpuDevice {
             actions: Vec::new(),
             fresh_placed: Vec::new(),
             extravasated: 0,
-            diffuse_out: Vec::new(),
             counters: DeviceCounters::new(),
             link: LinkTraffic::default(),
             tel: Telemetry::disabled(),
@@ -203,18 +251,40 @@ impl GpuDevice {
         }
     }
 
-    /// Tiles the update kernels visit this step (all tiles when tiling is
-    /// disabled).
-    fn work_tiles(&self) -> Vec<usize> {
-        if self.variant.tiling() {
-            self.tracker.active_tiles().collect()
-        } else {
-            (0..self.layout.n_tiles()).collect()
-        }
+    /// The valid extent of `tile` if the update kernels visit it this step
+    /// (every tile when tiling is disabled).
+    #[inline]
+    fn work_span(&self, tile: usize) -> Option<TileSpan> {
+        (!self.variant.tiling() || self.tracker.active[tile]).then(|| self.layout.tile_span(tile))
     }
 
     fn same_node(&self, peer: usize) -> bool {
         self.id / self.devices_per_node == peer / self.devices_per_node
+    }
+
+    /// Send one packed buffer per neighbor (`msgs[i]` to `neighbors[i]`) and
+    /// meter the wave's pack kernel; a cell packs to `cell_bytes` on the wire.
+    fn send_wave(
+        &mut self,
+        out: &mut Outbox<GpuMsg>,
+        msgs: Vec<GpuMsg>,
+        cell_bytes: u64,
+        label: &'static str,
+        sp: OpenSpan,
+    ) {
+        let mut sent = 0u64;
+        for (i, msg) in msgs.into_iter().enumerate() {
+            let nr = self.neighbors[i].0;
+            self.link.record(msg.wire_size() as u64, self.same_node(nr));
+            sent += msg.n_cells() as u64;
+            out.send(nr, msg);
+        }
+        let h = self.counters.category_mut(KernelCategory::Halo);
+        h.launches += 1;
+        h.elements += sent;
+        h.bytes += sent * cell_bytes;
+        self.tel
+            .kernel_span(self.id + 1, label, sp, sent, sent * cell_bytes);
     }
 
     /// Superstep 1: ghosts, tile check, extravasation, planning, bid wave.
@@ -326,43 +396,40 @@ impl GpuDevice {
         let sp = self.tel.open();
         self.actions.clear();
         debug_assert!(self.touched_bids.is_empty());
-        let tiles = self.work_tiles();
         let mut scanned = 0u64;
         let mut bids_written = 0u64;
-        for tile in &tiles {
-            let span = self.layout.tile_span(*tile);
-            for oz in 0..span.nz {
-                for oy in 0..span.ny {
-                    let row = span.base + oz * span.sz_stride + oy * span.sy_stride;
-                    for ox in 0..span.nx {
-                        let li = row + ox;
-                        scanned += 1;
-                        let slot = self.soa.tcells[li];
-                        if !slot.occupied() || slot.is_fresh() {
-                            continue;
-                        }
-                        let c = span.origin.offset(ox as i64, oy as i64, oz as i64);
-                        if !hb.is_core(c) {
-                            continue;
-                        }
-                        let action = plan_tcell(&self.view(), p, t, c);
-                        match action {
-                            TCellAction::TryMove { target, bid } => {
-                                let tl = self.layout.local(target);
-                                self.move_bid[tl] = self.move_bid[tl].merge(bid);
-                                self.touched_bids.push(tl as u32);
-                                bids_written += 1;
-                            }
-                            TCellAction::TryBind { target, bid } => {
-                                let tl = self.layout.local(target);
-                                self.bind_bid[tl] = self.bind_bid[tl].merge(bid);
-                                self.touched_bids.push(tl as u32);
-                                bids_written += 1;
-                            }
-                            _ => {}
-                        }
-                        self.actions.push((li as u32, action));
+        for tile in 0..self.layout.n_tiles() {
+            let Some(span) = self.work_span(tile) else {
+                continue;
+            };
+            // The kernel scans the whole tile; only core cells plan.
+            scanned += span.volume() as u64;
+            let cb = span.clip(self.boxes.core);
+            for (oy, oz, row) in span.rows(cb) {
+                for ox in cb.x0..cb.x1 {
+                    let li = row + ox - cb.x0;
+                    let slot = self.soa.tcells[li];
+                    if !slot.occupied() || slot.is_fresh() {
+                        continue;
                     }
+                    let c = span.origin.offset(ox as i64, oy as i64, oz as i64);
+                    let action = plan_tcell(&self.view(), p, t, c);
+                    match action {
+                        TCellAction::TryMove { target, bid } => {
+                            let tl = self.layout.local(target);
+                            self.move_bid[tl] = self.move_bid[tl].merge(bid);
+                            self.touched_bids.push(tl as u32);
+                            bids_written += 1;
+                        }
+                        TCellAction::TryBind { target, bid } => {
+                            let tl = self.layout.local(target);
+                            self.bind_bid[tl] = self.bind_bid[tl].merge(bid);
+                            self.touched_bids.push(tl as u32);
+                            bids_written += 1;
+                        }
+                        _ => {}
+                    }
+                    self.actions.push((li as u32, action));
                 }
             }
         }
@@ -381,10 +448,15 @@ impl GpuDevice {
         // holds. All holders converge by max-merge, so each device can
         // resolve winners without a second wave (§3.1).
         let sp = self.tel.open();
-        let mut bid_cells_sent = 0u64;
         self.touched_bids.sort_unstable();
         self.touched_bids.dedup();
-        let mut per_neighbor: Vec<Vec<BidCell>> = vec![Vec::new(); self.neighbors.len()];
+        // A bucket holds at most the touched cells, and rarely more than the
+        // neighbor's share of the boundary.
+        let mut per_neighbor: Vec<Vec<BidCell>> = self
+            .halo_caps
+            .iter()
+            .map(|&cap| Vec::with_capacity(cap.min(self.touched_bids.len())))
+            .collect();
         for &tl in &self.touched_bids {
             let c = self.layout.coord_of(tl as usize);
             let cell = BidCell {
@@ -398,26 +470,8 @@ impl GpuDevice {
                 }
             }
         }
-        for (i, cells) in per_neighbor.into_iter().enumerate() {
-            let (nr, _) = self.neighbors[i];
-            let n_cells = cells.len() as u64;
-            let msg = GpuMsg::Bids(cells);
-            let bytes = pgas::counters::WireSize::wire_size(&msg) as u64;
-            self.link.record(bytes, self.same_node(nr));
-            let h = self.counters.category_mut(KernelCategory::Halo);
-            h.elements += n_cells;
-            h.bytes += n_cells * 40;
-            bid_cells_sent += n_cells;
-            out.send(nr, msg);
-        }
-        self.counters.category_mut(KernelCategory::Halo).launches += 1; // pack kernel
-        self.tel.kernel_span(
-            self.id + 1,
-            "kernel:bid-pack",
-            sp,
-            bid_cells_sent,
-            bid_cells_sent * 40,
-        );
+        let msgs = per_neighbor.into_iter().map(GpuMsg::Bids).collect();
+        self.send_wave(out, msgs, 40, "kernel:bid-pack", sp);
 
         self.extravasated
     }
@@ -562,54 +616,44 @@ impl GpuDevice {
         self.tel
             .kernel_span(self.id + 1, "kernel:resolve", sp, n_actions, n_fresh);
 
-        // FSM + production over core AND ghost voxels of the work tiles.
+        // FSM + production over core AND ghost voxels of the work tiles:
+        // the in-bounds box of each tile, global index running along x.
         let sp = self.tel.open();
-        let tiles = self.work_tiles();
         let mut fsm_elems = 0u64;
-        for tile in &tiles {
-            let span = self.layout.tile_span(*tile);
-            for oz in 0..span.nz {
-                for oy in 0..span.ny {
-                    let row = span.base + oz * span.sz_stride + oy * span.sy_stride;
-                    for ox in 0..span.nx {
-                        let li = row + ox;
-                        let c = span.origin.offset(ox as i64, oy as i64, oz as i64);
-                        if !self.dims.in_bounds(c) {
-                            continue;
-                        }
-                        fsm_elems += 1;
-                        let s = self.soa.epi.get(li);
-                        if s == EpiState::Airway || s == EpiState::Dead {
-                            continue;
-                        }
-                        let gid = self.dims.index(c) as u64;
-                        let u = epi_update(
-                            s,
-                            self.soa.epi.timer[li],
-                            self.soa.virions.get(li),
-                            p,
-                            t,
-                            gid,
-                        );
-                        self.soa.epi.set(li, u.state, u.timer);
-                        if u.state.produces_virions() {
-                            self.soa.virions.set(
-                                li,
-                                simcov_core::diffusion::produce_virions(
-                                    self.soa.virions.get(li),
-                                    p.virion_production,
-                                ),
-                            );
-                        }
-                        if u.state.produces_chemokine() {
-                            self.soa.chem.set(
-                                li,
-                                simcov_core::diffusion::produce_chemokine(
-                                    self.soa.chem.get(li),
-                                    p.chemokine_production,
-                                ),
-                            );
-                        }
+        for tile in 0..self.layout.n_tiles() {
+            let Some(span) = self.work_span(tile) else {
+                continue;
+            };
+            let gb = span.clip(self.boxes.grid);
+            let len = gb.nx();
+            fsm_elems += gb.volume() as u64;
+            for (oy, oz, row) in span.rows(gb) {
+                let row_gid =
+                    self.dims
+                        .index(span.origin.offset(gb.x0 as i64, oy as i64, oz as i64))
+                        as u64;
+                for k in 0..len {
+                    let li = row + k;
+                    let s = self.soa.epi.get(li);
+                    if s == EpiState::Airway || s == EpiState::Dead {
+                        continue;
+                    }
+                    let u = epi_update(
+                        s,
+                        self.soa.epi.timer[li],
+                        self.soa.virions.get(li),
+                        p,
+                        t,
+                        row_gid + k as u64,
+                    );
+                    self.soa.epi.set(li, u.state, u.timer);
+                    if u.state.produces_virions() {
+                        let v = &mut self.soa.virions.data[li];
+                        *v = produce_virions(*v, p.virion_production);
+                    }
+                    if u.state.produces_chemokine() {
+                        let c = &mut self.soa.chem.data[li];
+                        *c = produce_chemokine(*c, p.chemokine_production);
                     }
                 }
             }
@@ -628,96 +672,92 @@ impl GpuDevice {
         self.tel
             .kernel_span(self.id + 1, "kernel:fsm", sp, fsm_elems, 0);
 
-        // Diffusion over core voxels of the work tiles (staged write-back).
+        // Diffusion over core voxels of the work tiles, one tile + apron
+        // block at a time: stage the tile's core cells and their one-voxel
+        // apron into the scratch block, then run the stencil over resident
+        // data. Apron cells outside the grid are +0.0, which leaves a sum
+        // that started from +0.0 bitwise unchanged, so a surface voxel adds
+        // the same values in the same offset order as a bounds-checked
+        // gather and divides by its geometric in-bounds neighbor count.
+        // Tiles clear of the global surface run whole rows through the lane
+        // kernel in `Wide` mode; `Scalar` keeps every voxel on `sum2`.
         let sp = self.tel.open();
-        self.diffuse_out.clear();
         let mut diff_elems = 0u64;
-        let is_2d = self.dims.is_2d();
         let vc = p.virion_coeffs();
         let cc = p.chemokine_coeffs();
-        for tile in &tiles {
-            let span = self.layout.tile_span(*tile);
-            for oz in 0..span.nz {
-                let z_inner = is_2d || (oz >= 1 && oz + 1 < span.nz);
-                for oy in 0..span.ny {
-                    let y_inner = oy >= 1 && oy + 1 < span.ny;
-                    let row = span.base + oz * span.sz_stride + oy * span.sy_stride;
-                    let mut ox = 0usize;
-                    while ox < span.nx {
-                        let li = row + ox;
-                        let c = span.origin.offset(ox as i64, oy as i64, oz as i64);
-                        if !hb.is_core(c) {
-                            ox += 1;
-                            continue;
-                        }
-                        // Fast path: the whole Moore neighborhood lies inside
-                        // this tile (tile-interior voxel) and inside the
-                        // global grid, so the gather is a constant-stride
-                        // sweep over the tile's contiguous storage — same
-                        // values in the same offset order as the checked
-                        // path, hence bitwise identical. In `Wide` mode,
-                        // maximal x-runs of such voxels go through the
-                        // chunked lane kernel (per-lane accumulation, same
-                        // per-voxel order — see `simcov_core::lanes`).
-                        let tile_inner = z_inner && y_inner && ox >= 1 && ox + 1 < span.nx;
-                        if tile_inner && self.stencil.is_interior(c) {
-                            let mut len = 1usize;
-                            if self.kernel == KernelMode::Wide {
-                                while ox + len + 1 < span.nx {
-                                    let q =
-                                        span.origin.offset((ox + len) as i64, oy as i64, oz as i64);
-                                    if hb.is_core(q) && self.stencil.is_interior(q) {
-                                        len += 1;
-                                    } else {
-                                        break;
-                                    }
-                                }
-                            }
-                            diff_elems += len as u64;
-                            let out = &mut self.diffuse_out;
-                            lanes::diffuse_interior_run(
-                                &self.stencil,
-                                li,
-                                len,
-                                &self.soa.virions,
-                                &self.soa.chem,
-                                vc,
-                                cc,
-                                |i, nv, nc| out.push((i as u32, nv, nc)),
-                            );
-                            ox += len;
-                        } else {
-                            diff_elems += 1;
-                            let mut vs = 0.0f32;
-                            let mut cs = 0.0f32;
-                            let mut nv = 0usize;
-                            for &(dx, dy, dz) in self.dims.neighbor_offsets() {
-                                let q = c.offset(dx, dy, dz);
-                                if self.dims.in_bounds(q) {
-                                    let ql = self.layout.local(q);
-                                    vs += self.soa.virions.get(ql);
-                                    cs += self.soa.chem.get(ql);
-                                    nv += 1;
-                                }
-                            }
-                            self.diffuse_out.push((
-                                li as u32,
-                                vc.apply(self.soa.virions.get(li), vs, nv),
-                                cc.apply(self.soa.chem.get(li), cs, nv),
-                            ));
-                            ox += 1;
-                        }
+        let (gx, gy, gz) = (self.dims.x as i64, self.dims.y as i64, self.dims.z as i64);
+        // In-bounds cells among `g - 1, g, g + 1` along an axis of extent `d`.
+        let in_axis = |g: i64, d: i64| 1 + usize::from(g > 0) + usize::from(g + 1 < d);
+        for tile in 0..self.layout.n_tiles() {
+            let Some(span) = self.work_span(tile) else {
+                continue;
+            };
+            let cb = span.clip(self.boxes.core);
+            if cb.volume() == 0 {
+                continue;
+            }
+            let len = cb.nx();
+            diff_elems += cb.volume() as u64;
+            let (virions, chem) = (&self.soa.virions.data, &self.soa.chem.data);
+            let (bv, bc) = (&mut self.block_v.data, &mut self.block_c.data);
+            self.layout
+                .apron_segments(tile, cb, self.dims, |dst, src, n| match src {
+                    Some(src) if n == 1 => {
+                        bv[dst] = virions[src];
+                        bc[dst] = chem[src];
+                    }
+                    Some(src) => {
+                        bv[dst..dst + n].copy_from_slice(&virions[src..src + n]);
+                        bc[dst..dst + n].copy_from_slice(&chem[src..src + n]);
+                    }
+                    None => {
+                        bv[dst..dst + n].fill(0.0);
+                        bc[dst..dst + n].fill(0.0);
+                    }
+                });
+            let wide =
+                self.kernel == KernelMode::Wide && span.clip(self.boxes.interior).contains(cb);
+            let (next_v, next_c) = (&mut self.next_v, &mut self.next_c);
+            for (oy, oz, row) in span.rows(cb) {
+                let brow = self.layout.block_index(cb.x0 as i64, oy as i64, oz as i64);
+                if wide {
+                    lanes::diffuse_interior_run(
+                        &self.stencil,
+                        brow,
+                        len,
+                        &self.block_v,
+                        &self.block_c,
+                        vc,
+                        cc,
+                        |i, nv, nc| {
+                            next_v[row + i - brow] = nv;
+                            next_c[row + i - brow] = nc;
+                        },
+                    );
+                } else {
+                    let c = span.origin.offset(cb.x0 as i64, oy as i64, oz as i64);
+                    let n_yz = in_axis(c.y, gy) * if gz == 1 { 1 } else { in_axis(c.z, gz) };
+                    for k in 0..len {
+                        let n_valid = in_axis(c.x + k as i64, gx) * n_yz - 1;
+                        let (vs, cs) = self.stencil.sum2(brow + k, &self.block_v, &self.block_c);
+                        next_v[row + k] = vc.apply(self.block_v.get(brow + k), vs, n_valid);
+                        next_c[row + k] = cc.apply(self.block_c.get(brow + k), cs, n_valid);
                     }
                 }
             }
         }
-        let diffused = std::mem::take(&mut self.diffuse_out);
-        for &(li, nv, nc) in &diffused {
-            self.soa.virions.set(li as usize, nv);
-            self.soa.chem.set(li as usize, nc);
+        // Write-back once every work tile has gathered the old values.
+        for tile in 0..self.layout.n_tiles() {
+            let Some(span) = self.work_span(tile) else {
+                continue;
+            };
+            let cb = span.clip(self.boxes.core);
+            let len = cb.nx();
+            for (_, _, row) in span.rows(cb) {
+                self.soa.virions.data[row..row + len].copy_from_slice(&self.next_v[row..row + len]);
+                self.soa.chem.data[row..row + len].copy_from_slice(&self.next_c[row..row + len]);
+            }
         }
-        self.diffuse_out = diffused;
-        self.diffuse_out.clear();
         {
             let db = if self.variant.tiling() { 24 } else { 36 };
             let u = self.counters.category_mut(KernelCategory::UpdateAgents);
@@ -731,69 +771,54 @@ impl GpuDevice {
         // Statistics reduction over every owned voxel (§3.3): the sweep
         // covers the full core regardless of tiling (dead/healthy counts
         // live in inactive regions too); tiling only improves its locality.
+        // The host accumulates field-wise into one partial — `ExactSum` is
+        // exactly associative and the counts are integers, so any order is
+        // bitwise the same — while the modelled kernel (tree or per-element
+        // atomics) is metered by the variant's strategy.
         let sp = self.tel.open();
-        let core_cells: Vec<u32> = self.core_indices();
-        let n = core_cells.len();
+        let n = hb.core.nvoxels();
         let bytes_per_elem = if self.variant.tiling() {
             REDUCE_BYTES_TILED
         } else {
             REDUCE_BYTES_UNTILED
         };
-        let (virions, chem, tcells, epi) = (
-            &self.soa.virions,
-            &self.soa.chem,
-            &self.soa.tcells,
-            &self.soa.epi,
-        );
-        let map = |i: usize| -> StatsPartial {
-            let li = core_cells[i] as usize;
-            let mut s = StatsPartial::default();
-            s.add_virions(virions.get(li));
-            s.add_chemokine(chem.get(li));
-            if tcells[li].occupied() {
-                s.tcells_tissue = 1;
+        let mut stats = StatsPartial::default();
+        let mut epi_counts = [0u64; 6];
+        for tile in 0..self.layout.n_tiles() {
+            let span = self.layout.tile_span(tile);
+            let cb = span.clip(self.boxes.core);
+            let len = cb.nx();
+            for (_, _, row) in span.rows(cb) {
+                for li in row..row + len {
+                    stats.add_virions(self.soa.virions.data[li]);
+                    stats.add_chemokine(self.soa.chem.data[li]);
+                    stats.tcells_tissue += u64::from(self.soa.tcells[li].occupied());
+                    epi_counts[self.soa.epi.state[li] as usize] += 1;
+                }
             }
-            match epi.get(li) {
-                EpiState::Healthy => s.epi_healthy = 1,
-                EpiState::Incubating => s.epi_incubating = 1,
-                EpiState::Expressing => s.epi_expressing = 1,
-                EpiState::Apoptotic => s.epi_apoptotic = 1,
-                EpiState::Dead => s.epi_dead = 1,
-                EpiState::Airway => {}
-            }
-            s
-        };
-        let combine = |a: &mut StatsPartial, b: &StatsPartial| {
-            *a += *b;
-        };
-        let mut stats = if self.variant.tree_reduce() {
-            tree_reduce(
+        }
+        stats.epi_healthy = epi_counts[EpiState::Healthy as usize];
+        stats.epi_incubating = epi_counts[EpiState::Incubating as usize];
+        stats.epi_expressing = epi_counts[EpiState::Expressing as usize];
+        stats.epi_apoptotic = epi_counts[EpiState::Apoptotic as usize];
+        stats.epi_dead = epi_counts[EpiState::Dead as usize];
+        if self.variant.tree_reduce() {
+            meter_tree_reduce(
                 &mut self.counters,
                 LaunchConfig::cover(n, 256),
                 n,
                 STAT_LANES,
                 bytes_per_elem,
-                StatsPartial::default(),
-                map,
-                combine,
-            )
+            );
         } else {
             // Unoptimized: a sweep whose per-element accumulation uses
             // global atomics.
-            let r = atomic_reduce(
-                &mut self.counters,
-                n,
-                STAT_LANES,
-                StatsPartial::default(),
-                map,
-                combine,
-            );
+            meter_atomic_reduce(&mut self.counters, n, STAT_LANES);
             let c = self.counters.category_mut(KernelCategory::ReduceStats);
             c.launches += 1;
             c.elements += n as u64;
             c.bytes += n as u64 * bytes_per_elem;
-            r
-        };
+        }
         stats.step = t;
         stats.extravasated = self.extravasated;
         self.tel.kernel_span(
@@ -806,70 +831,31 @@ impl GpuDevice {
 
         // End-of-step halo wave: full boundary state to every neighbor.
         let sp = self.tel.open();
-        let mut halo_cells_sent = 0u64;
-        let mut per_neighbor: Vec<Vec<HaloCell>> = vec![Vec::new(); self.neighbors.len()];
-        for &li in &core_cells {
-            let c = self.layout.coord_of(li as usize);
-            if !hb.is_boundary(c) {
-                continue;
-            }
-            let li = li as usize;
+        let mut per_neighbor: Vec<Vec<HaloCell>> = self
+            .halo_caps
+            .iter()
+            .map(|&cap| Vec::with_capacity(cap))
+            .collect();
+        for b in &self.boundary {
+            let li = b.li as usize;
             let cell = HaloCell {
-                gid: self.dims.index(c) as u64,
+                gid: b.gid,
                 epi_state: self.soa.epi.state[li],
                 epi_timer: self.soa.epi.timer[li],
                 tcell: self.soa.tcells[li],
                 virions: self.soa.virions.get(li),
                 chem: self.soa.chem.get(li),
             };
-            for (i, (_, nsub)) in self.neighbors.iter().enumerate() {
-                if nsub.in_halo_reach(c) {
-                    per_neighbor[i].push(cell);
+            for (i, bucket) in per_neighbor.iter_mut().enumerate() {
+                if b.mask >> i & 1 == 1 {
+                    bucket.push(cell);
                 }
             }
         }
-        for (i, cells) in per_neighbor.into_iter().enumerate() {
-            let (nr, _) = self.neighbors[i];
-            let n_cells = cells.len() as u64;
-            let msg = GpuMsg::Halo(cells);
-            let bytes = pgas::counters::WireSize::wire_size(&msg) as u64;
-            self.link.record(bytes, self.same_node(nr));
-            let h = self.counters.category_mut(KernelCategory::Halo);
-            h.elements += n_cells;
-            h.bytes += n_cells * 25;
-            halo_cells_sent += n_cells;
-            out.send(nr, msg);
-        }
-        self.counters.category_mut(KernelCategory::Halo).launches += 1; // pack
-        self.tel.kernel_span(
-            self.id + 1,
-            "kernel:halo-pack",
-            sp,
-            halo_cells_sent,
-            halo_cells_sent * 25,
-        );
+        let msgs = per_neighbor.into_iter().map(GpuMsg::Halo).collect();
+        self.send_wave(out, msgs, 25, "kernel:halo-pack", sp);
 
         stats
-    }
-
-    /// Local storage indices of all core voxels, in tile order.
-    fn core_indices(&self) -> Vec<u32> {
-        let hb = self.layout.hb;
-        let mut out = Vec::with_capacity(hb.core.nvoxels());
-        for t in 0..self.layout.n_tiles() {
-            let span = self.layout.tile_span(t);
-            for oz in 0..span.nz {
-                for oy in 0..span.ny {
-                    let row = span.base + oz * span.sz_stride + oy * span.sy_stride;
-                    for ox in 0..span.nx {
-                        if hb.is_core(span.origin.offset(ox as i64, oy as i64, oz as i64)) {
-                            out.push((row + ox) as u32);
-                        }
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Flip one seeded bit in this device's *owned* (core) state — the
@@ -913,17 +899,20 @@ impl GpuDevice {
 
     /// Copy this device's core region into a global world (verification).
     pub fn write_into(&self, world: &mut World) {
+        let soa = &self.soa;
         for t in 0..self.layout.n_tiles() {
-            for (li, c) in self.layout.tile_coords(t) {
-                if !self.layout.hb.is_core(c) {
-                    continue;
-                }
-                let gi = self.dims.index(c);
-                world.epi.state[gi] = self.soa.epi.state[li];
-                world.epi.timer[gi] = self.soa.epi.timer[li];
-                world.tcells[gi] = self.soa.tcells[li];
-                world.virions.set(gi, self.soa.virions.get(li));
-                world.chemokine.set(gi, self.soa.chem.get(li));
+            let span = self.layout.tile_span(t);
+            let cb = span.clip(self.boxes.core);
+            let len = cb.nx();
+            for (oy, oz, li) in span.rows(cb) {
+                let gi = self
+                    .dims
+                    .index(span.origin.offset(cb.x0 as i64, oy as i64, oz as i64));
+                world.epi.state[gi..gi + len].copy_from_slice(&soa.epi.state[li..li + len]);
+                world.epi.timer[gi..gi + len].copy_from_slice(&soa.epi.timer[li..li + len]);
+                world.tcells[gi..gi + len].copy_from_slice(&soa.tcells[li..li + len]);
+                world.virions.data[gi..gi + len].copy_from_slice(&soa.virions.data[li..li + len]);
+                world.chemokine.data[gi..gi + len].copy_from_slice(&soa.chem.data[li..li + len]);
             }
         }
     }

@@ -9,8 +9,39 @@
 //! buffer around them — safe because nothing in SIMCoV moves faster than
 //! one voxel per step. Tiles containing ghost voxels are always active.
 
-use simcov_core::grid::Coord;
+use simcov_core::grid::{Coord, GridDims};
 use simcov_core::halo::HaloBox;
+
+/// A global axis-aligned box `[lo, hi)`.
+pub type GridBox = (Coord, Coord);
+
+/// The three global boxes every sweep of a device step is clipped against
+/// ([`TileSpan::clip`]): core, in-bounds and global-interior cells of a tile
+/// are each one box, so no inner loop tests a coordinate.
+#[derive(Debug, Clone, Copy)]
+pub struct SweepBoxes {
+    /// The owned region.
+    pub core: GridBox,
+    /// The whole grid.
+    pub grid: GridBox,
+    /// Voxels whose Moore neighbors are all in the grid.
+    pub interior: GridBox,
+}
+
+impl SweepBoxes {
+    pub fn new(dims: GridDims, layout: &TileLayout) -> Self {
+        let grid = (
+            Coord::new(0, 0, 0),
+            Coord::new(dims.x as i64, dims.y as i64, dims.z as i64),
+        );
+        let gz = i64::from(!dims.is_2d());
+        SweepBoxes {
+            core: layout.core_box(),
+            grid,
+            interior: (grid.0.offset(1, 1, gz), grid.1.offset(-1, -1, -gz)),
+        }
+    }
+}
 
 /// Tile-major storage layout over a halo box.
 #[derive(Debug, Clone)]
@@ -39,9 +70,21 @@ impl TileLayout {
         }
     }
 
+    /// The owned region as a box.
+    #[inline]
+    pub fn core_box(&self) -> GridBox {
+        (self.hb.core.lo, self.hb.core.hi)
+    }
+
+    /// A flat box (2D grid): one z layer, no z ghost, no z apron.
+    #[inline]
+    fn flat(&self) -> bool {
+        self.hb.size().2 == 1
+    }
+
     #[inline]
     fn tz(&self) -> usize {
-        if self.hb.size().2 == 1 {
+        if self.flat() {
             1
         } else {
             self.tile
@@ -142,7 +185,10 @@ impl TileLayout {
     }
 
     /// Iterate the in-box global coordinates of a tile together with their
-    /// storage indices, in storage order. Padded cells are skipped.
+    /// storage indices, in storage order. Padded cells are skipped. This is
+    /// the per-cell reference enumeration the blocked forms (`tile_span`,
+    /// [`TileSpan::clip`] + [`TileSpan::rows`], `apron_segments`) are tested
+    /// against; no kernel iterates it.
     pub fn tile_coords(&self, tile_idx: usize) -> impl Iterator<Item = (usize, Coord)> + '_ {
         let tx = tile_idx % self.tiles_x;
         let ty = (tile_idx / self.tiles_x) % self.tiles_y;
@@ -203,9 +249,160 @@ impl TileLayout {
         out
     }
 
-    /// Does this tile contain any ghost (non-core) voxel?
+    /// Does this tile contain any ghost (non-core) voxel? A box test: the
+    /// tile's valid extent is not wholly inside the core box.
     pub fn contains_ghost(&self, tile_idx: usize) -> bool {
-        self.tile_coords(tile_idx).any(|(_, c)| !self.hb.is_core(c))
+        let span = self.tile_span(tile_idx);
+        span.clip(self.core_box()).volume() != span.volume()
+    }
+
+    /// Core cells on a face of the core box (the cells a neighbor holds as
+    /// ghosts) as `(storage index, coordinate)`, in tile-major storage order.
+    /// Built from the faces: a tile whose core cells all lie inside the core
+    /// shrunk by one voxel is skipped whole.
+    pub fn boundary_cells(&self) -> Vec<(usize, Coord)> {
+        let core = self.core_box();
+        let gz = i64::from(!self.flat());
+        let inner = (core.0.offset(1, 1, gz), core.1.offset(-1, -1, -gz));
+        let mut out = Vec::new();
+        for t in 0..self.n_tiles() {
+            let span = self.tile_span(t);
+            let cb = span.clip(core);
+            if span.clip(inner) == cb {
+                continue;
+            }
+            for (oy, oz, row) in span.rows(cb) {
+                for ox in cb.x0..cb.x1 {
+                    let c = span.origin.offset(ox as i64, oy as i64, oz as i64);
+                    if self.hb.is_boundary(c) {
+                        out.push((row + ox - cb.x0, c));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Cells of the apron scratch block: side `tile + 2` along x and y, and
+    /// along z too unless the box is flat (2D grids have no z apron).
+    pub fn block_len(&self) -> usize {
+        let b = self.tile + 2;
+        let bz = if self.flat() { 1 } else { self.tile + 2 };
+        b * b * bz
+    }
+
+    /// Block index of the cell at tile offsets `(ox, oy, oz)`, each in
+    /// `-1..=tile`: the block is row-major with side `tile + 2` and offset
+    /// `-1` (the low apron) at block coordinate 0.
+    #[inline]
+    pub fn block_index(&self, ox: i64, oy: i64, oz: i64) -> usize {
+        let b = self.tile as i64 + 2;
+        let bz = if self.flat() { 0 } else { oz + 1 };
+        ((bz * b + oy + 1) * b + ox + 1) as usize
+    }
+
+    /// Enumerate the row segments that stage the core sub-box `cb` of a tile
+    /// plus its one-voxel apron into the scratch block — the shared-memory
+    /// idiom: gather a tile with its halo once, then run the stencil over
+    /// resident data. `put(dst, src, len)` is called per segment: block cells
+    /// `dst..dst + len` take storage cells `src..src + len`, or `+0.0` when
+    /// `src` is `None` (apron cells outside the global grid).
+    ///
+    /// `cb` must lie inside the core box, so every cell of `cb` ± 1 is
+    /// covered by the halo box (storage exists) and `cb` itself is in bounds.
+    /// Only apron offsets `-1` and `tile` leave the tile, and they land on
+    /// the last / first row of the adjacent tile — no division per cell.
+    pub fn apron_segments(
+        &self,
+        tile_idx: usize,
+        cb: TileBox,
+        dims: GridDims,
+        mut put: impl FnMut(usize, Option<usize>, usize),
+    ) {
+        if cb.volume() == 0 {
+            return;
+        }
+        let origin = self.tile_span(tile_idx).origin;
+        // (tile step, in-tile offset) of apron offset `a` in `-1..=side`.
+        let split = |a: i64, side: usize| -> (isize, usize) {
+            if a < 0 {
+                (-1, side - 1)
+            } else if a as usize == side {
+                (1, 0)
+            } else {
+                (0, a as usize)
+            }
+        };
+        let (tile, tz) = (self.tile, self.tz());
+        let cell = |ax: i64, row_tile: isize, row_off: usize| -> usize {
+            let (dtx, ox) = split(ax, tile);
+            (row_tile + dtx) as usize * self.tile_volume + row_off + ox
+        };
+        let n = cb.nx();
+        let (az0, az1) = if self.flat() {
+            (0, 1)
+        } else {
+            (cb.z0 as i64 - 1, cb.z1 as i64 + 1)
+        };
+        for az in az0..az1 {
+            for ay in cb.y0 as i64 - 1..cb.y1 as i64 + 1 {
+                let dst = self.block_index(cb.x0 as i64 - 1, ay, az);
+                let row = Coord::new(origin.x + cb.x0 as i64, origin.y + ay, origin.z + az);
+                if !dims.in_bounds(row) {
+                    put(dst, None, n + 2);
+                    continue;
+                }
+                let (dty, oy) = split(ay, tile);
+                let (dtz, oz) = split(az, tz);
+                let row_tile =
+                    tile_idx as isize + (dtz * self.tiles_y as isize + dty) * self.tiles_x as isize;
+                let row_off = (oz * tile + oy) * tile;
+                let left = (row.x > 0).then(|| cell(cb.x0 as i64 - 1, row_tile, row_off));
+                let right = (row.x + (n as i64) < dims.x as i64)
+                    .then(|| cell(cb.x1 as i64, row_tile, row_off));
+                put(dst, left, 1);
+                put(dst + 1, Some(cell(cb.x0 as i64, row_tile, row_off)), n);
+                put(dst + 1 + n, right, 1);
+            }
+        }
+    }
+}
+
+/// An axis-aligned sub-box of one tile in tile offsets: the cells
+/// `(ox, oy, oz)` with `x0 <= ox < x1`, `y0 <= oy < y1`, `z0 <= oz < z1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileBox {
+    pub x0: usize,
+    pub x1: usize,
+    pub y0: usize,
+    pub y1: usize,
+    pub z0: usize,
+    pub z1: usize,
+}
+
+impl TileBox {
+    /// Cells per x-row.
+    #[inline]
+    pub fn nx(&self) -> usize {
+        self.x1 - self.x0
+    }
+
+    /// Number of cells (0 when any axis is empty).
+    #[inline]
+    pub fn volume(&self) -> usize {
+        self.nx() * (self.y1 - self.y0) * (self.z1 - self.z0)
+    }
+
+    /// Is every cell of `other` a cell of this box?
+    #[inline]
+    pub fn contains(&self, other: TileBox) -> bool {
+        other.volume() == 0
+            || (self.x0 <= other.x0
+                && other.x1 <= self.x1
+                && self.y0 <= other.y0
+                && other.y1 <= self.y1
+                && self.z0 <= other.z0
+                && other.z1 <= self.z1)
     }
 }
 
@@ -224,6 +421,54 @@ pub struct TileSpan {
     pub nz: usize,
     pub sy_stride: usize,
     pub sz_stride: usize,
+}
+
+impl TileSpan {
+    /// Number of valid cells.
+    #[inline]
+    pub fn volume(&self) -> usize {
+        self.nx * self.ny * self.nz
+    }
+
+    /// The part of this tile inside the global box `[lo, hi)`, in tile
+    /// offsets. Core, in-bounds and global-interior cells of a tile are all
+    /// such boxes, so a sweep clips once per tile and then walks row
+    /// segments instead of testing every voxel.
+    pub fn clip(&self, (lo, hi): GridBox) -> TileBox {
+        let axis = |o: i64, n: usize, lo: i64, hi: i64| {
+            let a = (lo - o).clamp(0, n as i64) as usize;
+            let b = (hi - o).clamp(0, n as i64) as usize;
+            (a, b.max(a))
+        };
+        let (x0, x1) = axis(self.origin.x, self.nx, lo.x, hi.x);
+        let (y0, y1) = axis(self.origin.y, self.ny, lo.y, hi.y);
+        let (z0, z1) = axis(self.origin.z, self.nz, lo.z, hi.z);
+        TileBox {
+            x0,
+            x1,
+            y0,
+            y1,
+            z0,
+            z1,
+        }
+    }
+
+    /// The x-rows of sub-box `b` in storage order: `(oy, oz, index)` with
+    /// `index` the storage index of the row's first cell `(b.x0, oy, oz)`;
+    /// each row holds `b.nx()` contiguous cells. An empty box has no
+    /// rows.
+    pub fn rows(self, b: TileBox) -> impl Iterator<Item = (usize, usize, usize)> {
+        let zs = if b.volume() == 0 { 0..0 } else { b.z0..b.z1 };
+        zs.flat_map(move |oz| {
+            (b.y0..b.y1).map(move |oy| {
+                (
+                    oy,
+                    oz,
+                    self.base + oz * self.sz_stride + oy * self.sy_stride + b.x0,
+                )
+            })
+        })
+    }
 }
 
 /// Active-tile tracking with the periodic check schedule.
@@ -285,15 +530,6 @@ impl TileTracker {
 
     pub fn n_active(&self) -> usize {
         self.active.iter().filter(|&&a| a).count()
-    }
-
-    /// Indices of active tiles in order (the kernel's block list).
-    pub fn active_tiles(&self) -> impl Iterator<Item = usize> + '_ {
-        self.active
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(t, _)| t)
     }
 }
 
@@ -363,8 +599,8 @@ mod tests {
         let tracker = TileTracker::new(&l, 4);
         // Some tiles must be permanently active (the box has a ghost ring).
         assert!(tracker.n_active() > 0);
-        for t in tracker.active_tiles() {
-            assert!(l.contains_ghost(t));
+        for (t, &active) in tracker.active.iter().enumerate() {
+            assert_eq!(active, l.contains_ghost(t));
         }
     }
 
@@ -459,6 +695,106 @@ mod tests {
                 }
                 let from_iter: Vec<_> = l.tile_coords(t).collect();
                 assert_eq!(from_span, from_iter, "tile {t}");
+            }
+        }
+    }
+
+    /// 2D and 3D layouts whose subdomain sides are not multiples of the tile
+    /// side, for tile sides 1, 3, 8 and 16 (larger than the subdomain), on
+    /// every rank (corner, edge and interior subdomains).
+    fn ragged_layouts() -> Vec<(GridDims, TileLayout)> {
+        let mut out = Vec::new();
+        for (dims, ranks) in [
+            (GridDims::new2d(13, 11), 4),
+            (GridDims::new2d(29, 31), 9),
+            (GridDims::new3d(7, 9, 5), 2),
+            (GridDims::new3d(11, 10, 13), 8),
+        ] {
+            let p = Partition::new(dims, ranks, Strategy::Blocks);
+            for rank in 0..ranks {
+                for tile in [1usize, 3, 8, 16] {
+                    let hb = HaloBox::new(dims, *p.sub(rank));
+                    out.push((dims, TileLayout::new(hb, tile)));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn clipped_boxes_enumerate_core_and_in_bounds_cells() {
+        for (dims, l) in ragged_layouts() {
+            let grid_hi = Coord::new(dims.x as i64, dims.y as i64, dims.z as i64);
+            for t in 0..l.n_tiles() {
+                let span = l.tile_span(t);
+                let cells = |b: TileBox| -> Vec<(usize, Coord)> {
+                    span.rows(b)
+                        .flat_map(|(oy, oz, row)| {
+                            (b.x0..b.x1).map(move |ox| {
+                                (
+                                    row + ox - b.x0,
+                                    span.origin.offset(ox as i64, oy as i64, oz as i64),
+                                )
+                            })
+                        })
+                        .collect()
+                };
+                let cb = span.clip(l.core_box());
+                let core: Vec<_> = l.tile_coords(t).filter(|(_, c)| l.hb.is_core(*c)).collect();
+                assert_eq!(cells(cb), core, "core box of tile {t} in {l:?}");
+                assert_eq!(cb.volume(), core.len());
+                assert_eq!(l.contains_ghost(t), core.len() != l.tile_coords(t).count());
+                let gb = span.clip((Coord::new(0, 0, 0), grid_hi));
+                let inb: Vec<_> = l
+                    .tile_coords(t)
+                    .filter(|(_, c)| dims.in_bounds(*c))
+                    .collect();
+                assert_eq!(cells(gb), inb, "in-bounds box of tile {t} in {l:?}");
+                assert!(gb.contains(cb), "core cells are in bounds");
+            }
+        }
+    }
+
+    #[test]
+    fn apron_gather_is_the_checked_gather() {
+        for (dims, l) in ragged_layouts() {
+            // Every storage cell distinct and non-zero — including padding
+            // and ghost cells outside the grid, which the gather must not
+            // read.
+            let src: Vec<f32> = (0..l.len()).map(|i| i as f32 + 1.0).collect();
+            for t in 0..l.n_tiles() {
+                let span = l.tile_span(t);
+                let cb = span.clip(l.core_box());
+                let mut block = vec![f32::NAN; l.block_len()];
+                l.apron_segments(t, cb, dims, |dst, s, n| match s {
+                    Some(s) => block[dst..dst + n].copy_from_slice(&src[s..s + n]),
+                    None => block[dst..dst + n].fill(0.0),
+                });
+                let dz = if dims.is_2d() { 0 } else { 1 };
+                for (oy, oz, _) in span.rows(cb) {
+                    for ox in cb.x0..cb.x1 {
+                        let (ox, oy, oz) = (ox as i64, oy as i64, oz as i64);
+                        let c = span.origin.offset(ox, oy, oz);
+                        for z in -dz..=dz {
+                            for y in -1..=1 {
+                                for x in -1..=1 {
+                                    let q = c.offset(x, y, z);
+                                    let want = if dims.in_bounds(q) {
+                                        src[l.local(q)]
+                                    } else {
+                                        0.0
+                                    };
+                                    let got = block[l.block_index(ox + x, oy + y, oz + z)];
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want.to_bits(),
+                                        "tile {t} cell {c:?} neighbor {q:?} in {l:?}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -245,6 +245,7 @@ sp = doc["speedups"]
 assert sp["diffusion_wide"] >= 1.8, f"wide diffusion below 1.8x: {sp}"
 assert sp["halo_exchange"] >= 2.0, f"coalesced halo below 2.0x: {sp}"
 assert sp["trial_table"] >= 2.0, f"bucket-placed trial table below 2.0x: {sp}"
+assert 0.0 < sp["gpu_step_over_stencil"] <= 8.0, f"GPU device step over 8x the stencil: {sp}"
 overhead = sp["telemetry_overhead"]
 assert 0.0 < overhead <= 1.15, f"telemetry overhead {overhead:.3f}x over budget"
 lines = [l for l in open("target/BENCH_perf_smoke.prom")

@@ -5,9 +5,10 @@
 //! airway structure.
 
 use simcov_repro::simcov_core::airways::{airway_voxels, AirwayTree};
-use simcov_repro::simcov_core::decomp::Strategy;
+use simcov_repro::simcov_core::decomp::{Partition, Strategy};
 use simcov_repro::simcov_core::foi::FoiPattern;
-use simcov_repro::simcov_core::grid::GridDims;
+use simcov_repro::simcov_core::grid::{Coord, GridDims};
+use simcov_repro::simcov_core::lanes::KernelMode;
 use simcov_repro::simcov_core::params::SimParams;
 use simcov_repro::simcov_core::serial::SerialSim;
 use simcov_repro::simcov_core::world::World;
@@ -131,26 +132,109 @@ fn uneven_grid_dimensions() {
     check_all(params, world, &[6], &[6]);
 }
 
+/// Advance the scalar serial oracle and a GPU run in lockstep, demanding a
+/// bitwise-equal world after every step and an equal statistics history.
+fn assert_gpu_step_locked(serial: &mut SerialSim, gpu: &mut GpuSim, steps: u64, label: &str) {
+    for _ in 0..steps {
+        serial.advance_step();
+        gpu.advance_step().expect("healthy run");
+        if let Some((idx, why)) = serial.world.first_difference(&gpu.gather_world()) {
+            panic!(
+                "{label}: diverged at step {}, voxel {idx}: {why}",
+                gpu.step()
+            );
+        }
+    }
+    assert_eq!(serial.history, *gpu.history(), "{label}: stats diverged");
+}
+
 #[test]
 fn tile_side_does_not_change_results() {
-    let params = SimParams::test_config(GridDims::new2d(33, 33), 90, 2, 51);
-    let world = World::seeded(&params, FoiPattern::UniformLattice);
-    let mut reference: Option<World> = None;
-    for tile_side in [2usize, 4, 8, 16] {
-        let cfg = GpuSimConfig::new(params.clone(), 4).with_exec(GpuKnobs {
-            tile_side,
-            ..GpuKnobs::default()
-        });
-        let mut gpu = GpuSim::from_world(cfg, world.clone()).expect("valid config");
-        gpu.run().expect("healthy run");
-        let w = gpu.gather_world();
-        if let Some(r) = &reference {
-            assert!(
-                r.first_difference(&w).is_none(),
-                "tile side {tile_side} changed results"
-            );
-        } else {
-            reference = Some(w);
+    // Tile sides below, at and above the lane width and above the subdomain
+    // side (one ragged tile per device), on subdomains whose sides are not
+    // tile multiples; every variant and both kernels against the scalar
+    // serial oracle.
+    for (dims, steps) in [
+        (GridDims::new2d(33, 29), 36),
+        (GridDims::new3d(11, 10, 9), 20),
+    ] {
+        let params = SimParams::test_config(dims, steps, 2, 51);
+        let world = World::seeded(&params, FoiPattern::UniformLattice);
+        for tile_side in [1usize, 3, 8, 16] {
+            for variant in GpuVariant::ALL {
+                for kernel in [KernelMode::Scalar, KernelMode::Wide] {
+                    let mut serial = SerialSim::from_world(params.clone(), world.clone())
+                        .with_kernel(KernelMode::Scalar);
+                    let cfg = GpuSimConfig::new(params.clone(), 4)
+                        .with_kernel(kernel)
+                        .with_exec(GpuKnobs {
+                            variant,
+                            tile_side,
+                            ..GpuKnobs::default()
+                        });
+                    let mut gpu = GpuSim::from_world(cfg, world.clone()).expect("valid config");
+                    let label = format!("{dims:?} tile {tile_side} {variant:?} {kernel:?}");
+                    assert_gpu_step_locked(&mut serial, &mut gpu, steps, &label);
+                }
+            }
         }
+    }
+}
+
+#[test]
+fn corrupted_concentration_beside_the_global_surface_matches_the_checked_gather() {
+    // The block kernel adds the +0.0 of out-of-grid apron cells where the
+    // checked gather skips them. That is only an identity because a sum that
+    // starts at +0.0 never becomes -0.0; pin it with a sign-flipped and a
+    // huge (top exponent bit flipped) concentration next to the surface,
+    // placed by `corrupt_bit` and mirrored into the oracle.
+    let dims = GridDims::new2d(24, 24);
+    let params = SimParams::test_config(dims, 40, 3, 77);
+    let mut world = World::seeded(&params, FoiPattern::UniformLattice);
+    for y in 0..9 {
+        for x in 0..2 {
+            let g = dims.index(Coord::new(x, y, 0));
+            world.virions.set(g, 0.25 + 0.01 * y as f32);
+            world.chemokine.set(g, 0.125 + 0.01 * y as f32);
+        }
+    }
+    let partition = Partition::new(dims, 4, Strategy::Blocks);
+    // Beside the surface, and held by device 0 alone (a ghost copy elsewhere
+    // would be stale, which is the integrity layer's business, not this
+    // test's).
+    let placed_well = |g: usize| {
+        let c = dims.coord(g);
+        c.x.min(c.y) <= 1 && (1..4).all(|r| !partition.sub(r).in_halo_reach(c))
+    };
+    let mut serial =
+        SerialSim::from_world(params.clone(), world.clone()).with_kernel(KernelMode::Scalar);
+    let mut gpu = GpuSim::from_world(GpuSimConfig::new(params, 4), world).expect("valid config");
+    assert_gpu_step_locked(&mut serial, &mut gpu, 2, "before corruption");
+
+    type Wanted = fn(f32, f32) -> bool;
+    let sign_flipped: Wanted = |old, new| old > 0.0 && new == -old;
+    let huge: Wanted = |old, new| old > 0.0 && new.is_finite() && new > 1.0e30;
+    for (what, wanted) in [("sign", sign_flipped), ("huge", huge)] {
+        let before = gpu.gather_world();
+        // `corrupt_bit` is self-inverse: try a seed, undo it if the flip
+        // landed elsewhere.
+        let flipped = (0u64..200_000).find_map(|seed| {
+            gpu.units[0].corrupt_bit(seed);
+            let after = gpu.gather_world();
+            let hit = (0..dims.nvoxels()).find(|&g| {
+                placed_well(g)
+                    && (wanted(before.virions.get(g), after.virions.get(g))
+                        || wanted(before.chemokine.get(g), after.chemokine.get(g)))
+            });
+            if hit.is_none() {
+                gpu.units[0].corrupt_bit(seed);
+            }
+            hit.map(|g| (g, after))
+        });
+        let (g, after) = flipped.expect("some seed flips the wanted bit beside the surface");
+        serial.world.virions.set(g, after.virions.get(g));
+        serial.world.chemokine.set(g, after.chemokine.get(g));
+        assert!(serial.world.first_difference(&after).is_none());
+        assert_gpu_step_locked(&mut serial, &mut gpu, 3, what);
     }
 }

@@ -162,3 +162,44 @@ fn extrapolation_preserves_per_step_ratios() {
     assert_eq!(e.update.launches, c.update.launches * 8);
     assert_eq!(e.halo.bytes, c.halo.bytes * 64);
 }
+
+#[test]
+fn device_counters_match_the_pinned_table() {
+    // The modelled kernel sequence is the paper's Fig 4/6-8 input: how the
+    // host executes a step may change, these totals may not. Pinned from the
+    // commit before the block-kernel rewrite (48², 60 steps, 8 FOI, 4
+    // devices); rows are update / reduce / tile-check / halo, columns
+    // elements, bytes, atomics, smem_ops, launches.
+    let pinned = [
+        (
+            GpuVariant::Combined,
+            [
+                [590_702u64, 12_688_384, 4_248, 0, 1_920],
+                [138_240, 2_764_800, 5_760, 184_320, 240],
+                [32_768, 425_984, 0, 0, 32],
+                [24_312, 602_860, 988, 0, 880],
+            ],
+        ),
+        (
+            GpuVariant::Unoptimized,
+            [
+                [592_750, 19_051_200, 4_248, 0, 1_920],
+                [138_240, 3_870_720, 1_105_920, 0, 240],
+                [0, 0, 0, 0, 0],
+                [24_312, 602_860, 988, 0, 880],
+            ],
+        ),
+    ];
+    for (variant, want) in pinned {
+        let mut gpu = GpuSim::new(GpuSimConfig::new(params(48, 60, 8), 4).with_exec(GpuKnobs {
+            variant,
+            ..GpuKnobs::default()
+        }))
+        .expect("valid config");
+        gpu.run().expect("healthy run");
+        let c = gpu.total_counters();
+        let got = [c.update, c.reduce, c.tile_check, c.halo]
+            .map(|k| [k.elements, k.bytes, k.atomics, k.smem_ops, k.launches]);
+        assert_eq!(got, want, "{variant:?} counters moved");
+    }
+}
