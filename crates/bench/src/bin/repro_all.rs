@@ -1,58 +1,92 @@
-//! Run the complete reproduction suite (every table and figure) in order,
-//! in-process, and write the composite machine-readable artifact
-//! `BENCH_results.json` (override the path with `--json <path>`).
-//! `SIMCOV_SCALE` / `SIMCOV_TRIALS` control fidelity vs. runtime.
-//! `--metrics-out <path>` additionally writes the per-section wall-clock
-//! gauges (and anything the experiments put in the global registry) as
-//! Prometheus text exposition, so suite runtime can be scraped/plotted
-//! alongside the runtime telemetry.
+//! The reproduction suite: every table and figure of the paper's evaluation,
+//! or the sections named on the command line.
 //!
-//! The artifact carries every Fig 4/6/7/8 and Table 1/2 number the text
-//! report prints, plus the measured wall-clock seconds of each section —
-//! simulated (cost-model) seconds and real seconds are deliberately both
-//! present so a regression in either is visible.
+//! `repro_all` runs everything in order (Fig 5 and Table 2 as two views of one
+//! set of §4.1 trials) and writes the composite artifact `BENCH_results.json`;
+//! `repro_all fig6` (any of [`SECTIONS`]) prints that one report and writes
+//! JSON only where `--json <path>` points. `SIMCOV_SCALE` / `SIMCOV_TRIALS`
+//! control fidelity vs. runtime. `--metrics-out <path>` additionally writes the
+//! per-section wall-clock gauges (and anything the experiments put in the
+//! global registry) as Prometheus text exposition.
+//!
+//! The artifact carries every number the text report prints, plus the measured
+//! wall-clock seconds of each section — simulated (cost-model) seconds and
+//! real seconds are deliberately both present so a regression in either is
+//! visible.
 
-use simcov_bench::cli::CommonFlags;
+use simcov_bench::cli::{die_unknown, write_or_die, CommonFlags};
 use simcov_bench::configs::{scale_from_env, trials_from_env};
 use simcov_bench::experiments::{
     correctness_trials, fig4, fig5_panels, fig5_to_json, fig6, fig7, fig8, render_fig5,
-    render_table2, table1_to_json, table2_rows, table2_to_json,
+    render_table1, render_table2, table1_to_json, table2_rows, table2_to_json,
 };
 use simcov_bench::json::write_json;
 use simcov_core::json::Json;
 use simcov_telemetry::{prometheus, Registry};
 use std::time::Instant;
 
-/// Run one section, printing its banner-separated report and returning its
-/// JSON record alongside the wall-clock seconds it took. The wall time is
-/// also published to the global metrics registry so `--metrics-out` can
-/// export it.
-fn section(name: &str, run: impl FnOnce() -> (String, Json)) -> (Json, f64) {
-    println!("\n################ {name} ################\n");
-    let t0 = Instant::now();
-    let (report, json) = run();
-    let wall = t0.elapsed().as_secs_f64();
-    println!("{report}");
-    Registry::global()
-        .gauge_with(
-            "repro_section_wall_seconds",
-            "wall-clock seconds spent in one repro_all section",
-            &[("section", name)],
-        )
-        .set(wall);
-    let mut record = Json::obj([("wall_seconds", Json::from(wall))]);
-    record.push("results", json);
-    (record, wall)
+const SECTIONS: [&str; 7] = ["table1", "fig4", "fig5", "table2", "fig6", "fig7", "fig8"];
+/// What no argument runs.
+const SUITE: [&str; 6] = ["table1", "fig4", "fig5_and_table2", "fig6", "fig7", "fig8"];
+const USAGE: &str = "usage: repro_all [table1|fig4|fig5|table2|fig6|fig7|fig8]... \
+                     [--json PATH] [--metrics-out PATH]";
+
+/// One section's text report and JSON record. On their own, Fig 5 and Table 2
+/// keep the seed bases they have always been published with.
+fn run_section(name: &str, scale: u32, trials: usize) -> (String, Json) {
+    match name {
+        "table1" => (render_table1(scale), table1_to_json()),
+        "fig4" => {
+            let r = fig4(scale);
+            (r.render(), r.to_json())
+        }
+        "fig5" => {
+            let panels = fig5_panels(&correctness_trials(scale, trials, 1000));
+            (render_fig5(scale, &panels), fig5_to_json(&panels))
+        }
+        "table2" => {
+            let rows = table2_rows(&correctness_trials(scale, trials, 2000));
+            (render_table2(scale, &rows), table2_to_json(&rows))
+        }
+        "fig5_and_table2" => {
+            let t = correctness_trials(scale, trials, 1000);
+            let (panels, rows) = (fig5_panels(&t), table2_rows(&t));
+            let report = render_fig5(scale, &panels) + "\n" + &render_table2(scale, &rows);
+            let json = Json::obj([
+                ("fig5_panels", fig5_to_json(&panels)),
+                ("table2_rows", table2_to_json(&rows)),
+            ]);
+            (report, json)
+        }
+        "fig6" => {
+            let r = fig6(scale);
+            (r.render_strong(), r.to_json())
+        }
+        "fig7" => {
+            let r = fig7(scale);
+            (r.render_weak(), r.to_json())
+        }
+        "fig8" => {
+            let r = fig8(scale);
+            (r.render(), r.to_json())
+        }
+        other => unreachable!("main admits only SECTIONS and SUITE names, not {other}"),
+    }
 }
 
 fn main() {
     let scale = scale_from_env();
     let trials = trials_from_env();
-    let flags = CommonFlags::parse("usage: repro_all [--json PATH] [--metrics-out PATH]");
-    let path = flags
-        .json
-        .unwrap_or_else(|| "BENCH_results.json".to_string());
-    let metrics_path = flags.metrics_out;
+    let (flags, named) = CommonFlags::parse_with_rest();
+    if let Some(bad) = named.iter().find(|n| !SECTIONS.contains(&n.as_str())) {
+        die_unknown(bad, USAGE);
+    }
+    let (sections, json_path): (Vec<&str>, _) = if named.is_empty() {
+        let path = flags.json.unwrap_or_else(|| "BENCH_results.json".into());
+        (SUITE.to_vec(), Some(path))
+    } else {
+        (named.iter().map(String::as_str).collect(), flags.json)
+    };
     let suite_t0 = Instant::now();
 
     let mut doc = Json::obj([
@@ -60,56 +94,32 @@ fn main() {
         ("scale", Json::from(scale)),
         ("trials", Json::from(trials)),
     ]);
-
-    let (table1, _) = section("table1_configs", || {
-        (
-            "(configuration matrix; see JSON)".to_string(),
-            table1_to_json(),
-        )
-    });
-    let (fig4_j, _) = section("fig4_breakdown", || {
-        let r = fig4(scale);
-        (r.render(), r.to_json())
-    });
-    // Fig 5 and Table 2 are two views of the same §4.1 trials; run them
-    // once (Fig 5's seed convention) and report both.
-    let (fig5_j, _) = section("fig5_correctness", || {
-        let t = correctness_trials(scale, trials, 1000);
-        let panels = fig5_panels(&t);
-        let rows = table2_rows(&t);
-        let mut report = render_fig5(scale, &panels);
-        report.push('\n');
-        report.push_str(&render_table2(scale, &rows));
-        let json = Json::obj([
-            ("fig5_panels", fig5_to_json(&panels)),
-            ("table2_rows", table2_to_json(&rows)),
-        ]);
-        (report, json)
-    });
-    let (fig6_j, _) = section("fig6_strong", || {
-        let r = fig6(scale);
-        (r.render_strong(), r.to_json())
-    });
-    let (fig7_j, _) = section("fig7_weak", || {
-        let r = fig7(scale);
-        (r.render_weak(), r.to_json())
-    });
-    let (fig8_j, _) = section("fig8_foi", || {
-        let r = fig8(scale);
-        (r.render(), r.to_json())
-    });
-
-    doc.push("table1", table1);
-    doc.push("fig4", fig4_j);
-    doc.push("fig5_and_table2", fig5_j);
-    doc.push("fig6", fig6_j);
-    doc.push("fig7", fig7_j);
-    doc.push("fig8", fig8_j);
+    for &name in &sections {
+        if sections.len() > 1 {
+            println!("\n################ {name} ################\n");
+        }
+        let t0 = Instant::now();
+        let (report, json) = run_section(name, scale, trials);
+        let wall = t0.elapsed().as_secs_f64();
+        println!("{report}");
+        Registry::global()
+            .gauge_with(
+                "repro_section_wall_seconds",
+                "wall-clock seconds spent in one repro_all section",
+                &[("section", name)],
+            )
+            .set(wall);
+        let mut record = Json::obj([("wall_seconds", Json::from(wall))]);
+        record.push("results", json);
+        doc.push(name, record);
+    }
     let total = suite_t0.elapsed().as_secs_f64();
     doc.push("total_wall_seconds", total);
-    write_json(&path, &doc);
+    if let Some(path) = json_path {
+        write_json(&path, &doc);
+    }
 
-    if let Some(mpath) = metrics_path {
+    if let Some(mpath) = flags.metrics_out {
         let reg = Registry::global();
         reg.gauge(
             "repro_total_wall_seconds",
@@ -118,12 +128,7 @@ fn main() {
         .set(total);
         reg.gauge("repro_scale", "SIMCOV_SCALE fidelity knob for this run")
             .set(scale as f64);
-        match std::fs::write(&mpath, prometheus::render(reg)) {
-            Ok(()) => eprintln!("prometheus metrics -> {mpath}"),
-            Err(e) => {
-                eprintln!("cannot write {mpath}: {e}");
-                std::process::exit(2);
-            }
-        }
+        write_or_die(&mpath, prometheus::render(reg));
+        eprintln!("prometheus metrics -> {mpath}");
     }
 }

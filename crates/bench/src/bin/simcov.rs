@@ -39,7 +39,8 @@
 
 use gpusim::{KernelCategory, SharedSink, StepRecord};
 use pgas::{ProcessTransportConfig, TransportMode, WireFaultPlan};
-use simcov_bench::cli::CommonFlags;
+use simcov_bench::cli::{die, expect_value, or_die, parse_value, write_or_die, CommonFlags};
+use simcov_bench::json::write_json;
 use simcov_core::config::parse_config;
 use simcov_core::json::Json;
 use simcov_core::render::render_slice;
@@ -70,16 +71,15 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!(
+    die(
         "usage: simcov <config-file> [--executor serial|cpu|gpu] [--units N]\n\
          \t[--out-csv FILE] [--frames DIR] [--n-frames K]\n\
          \t[--variant unoptimized|fast-reduction|memory-tiling|combined]\n\
          \t[--json FILE] [--persist FILE] [--persist-every K]\n\
          \t[--resume FILE] [--halt-after N]\n\
          \t[--trace-out FILE] [--metrics-out FILE]\n\
-         \t[--transport inproc|process] [--wire-kill SUPERSTEP:RANK]"
-    );
-    std::process::exit(2);
+         \t[--transport inproc|process] [--wire-kill SUPERSTEP:RANK]",
+    )
 }
 
 /// `simcov --rank-worker --connect ADDR --rank N --token T`: the per-rank
@@ -97,8 +97,7 @@ fn run_worker(args: &[String]) -> ! {
         }
     }
     let (Some(connect), Some(rank), Some(token)) = (connect, rank, token) else {
-        eprintln!("--rank-worker requires --connect ADDR --rank N --token T");
-        std::process::exit(2);
+        die("--rank-worker requires --connect ADDR --rank N --token T");
     };
     match pgas::run_rank_worker(&connect, rank, token) {
         Ok(()) => std::process::exit(0),
@@ -135,21 +134,11 @@ fn parse_args() -> Args {
     let mut it = rest.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--executor" => args.executor = it.next().unwrap_or_else(|| usage()),
-            "--units" => {
-                args.units = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--out-csv" => args.out_csv = Some(it.next().unwrap_or_else(|| usage())),
-            "--frames" => args.frames = Some(it.next().unwrap_or_else(|| usage())),
-            "--n-frames" => {
-                args.n_frames = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--executor" => args.executor = expect_value(&a, it.next()),
+            "--units" => args.units = parse_value(&a, it.next()),
+            "--out-csv" => args.out_csv = Some(expect_value(&a, it.next())),
+            "--frames" => args.frames = Some(expect_value(&a, it.next())),
+            "--n-frames" => args.n_frames = parse_value(&a, it.next()),
             "--variant" => {
                 args.variant = match it.next().as_deref() {
                     Some("unoptimized") => GpuVariant::Unoptimized,
@@ -159,33 +148,24 @@ fn parse_args() -> Args {
                     _ => usage(),
                 }
             }
-            "--persist" => args.persist = Some(it.next().unwrap_or_else(|| usage())),
+            "--persist" => args.persist = Some(expect_value(&a, it.next())),
             "--persist-every" => {
-                args.persist_every = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&k| k > 0)
-                    .unwrap_or_else(|| usage())
+                args.persist_every = parse_value(&a, it.next());
+                if args.persist_every == 0 {
+                    die("--persist-every requires a period of at least 1");
+                }
             }
-            "--resume" => args.resume = Some(it.next().unwrap_or_else(|| usage())),
-            "--transport" => args.transport = it.next().unwrap_or_else(|| usage()),
+            "--resume" => args.resume = Some(expect_value(&a, it.next())),
+            "--transport" => args.transport = expect_value(&a, it.next()),
             "--wire-kill" => {
                 // SUPERSTEP:RANK — SIGKILL that worker at that BSP barrier.
-                args.wire_kill = it
-                    .next()
-                    .and_then(|v| {
-                        let (s, r) = v.split_once(':')?;
-                        Some((s.parse().ok()?, r.parse().ok()?))
-                    })
-                    .or_else(|| usage())
+                let v = expect_value(&a, it.next());
+                let parsed = v
+                    .split_once(':')
+                    .and_then(|(s, r)| Some((s.parse().ok()?, r.parse().ok()?)));
+                args.wire_kill = parsed.or_else(|| usage())
             }
-            "--halt-after" => {
-                args.halt_after = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--halt-after" => args.halt_after = Some(parse_value(&a, it.next())),
             "--help" | "-h" => usage(),
             other if args.config.is_empty() && !other.starts_with('-') => {
                 args.config = other.to_string()
@@ -238,7 +218,7 @@ fn write_csv(path: &str, h: &TimeSeries) {
             s.extravasated
         ));
     }
-    fs::write(path, out).expect("write csv");
+    write_or_die(path, out);
 }
 
 fn main() {
@@ -248,9 +228,14 @@ fn main() {
         run_worker(&argv[2..]);
     }
     let args = parse_args();
-    let text = fs::read_to_string(&args.config)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", args.config));
-    let params = parse_config(&text).unwrap_or_else(|e| panic!("bad config: {e}"));
+    let text = or_die(
+        fs::read_to_string(&args.config),
+        format_args!("cannot read {}", args.config),
+    );
+    let params = or_die(
+        parse_config(&text),
+        format_args!("bad config {}", args.config),
+    );
     eprintln!(
         "simcov: {}x{}x{} voxels, {} steps, {} FOI, executor {} (x{})",
         params.dims.x,
@@ -265,7 +250,7 @@ fn main() {
     let steps = params.steps;
     let frame_every = (steps / args.n_frames.max(1)).max(1);
     if let Some(dir) = &args.frames {
-        fs::create_dir_all(dir).expect("create frames dir");
+        or_die(fs::create_dir_all(dir), format_args!("cannot create {dir}"));
     }
 
     let dims = params.dims;
@@ -279,7 +264,7 @@ fn main() {
     let transport = match args.transport.as_str() {
         "inproc" => TransportMode::InProcess,
         "process" => {
-            let exe = std::env::current_exe().expect("current_exe");
+            let exe = or_die(std::env::current_exe(), "cannot locate this binary");
             let mut tcfg = ProcessTransportConfig::exec(exe);
             if let Some((superstep, rank)) = args.wire_kill {
                 tcfg = tcfg.with_wire_faults(WireFaultPlan::none().kill_worker(superstep, rank));
@@ -289,24 +274,25 @@ fn main() {
         _ => usage(),
     };
     if matches!(transport, TransportMode::Process(_)) && args.executor == "serial" {
-        eprintln!("--transport process requires --executor cpu or gpu");
-        std::process::exit(2);
+        die("--transport process requires --executor cpu or gpu");
     }
     // One object-safe driver API over all three executors.
+    const REJECTED: &str = "run configuration rejected";
     let mut driver: Box<dyn Simulation> = match args.executor.as_str() {
-        "serial" => Box::new(SerialDriver::new(params).unwrap_or_else(|e| panic!("{e}"))),
-        "cpu" => Box::new(
-            CpuSim::new(run_config(params, &args, transport, ())).unwrap_or_else(|e| panic!("{e}")),
-        ),
+        "serial" => Box::new(or_die(SerialDriver::new(params), REJECTED)),
+        "cpu" => Box::new(or_die(
+            CpuSim::new(run_config(params, &args, transport, ())),
+            REJECTED,
+        )),
         "gpu" => {
             let knobs = GpuKnobs {
                 variant: args.variant,
                 ..GpuKnobs::default()
             };
-            Box::new(
-                GpuSim::new(run_config(params, &args, transport, knobs))
-                    .unwrap_or_else(|e| panic!("{e}")),
-            )
+            Box::new(or_die(
+                GpuSim::new(run_config(params, &args, transport, knobs)),
+                REJECTED,
+            ))
         }
         _ => usage(),
     };
@@ -331,33 +317,37 @@ fn main() {
         if swept > 0 {
             eprintln!("swept {swept} orphaned checkpoint stage file(s)");
         }
-        let cp = simcov_driver::load_checkpoint(std::path::Path::new(path), &ck_params)
-            .unwrap_or_else(|e| panic!("cannot resume from {path}: {e}"));
+        let cp = or_die(
+            simcov_driver::load_checkpoint(std::path::Path::new(path), &ck_params),
+            format_args!("cannot resume from {path}"),
+        );
         let at = cp.step;
-        driver
-            .restore(&cp)
-            .unwrap_or_else(|e| panic!("cannot restore {path}: {e}"));
+        or_die(driver.restore(&cp), format_args!("cannot restore {path}"));
         eprintln!("resumed from {path} at step {at}");
     }
 
     while driver.step() < steps {
         let step = driver.step() + 1;
-        driver
-            .advance_step()
-            .unwrap_or_else(|e| panic!("step {step} failed: {e}"));
+        if let Err(e) = driver.advance_step() {
+            // The run itself failed, not its input: status 1.
+            eprintln!("step {step} failed: {e}");
+            std::process::exit(1);
+        }
         if let Some(dir) = &args.frames {
             if step.is_multiple_of(frame_every) || step == steps {
                 let img = render_slice(&driver.gather_world(), 0, 512);
                 let path = format!("{dir}/step_{step:06}.ppm");
-                fs::write(&path, img.to_ppm()).expect("write frame");
+                write_or_die(&path, img.to_ppm());
                 eprintln!("frame {path}");
             }
         }
         if let Some(path) = &args.persist {
             if step.is_multiple_of(args.persist_every) || step == steps {
                 let cp = driver.checkpoint();
-                simcov_driver::persist_checkpoint(std::path::Path::new(path), &ck_params, &cp)
-                    .unwrap_or_else(|e| panic!("cannot persist {path}: {e}"));
+                or_die(
+                    simcov_driver::persist_checkpoint(std::path::Path::new(path), &ck_params, &cp),
+                    format_args!("cannot persist {path}"),
+                );
             }
         }
         if args.halt_after == Some(step) {
@@ -371,8 +361,7 @@ fn main() {
     if let Some(tel) = &telemetry {
         publish_final_metrics(tel, driver.as_ref());
         if let Some(path) = &args.trace_out {
-            fs::write(path, chrome::render(tel, driver.health_records()))
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            write_or_die(path, chrome::render(tel, driver.health_records()));
             eprintln!(
                 "chrome trace -> {path} ({} events, {} dropped, {} health findings)",
                 tel.recorded(),
@@ -382,8 +371,7 @@ fn main() {
         }
         if let Some(path) = &args.metrics_out {
             let reg = tel.registry().expect("enabled telemetry has a registry");
-            fs::write(path, prometheus::render(reg))
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            write_or_die(path, prometheus::render(reg));
             eprintln!("prometheus metrics -> {path}");
         }
     }
@@ -407,7 +395,9 @@ fn main() {
             wire.workers_respawned,
         );
     }
-    let last = history.steps.last().expect("at least one step");
+    let Some(last) = history.steps.last() else {
+        die("the run recorded no step");
+    };
     if let Some(path) = &args.json {
         let mut doc = Json::obj([
             ("executor", Json::from(args.executor.as_str())),
@@ -433,8 +423,7 @@ fn main() {
             ]),
         );
         doc.push("step_records", step_records_json(&sink.records()));
-        fs::write(path, doc.render()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        eprintln!("json summary -> {path}");
+        write_json(path, &doc);
     }
     println!(
         "final: virions {:.4e}, tissue T cells {}, healthy {}, dead {}",

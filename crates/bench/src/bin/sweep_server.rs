@@ -73,38 +73,25 @@ fn parse_cli() -> (Cli, CommonFlags) {
         }
     }
     if cli.jobs_file.is_some() == cli.demo.is_some() {
-        eprintln!("exactly one of --jobs and --demo is required");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        cli::die(format_args!(
+            "exactly one of --jobs and --demo is required\n{USAGE}"
+        ));
     }
     (cli, common)
 }
 
 /// Parse a sweep file: a top-level array of jobs or `{"jobs": [...]}`.
 fn load_jobs(path: &str) -> Vec<JobSpec> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(2);
-    });
+    let text = cli::or_die(std::fs::read_to_string(path), format_args!("read {path}"));
+    let doc = cli::or_die(Json::parse(&text), path);
     let jobs = doc
         .as_arr()
         .or_else(|| doc.get("jobs").and_then(|j| j.as_arr()))
-        .unwrap_or_else(|| {
-            eprintln!("{path}: expected a job array or an object with a \"jobs\" array");
-            std::process::exit(2);
-        });
-    jobs.iter()
+        .ok_or("expected a job array or an object with a \"jobs\" array");
+    cli::or_die(jobs, path)
+        .iter()
         .enumerate()
-        .map(|(i, j)| {
-            JobSpec::from_json(j).unwrap_or_else(|e| {
-                eprintln!("{path}: job {i}: {e}");
-                std::process::exit(2);
-            })
-        })
+        .map(|(i, j)| cli::or_die(JobSpec::from_json(j), format_args!("{path}: job {i}")))
         .collect()
 }
 
@@ -149,10 +136,7 @@ fn main() {
     let cfg = SweepConfig::new(&cli.out_dir)
         .with_workers(cli.workers)
         .with_pool_threads(cli.pool_threads);
-    let server = SweepServer::start(cfg).unwrap_or_else(|e| {
-        eprintln!("start server: {e}");
-        std::process::exit(2);
-    });
+    let server = cli::or_die(SweepServer::start(cfg), "start server");
     server.submit_all(jobs);
     let results = server.join();
 

@@ -1,9 +1,6 @@
 //! Shared command-line parsing for the bench binaries.
 //!
-//! Every binary used to hand-roll its own `std::env::args()` loop; the
-//! common flags drifted (some binaries silently ignored unknown arguments,
-//! others exited). This module is the one place the shared surface is
-//! parsed and documented:
+//! The one place the shared surface is parsed and documented:
 //!
 //! | flag | value | meaning |
 //! |---|---|---|
@@ -12,7 +9,6 @@
 //! | `--metrics-out` | `PATH` | export the process metric registry on exit |
 //! | `--smoke` | — | reduced scale for CI gates |
 //! | `--seed` | `N` | override the suite's default master seed |
-//! | `--threads` | `N` | pin the executor `WorkPool` worker count (0 = inline) |
 //!
 //! Binaries with extra flags call [`CommonFlags::extract`] and match the
 //! leftover tokens themselves; binaries with no extra flags call
@@ -31,9 +27,6 @@ pub struct CommonFlags {
     pub smoke: bool,
     /// `--seed N`: master-seed override.
     pub seed: Option<u64>,
-    /// `--threads N`: pin the executor `WorkPool` worker count so CI gates
-    /// measure a reproducible parallel-rank configuration (0 = inline).
-    pub threads: Option<usize>,
 }
 
 impl CommonFlags {
@@ -50,7 +43,6 @@ impl CommonFlags {
                 "--metrics-out" => flags.metrics_out = Some(expect_value(&a, it.next())),
                 "--smoke" => flags.smoke = true,
                 "--seed" => flags.seed = Some(parse_value(&a, it.next())),
-                "--threads" => flags.threads = Some(parse_value(&a, it.next())),
                 _ => rest.push(a),
             }
         }
@@ -73,27 +65,41 @@ impl CommonFlags {
     }
 }
 
+/// The one exit for input the user got wrong (arguments, config, files):
+/// the message on stderr, status 2, no backtrace.
+pub fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The value of `r`, or [`die`] with `what` and the error.
+pub fn or_die<T, E: std::fmt::Display>(r: Result<T, E>, what: impl std::fmt::Display) -> T {
+    r.unwrap_or_else(|e| die(format_args!("{what}: {e}")))
+}
+
+/// Write an output file, or [`die`].
+pub fn write_or_die(path: &str, contents: impl AsRef<[u8]>) {
+    or_die(
+        std::fs::write(path, contents),
+        format_args!("cannot write {path}"),
+    );
+}
+
 /// The value following a flag, or exit 2.
 pub fn expect_value(flag: &str, v: Option<String>) -> String {
-    v.unwrap_or_else(|| {
-        eprintln!("{flag} requires a value");
-        std::process::exit(2);
-    })
+    v.unwrap_or_else(|| die(format_args!("{flag} requires a value")))
 }
 
 /// The parsed value following a flag, or exit 2.
 pub fn parse_value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
-    expect_value(flag, v).parse().unwrap_or_else(|_| {
-        eprintln!("{flag} requires a {}", std::any::type_name::<T>());
-        std::process::exit(2);
-    })
+    let what = std::any::type_name::<T>();
+    let parsed = expect_value(flag, v).parse();
+    parsed.unwrap_or_else(|_| die(format_args!("{flag} requires a {what}")))
 }
 
 /// Report an unknown argument with the binary's usage line and exit 2.
 pub fn die_unknown(tok: &str, usage: &str) -> ! {
-    eprintln!("unknown argument: {tok}");
-    eprintln!("{usage}");
-    std::process::exit(2);
+    die(format_args!("unknown argument: {tok}\n{usage}"))
 }
 
 #[cfg(test)]
@@ -107,23 +113,20 @@ mod tests {
     #[test]
     fn extracts_common_flags_and_preserves_rest_order() {
         let (flags, rest) = CommonFlags::extract(argv(&[
-            "--baseline",
-            "b.json",
+            "--jobs",
+            "j.json",
             "--json",
             "out.json",
             "--smoke",
             "--seed",
             "42",
-            "--threads",
+            "--workers",
             "3",
-            "--tolerance",
-            "0.5",
         ]));
         assert_eq!(flags.json.as_deref(), Some("out.json"));
         assert!(flags.smoke);
         assert_eq!(flags.seed, Some(42));
-        assert_eq!(flags.threads, Some(3));
-        assert_eq!(rest, argv(&["--baseline", "b.json", "--tolerance", "0.5"]));
+        assert_eq!(rest, argv(&["--jobs", "j.json", "--workers", "3"]));
     }
 
     #[test]
@@ -132,7 +135,6 @@ mod tests {
         assert!(flags.json.is_none() && flags.trace_out.is_none() && flags.metrics_out.is_none());
         assert!(!flags.smoke);
         assert!(flags.seed.is_none());
-        assert!(flags.threads.is_none());
         assert!(rest.is_empty());
     }
 }

@@ -281,11 +281,20 @@ fn points_to_json(points: &[ScalingPoint]) -> Json {
     Json::Arr(points.iter().map(ScalingPoint::to_json).collect())
 }
 
-fn scaling_table(points: &[ScalingPoint], with_problem: bool) -> String {
-    let mut header = vec!["{GPUs,CPUs}"];
-    if with_problem {
-        header.extend(["grid", "FOI"]);
-    }
+/// What varies along a sweep, i.e. the leading columns of its table.
+#[derive(Clone, Copy)]
+enum Sweep {
+    Machine,
+    MachineAndProblem,
+    Foi,
+}
+
+fn scaling_table(points: &[ScalingPoint], sweep: Sweep) -> String {
+    let mut header = match sweep {
+        Sweep::Machine => vec!["{GPUs,CPUs}"],
+        Sweep::MachineAndProblem => vec!["{GPUs,CPUs}", "grid", "FOI"],
+        Sweep::Foi => vec!["FOI"],
+    };
     header.extend([
         "CPU runtime (s)",
         "GPU runtime (s)",
@@ -295,11 +304,16 @@ fn scaling_table(points: &[ScalingPoint], with_problem: bool) -> String {
     ]);
     let mut table = Table::new(&header);
     for p in points {
-        let mut row = vec![format!("{{{},{}}}", p.gpus, p.cpus)];
-        if with_problem {
-            row.push(format!("{0}x{0}", p.grid_side));
-            row.push(p.num_foi.to_string());
-        }
+        let machine = format!("{{{},{}}}", p.gpus, p.cpus);
+        let mut row = match sweep {
+            Sweep::Machine => vec![machine],
+            Sweep::MachineAndProblem => vec![
+                machine,
+                format!("{0}x{0}", p.grid_side),
+                p.num_foi.to_string(),
+            ],
+            Sweep::Foi => vec![p.num_foi.to_string()],
+        };
         row.extend([
             fmt_secs(p.cpu_seconds),
             fmt_secs(p.gpu_seconds),
@@ -345,7 +359,7 @@ impl ScalingResult {
     pub fn render_strong(&self) -> String {
         let mut out = banner("Fig 6: Strong scaling (10,000x10,000, 16 FOI)", self.scale);
         out.push('\n');
-        out.push_str(&scaling_table(&self.points, false));
+        out.push_str(&scaling_table(&self.points, Sweep::Machine));
         out.push_str(
             "\nExpected shape: GPU wins ~5x at the base allocation; the advantage decays as GPUs\n\
              exceed the problem size, dropping below 1x at {64,2048} (paper: 4.98 -> 0.85).\n",
@@ -359,7 +373,7 @@ impl ScalingResult {
             self.scale,
         );
         out.push('\n');
-        out.push_str(&scaling_table(&self.points, true));
+        out.push_str(&scaling_table(&self.points, Sweep::MachineAndProblem));
         out.push_str(
             "\nExpected shape: a sustained ~4x GPU advantage across the sweep, with an initial\n\
              cost of parallelism between 4 and 16 GPUs before GPU runtime flattens\n\
@@ -433,28 +447,7 @@ impl Fig8Result {
     pub fn render(&self) -> String {
         let mut out = banner("Fig 8: FOI scaling (20,000x20,000 on {16,512})", self.scale);
         out.push('\n');
-        let mut table = Table::new(&[
-            "FOI",
-            "CPU runtime (s)",
-            "GPU runtime (s)",
-            "speedup",
-            "paper speedup",
-            "shape",
-        ]);
-        for p in &self.points {
-            table.row(vec![
-                p.num_foi.to_string(),
-                fmt_secs(p.cpu_seconds),
-                fmt_secs(p.gpu_seconds),
-                format!("{:.2}x", p.speedup()),
-                match p.paper_speedup {
-                    Some(ps) => format!("{ps:.2}x"),
-                    None => "- (no CPU trial)".to_string(),
-                },
-                p.verdict().to_string(),
-            ]);
-        }
-        out.push_str(&table.render());
+        out.push_str(&scaling_table(&self.points, Sweep::Foi));
         out.push_str(&format!(
             "\nGPU runtime growth per FOI doubling: {:?} (expected sublinear, i.e. < 2x each)\n",
             self.growth
@@ -694,59 +687,112 @@ pub fn table2_to_json(rows: &[AgreementRow]) -> Json {
 
 // -------------------------------------------------------------- Table 1 --
 
-/// Table 1 as data: the configuration matrix of the evaluation.
+/// One Table 1 row: label, JSON key, {min, max} grid side, {min, max} FOI
+/// (`starred`: the paper ran no CPU trial at the max), {min, max} machine as
+/// `(gpus, cpus)`.
+struct Table1Row {
+    label: &'static str,
+    key: &'static str,
+    side: [u32; 2],
+    foi: [u32; 2],
+    starred: bool,
+    machine: [(usize, usize); 2],
+}
+
+/// The configuration matrix of the evaluation.
+const TABLE1: [Table1Row; 4] = [
+    Table1Row {
+        label: "Correctness",
+        key: "correctness",
+        side: [10_000, 10_000],
+        foi: [16, 16],
+        starred: false,
+        machine: [(4, 128), (4, 128)],
+    },
+    Table1Row {
+        label: "Strong Scaling",
+        key: "strong_scaling",
+        side: [10_000, 10_000],
+        foi: [16, 16],
+        starred: false,
+        machine: [(4, 128), (64, 2048)],
+    },
+    Table1Row {
+        label: "Weak Scaling",
+        key: "weak_scaling",
+        side: [10_000, 40_000],
+        foi: [16, 256],
+        starred: false,
+        machine: [(4, 128), (64, 2048)],
+    },
+    Table1Row {
+        label: "FOI Scaling",
+        key: "foi_scaling",
+        side: [20_000, 20_000],
+        foi: [64, 1024],
+        starred: true,
+        machine: [(16, 512), (16, 512)],
+    },
+];
+
+/// Table 1 as data.
 pub fn table1_to_json() -> Json {
-    let exp = |name: &str,
-               min_dim: u32,
-               max_dim: u32,
-               min_foi: u32,
-               max_foi: u32,
-               min_m: (usize, usize),
-               max_m: (usize, usize)| {
-        Json::obj([
-            ("experiment", Json::from(name)),
-            ("min_grid_side", Json::from(min_dim)),
-            ("max_grid_side", Json::from(max_dim)),
-            ("min_foi", Json::from(min_foi)),
-            ("max_foi", Json::from(max_foi)),
-            (
-                "min_machine",
-                Json::obj([("gpus", Json::from(min_m.0)), ("cpus", Json::from(min_m.1))]),
-            ),
-            (
-                "max_machine",
-                Json::obj([("gpus", Json::from(max_m.0)), ("cpus", Json::from(max_m.1))]),
-            ),
-        ])
+    let machine = |(gpus, cpus): (usize, usize)| {
+        Json::obj([("gpus", Json::from(gpus)), ("cpus", Json::from(cpus))])
     };
-    Json::Arr(vec![
-        exp("correctness", 10_000, 10_000, 16, 16, (4, 128), (4, 128)),
-        exp(
-            "strong_scaling",
-            10_000,
-            10_000,
-            16,
-            16,
-            (4, 128),
-            (64, 2048),
-        ),
-        exp(
-            "weak_scaling",
-            10_000,
-            40_000,
-            16,
-            256,
-            (4, 128),
-            (64, 2048),
-        ),
-        exp(
-            "foi_scaling",
-            20_000,
-            20_000,
-            64,
-            1024,
-            (16, 512),
-            (16, 512),
-        ),
-    ])
+    Json::Arr(
+        TABLE1
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("experiment", Json::from(r.key)),
+                    ("min_grid_side", Json::from(r.side[0])),
+                    ("max_grid_side", Json::from(r.side[1])),
+                    ("min_foi", Json::from(r.foi[0])),
+                    ("max_foi", Json::from(r.foi[1])),
+                    ("min_machine", machine(r.machine[0])),
+                    ("max_machine", machine(r.machine[1])),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Table 1 at paper scale, and what the current reproduction scale makes of it.
+pub fn render_table1(scale: u32) -> String {
+    let mut t = Table::new(&[
+        "Experiment",
+        "Min. Dim.",
+        "Max. Dim.",
+        "Min. FOI",
+        "Max. FOI",
+        "Min. {GPUs,CPUs}",
+        "Max. {GPUs,CPUs}",
+    ]);
+    let dim = |side: u32| {
+        let s = format!("{},{:03}", side / 1000, side % 1000);
+        format!("[{s}x{s}x1]")
+    };
+    let machine = |(gpus, cpus): (usize, usize)| format!("{{{gpus},{cpus}}}");
+    for r in &TABLE1 {
+        t.row(vec![
+            r.label.into(),
+            dim(r.side[0]),
+            dim(r.side[1]),
+            r.foi[0].to_string(),
+            format!("{}{}", r.foi[1], if r.starred { "*" } else { "" }),
+            machine(r.machine[0]),
+            machine(r.machine[1]),
+        ]);
+    }
+    let min_side = paper::STRONG_GRID / scale;
+    let max_side = paper::WEAK_GRIDS[4] / scale;
+    format!(
+        "== Table 1: experiment configurations ==\n\n{}\n\
+         * the paper could not run a 1024-FOI SIMCoV-CPU trial; this reproduction can.\n\n\
+         Reproduction scale: 1/{scale} linear (grids {min_side}x{min_side} .. \
+         {max_side}x{max_side}, {} steps); machine sizes are preserved as logical ranks.",
+        t.render(),
+        paper::STEPS / scale as u64,
+    )
 }

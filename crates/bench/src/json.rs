@@ -7,9 +7,6 @@ use simcov_core::json::Json;
 /// with status 2 on I/O failure (clean error, no panic — the artifact path
 /// is only known to be bad after the experiment has already run).
 pub fn write_json(path: &str, doc: &Json) {
-    if let Err(e) = std::fs::write(path, doc.render()) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
-    }
+    crate::cli::write_or_die(path, doc.render());
     eprintln!("json artifact -> {path}");
 }

@@ -1,18 +1,11 @@
 //! # simcov-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the SIMCoV-GPU paper's evaluation
-//! (see the per-experiment index in DESIGN.md):
-//!
-//! | artifact | binary |
-//! |---|---|
-//! | Table 1 (configurations)      | `table1_configs` |
-//! | Fig 4 (optimization breakdown)| `fig4_breakdown` |
-//! | Fig 5 (correctness series)    | `fig5_correctness` |
-//! | Table 2 (peak agreement)      | `table2_agreement` |
-//! | Fig 6 (strong scaling)        | `fig6_strong` |
-//! | Fig 7 (weak scaling)          | `fig7_weak` |
-//! | Fig 8 (FOI scaling)           | `fig8_foi` |
-//! | everything                    | `repro_all` |
+//! (see the per-experiment index in DESIGN.md) through one binary:
+//! `repro_all` runs them all, `repro_all SECTION...` the ones named — `table1`
+//! (configurations), `fig4` (optimization breakdown), `fig5` (correctness
+//! series), `table2` (peak agreement), `fig6` (strong scaling), `fig7` (weak
+//! scaling), `fig8` (FOI scaling).
 //!
 //! Runs execute at a reduced linear scale (default 32; `SIMCOV_SCALE=16`
 //! for a closer but slower reproduction) and are extrapolated to the

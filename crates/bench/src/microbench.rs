@@ -31,6 +31,18 @@ pub struct BenchResult {
     pub mean_ns: f64,
 }
 
+impl BenchResult {
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("name", Json::from(self.name.as_str())),
+            ("min_ns", Json::from(self.min_ns)),
+            ("median_ns", Json::from(self.median_ns)),
+            ("mean_ns", Json::from(self.mean_ns)),
+            ("batch", Json::from(self.batch)),
+        ])
+    }
+}
+
 pub struct Bench {
     filter: Option<String>,
     json: Option<String>,
@@ -71,43 +83,37 @@ impl Bench {
         self
     }
 
-    /// Results gathered so far, for callers that gate on timings
-    /// programmatically instead of (or in addition to) printing the table.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
+    fn admits(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 
-    /// Register and immediately run one benchmark.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
-        }
-        // Calibrate the batch size up to ≥ 1 ms per batch.
+    /// The batch size whose run of `f` lasts ≥ 1 ms.
+    fn calibrate<R>(f: &mut impl FnMut() -> R) -> u64 {
         let mut batch = 1u64;
         loop {
-            let t = Self::time_batch(batch, &mut f);
+            let t = Self::time_batch(batch, f);
             if t >= TARGET_BATCH_NS || batch >= MAX_BATCH {
-                break;
+                return batch;
             }
             // Jump close to the target, at least doubling.
             let projected = (TARGET_BATCH_NS as f64 / t.max(1) as f64).ceil() as u64;
             batch = (batch * projected.max(2)).min(MAX_BATCH);
         }
-        for _ in 0..WARMUP_BATCHES {
-            Self::time_batch(batch, &mut f);
-        }
-        let mut per_iter: Vec<f64> = (0..self.samples)
-            .map(|_| Self::time_batch(batch, &mut f) as f64 / batch as f64)
-            .collect();
+    }
+
+    fn sample<R>(batch: u64, f: &mut impl FnMut() -> R) -> f64 {
+        Self::time_batch(batch, f) as f64 / batch as f64
+    }
+
+    /// Record one benchmark's samples; returns its min.
+    fn record(&mut self, name: &str, batch: u64, mut per_iter: Vec<f64>) -> f64 {
         per_iter.sort_by(|a, b| a.total_cmp(b));
         let result = BenchResult {
             name: name.to_string(),
             batch,
             min_ns: per_iter[0],
-            median_ns: per_iter[self.samples / 2],
-            mean_ns: per_iter.iter().sum::<f64>() / self.samples as f64,
+            median_ns: per_iter[per_iter.len() / 2],
+            mean_ns: per_iter.iter().sum::<f64>() / per_iter.len() as f64,
         };
         eprintln!(
             "{:<32} {:>12} min  {:>12} median",
@@ -116,6 +122,22 @@ impl Bench {
             fmt_ns(result.median_ns)
         );
         self.results.push(result);
+        per_iter[0]
+    }
+
+    /// Register and immediately run one benchmark.
+    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
+        if !self.admits(name) {
+            return;
+        }
+        let batch = Self::calibrate(&mut f);
+        for _ in 0..WARMUP_BATCHES {
+            Self::time_batch(batch, &mut f);
+        }
+        let per_iter = (0..self.samples)
+            .map(|_| Self::sample(batch, &mut f))
+            .collect();
+        self.record(name, batch, per_iter);
     }
 
     /// Register and run two benchmarks as an interleaved A/B pair, returning
@@ -137,20 +159,10 @@ impl Bench {
         name_b: &str,
         mut f_b: impl FnMut() -> S,
     ) -> Option<f64> {
-        if let Some(filter) = &self.filter {
-            if !name_a.contains(filter.as_str()) || !name_b.contains(filter.as_str()) {
-                return None;
-            }
+        if !self.admits(name_a) || !self.admits(name_b) {
+            return None;
         }
-        let mut batch = 1u64;
-        loop {
-            let t = Self::time_batch(batch, &mut f_a);
-            if t >= TARGET_BATCH_NS || batch >= MAX_BATCH {
-                break;
-            }
-            let projected = (TARGET_BATCH_NS as f64 / t.max(1) as f64).ceil() as u64;
-            batch = (batch * projected.max(2)).min(MAX_BATCH);
-        }
+        let batch = Self::calibrate(&mut f_a);
         for _ in 0..WARMUP_BATCHES {
             Self::time_batch(batch, &mut f_a);
             Self::time_batch(batch, &mut f_b);
@@ -158,29 +170,11 @@ impl Bench {
         let mut per_a = Vec::with_capacity(self.samples);
         let mut per_b = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
-            per_a.push(Self::time_batch(batch, &mut f_a) as f64 / batch as f64);
-            per_b.push(Self::time_batch(batch, &mut f_b) as f64 / batch as f64);
+            per_a.push(Self::sample(batch, &mut f_a));
+            per_b.push(Self::sample(batch, &mut f_b));
         }
-        let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
-        let ratio = min(&per_b) / min(&per_a);
-        for (name, mut per_iter) in [(name_a, per_a), (name_b, per_b)] {
-            per_iter.sort_by(|a, b| a.total_cmp(b));
-            let result = BenchResult {
-                name: name.to_string(),
-                batch,
-                min_ns: per_iter[0],
-                median_ns: per_iter[self.samples / 2],
-                mean_ns: per_iter.iter().sum::<f64>() / self.samples as f64,
-            };
-            eprintln!(
-                "{:<32} {:>12} min  {:>12} median",
-                result.name,
-                fmt_ns(result.min_ns),
-                fmt_ns(result.median_ns)
-            );
-            self.results.push(result);
-        }
-        Some(ratio)
+        let min_a = self.record(name_a, batch, per_a);
+        Some(self.record(name_b, batch, per_b) / min_a)
     }
 
     // Same monotonic clock helper the runtime trace records with
@@ -194,8 +188,9 @@ impl Bench {
         clock.now_ns() as u128
     }
 
-    /// Print the summary table (and the JSON artifact, if requested).
-    pub fn finish(self) {
+    /// Print the summary table (and the JSON artifact, if requested) and hand
+    /// the results to callers that gate on them.
+    pub fn finish(self) -> Vec<BenchResult> {
         let mut table = Table::new(&["benchmark", "min", "median", "mean", "batch"]);
         for r in &self.results {
             table.row(vec![
@@ -208,22 +203,10 @@ impl Bench {
         }
         println!("\n{}", table.render());
         if let Some(path) = &self.json {
-            let doc = Json::Arr(
-                self.results
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("name", Json::from(r.name.as_str())),
-                            ("min_ns", Json::from(r.min_ns)),
-                            ("median_ns", Json::from(r.median_ns)),
-                            ("mean_ns", Json::from(r.mean_ns)),
-                            ("batch", Json::from(r.batch)),
-                        ])
-                    })
-                    .collect(),
-            );
+            let doc = Json::Arr(self.results.iter().map(BenchResult::to_json).collect());
             write_json(path, &doc);
         }
+        self.results
     }
 }
 

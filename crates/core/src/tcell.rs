@@ -6,6 +6,7 @@
 //! aggregate vascular pool (§2.2): cohorts with an expiry step, replicated
 //! deterministically on every rank.
 
+use pgas::wire::{WireCodec, WireField, WireReader, WireWrite};
 use std::collections::VecDeque;
 
 /// Packed per-voxel T-cell slot.
@@ -76,6 +77,25 @@ impl TCellSlot {
     #[inline]
     pub fn with_tissue_steps(self, t: u32) -> Self {
         TCellSlot((self.0 & !TISSUE_MASK) | (t & TISSUE_MASK))
+    }
+}
+
+/// A slot crosses the wire as its packed word.
+impl WireCodec for TCellSlot {
+    fn encode<W: WireWrite>(&self, out: &mut W) {
+        self.0.encode(out);
+    }
+    #[inline]
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        u32::decode(r).map(TCellSlot)
+    }
+}
+
+impl WireField for TCellSlot {
+    const LEN: usize = <u32 as WireField>::LEN;
+    const BITS: u64 = <u32 as WireField>::BITS;
+    fn flip_bit(&mut self, bit: u64) {
+        self.0.flip_bit(bit);
     }
 }
 

@@ -47,4 +47,4 @@ pub use transport::{
     run_rank_worker, ExchangeTransport, ProcessTransport, ProcessTransportConfig, SpawnMode,
     TransportCounters, TransportMode, WireFault, WireFaultKind, WireFaultPlan, WireOutcome,
 };
-pub use wire::{decode_bucket, encode_bucket, WireCodec, WireReader, WireWrite};
+pub use wire::{decode_bucket, encode_bucket, WireCodec, WireField, WireReader, WireWrite};

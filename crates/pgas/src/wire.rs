@@ -90,34 +90,35 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Little-endian writer helpers mirroring [`WireReader`].
+/// Little-endian writer helpers mirroring [`WireReader`]: a sink takes bytes,
+/// the typed writers are the same for every sink.
 pub trait WireWrite {
-    fn put_u8(&mut self, v: u8);
-    fn put_bool(&mut self, v: bool);
-    fn put_u32(&mut self, v: u32);
-    fn put_u64(&mut self, v: u64);
-    fn put_u128(&mut self, v: u128);
-    fn put_f32(&mut self, v: f32);
-}
+    fn put_bytes(&mut self, bytes: &[u8]);
 
-impl WireWrite for Vec<u8> {
     fn put_u8(&mut self, v: u8) {
-        self.push(v);
+        self.put_bytes(&[v]);
     }
     fn put_bool(&mut self, v: bool) {
-        self.push(v as u8);
+        self.put_u8(v as u8);
     }
     fn put_u32(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
     fn put_u64(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
     fn put_u128(&mut self, v: u128) {
-        self.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
     fn put_f32(&mut self, v: f32) {
         self.put_u32(v.to_bits());
+    }
+}
+
+impl WireWrite for Vec<u8> {
+    #[inline]
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
@@ -127,23 +128,9 @@ impl WireWrite for Vec<u8> {
 ///
 /// [`Payload::digest`]: crate::crc::Payload::digest
 impl WireWrite for Crc64 {
-    fn put_u8(&mut self, v: u8) {
-        self.write_u8(v);
-    }
-    fn put_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
-    }
-    fn put_u32(&mut self, v: u32) {
-        self.write_u32(v);
-    }
-    fn put_u64(&mut self, v: u64) {
-        self.write_u64(v);
-    }
-    fn put_u128(&mut self, v: u128) {
-        self.write_u128(v);
-    }
-    fn put_f32(&mut self, v: f32) {
-        self.write_f32(v);
+    #[inline]
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.update(bytes);
     }
 }
 
@@ -187,31 +174,125 @@ pub fn decode_bucket<M: WireCodec>(count: u64, payload: &[u8]) -> Option<Vec<M>>
     Some(out)
 }
 
-impl WireCodec for u8 {
-    fn encode<W: WireWrite>(&self, out: &mut W) {
-        out.put_u8(*self);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        r.read_u8()
+/// One fixed-width field of a [`wire_cell!`](crate::wire_cell) struct: its
+/// canonical encoding is its [`WireCodec`]; this adds the encoded width and
+/// the single-bit flip the seeded corruption plans apply.
+pub trait WireField: WireCodec {
+    /// Encoded bytes.
+    const LEN: usize;
+    /// Bits a corruption can flip: every encoded bit, except that a
+    /// canonical `bool` has one.
+    const BITS: u64;
+    /// Flip bit `bit < BITS`; applying it twice restores the value.
+    fn flip_bit(&mut self, bit: u64);
+}
+
+macro_rules! wire_scalar {
+    ($($t:ty: $len:literal bytes, $bits:literal bits, $put:ident, $read:ident,
+       |$v:ident, $bit:ident| $flipped:expr;)*) => {$(
+        impl WireCodec for $t {
+            fn encode<W: WireWrite>(&self, out: &mut W) {
+                out.$put(*self);
+            }
+            #[inline]
+            fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+                r.$read()
+            }
+        }
+        impl WireField for $t {
+            const LEN: usize = $len;
+            const BITS: u64 = $bits;
+            fn flip_bit(&mut self, $bit: u64) {
+                let $v = *self;
+                *self = $flipped;
+            }
+        }
+    )*};
+}
+
+wire_scalar! {
+    u8: 1 bytes, 8 bits, put_u8, read_u8, |v, bit| v ^ (1 << bit);
+    u32: 4 bytes, 32 bits, put_u32, read_u32, |v, bit| v ^ (1 << bit);
+    u64: 8 bytes, 64 bits, put_u64, read_u64, |v, bit| v ^ (1 << bit);
+    u128: 16 bytes, 128 bits, put_u128, read_u128, |v, bit| v ^ (1 << bit);
+    f32: 4 bytes, 32 bits, put_f32, read_f32, |v, bit| f32::from_bits(v.to_bits() ^ (1 << bit));
+    bool: 1 bytes, 1 bits, put_bool, read_bool, |v, _bit| !v;
+}
+
+/// Append a length-prefixed sequence of cells.
+pub fn encode_seq<C: WireCodec, W: WireWrite>(cells: &[C], out: &mut W) {
+    out.put_u64(cells.len() as u64);
+    for c in cells {
+        c.encode(out);
     }
 }
 
-impl WireCodec for u32 {
-    fn encode<W: WireWrite>(&self, out: &mut W) {
-        out.put_u32(*self);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        r.read_u32()
+impl WireReader<'_> {
+    /// Read a sequence written by [`encode_seq`] whose elements encode to
+    /// `elem_len` bytes each ([`read_len`](Self::read_len) bounds the count).
+    pub fn read_seq<C: WireCodec>(&mut self, elem_len: usize) -> Option<Vec<C>> {
+        let n = self.read_len(elem_len)?;
+        let mut cells = Vec::with_capacity(n);
+        for _ in 0..n {
+            cells.push(C::decode(self)?);
+        }
+        Some(cells)
     }
 }
 
-impl WireCodec for u64 {
-    fn encode<W: WireWrite>(&self, out: &mut W) {
-        out.put_u64(*self);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        r.read_u64()
-    }
+/// Declare a fixed-layout wire cell once. From the field list this emits the
+/// `pub struct` (`Debug, Clone, Copy, PartialEq`), its `ENCODED_LEN`, its
+/// [`WireCodec`] (fields in declaration order) and the seeded single-bit
+/// `flip`, so a field cannot be encoded but not decoded, or sized but not
+/// corruptible. Every field type is a [`WireField`].
+#[macro_export]
+macro_rules! wire_cell {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* pub $f:ident: $t:ty),+ $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $f: $t),+
+        }
+
+        impl $name {
+            /// Bytes of one encoded cell.
+            pub const ENCODED_LEN: usize = 0 $(+ <$t as $crate::wire::WireField>::LEN)+;
+            /// Flippable bits of each field, in declaration order.
+            pub const FIELD_BITS: &'static [u64] =
+                &[$(<$t as $crate::wire::WireField>::BITS),+];
+
+            /// Flip bit `bit` of field number `field`; self-inverse.
+            pub fn flip_at(&mut self, field: usize, bit: u64) {
+                let mut i = 0;
+                $(
+                    if i == field {
+                        $crate::wire::WireField::flip_bit(&mut self.$f, bit);
+                    }
+                    i += 1;
+                )+
+                assert!(field < i, "cell has {i} fields, not {field}");
+            }
+
+            /// One seeded corruption: draws the field, then the bit in it.
+            pub fn flip(&mut self, rng: &mut $crate::fault::SplitMix64) {
+                let field = (rng.next_u64() % Self::FIELD_BITS.len() as u64) as usize;
+                self.flip_at(field, rng.next_u64() % Self::FIELD_BITS[field]);
+            }
+        }
+
+        impl $crate::wire::WireCodec for $name {
+            fn encode<W: $crate::wire::WireWrite>(&self, out: &mut W) {
+                $($crate::wire::WireCodec::encode(&self.$f, out);)+
+            }
+            fn decode(r: &mut $crate::wire::WireReader<'_>) -> Option<Self> {
+                Some($name {
+                    $($f: <$t as $crate::wire::WireCodec>::decode(r)?),+
+                })
+            }
+        }
+    };
 }
 
 #[cfg(test)]

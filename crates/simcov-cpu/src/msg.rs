@@ -10,27 +10,30 @@
 use pgas::counters::WireSize;
 use pgas::crc::{Crc64, Payload};
 use pgas::fault::SplitMix64;
-use pgas::wire::{WireCodec, WireReader, WireWrite};
+use pgas::wire::{encode_seq, WireCodec, WireReader, WireWrite};
+use pgas::wire_cell;
 use simcov_core::tcell::TCellSlot;
 
-/// An aggregated boundary-concentration cell (gid, virions, chemokine).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConcCell {
-    pub gid: u64,
-    pub virions: f32,
-    pub chem: f32,
+wire_cell! {
+    /// An aggregated boundary-concentration cell (gid, virions, chemokine).
+    pub struct ConcCell {
+        pub gid: u64,
+        pub virions: f32,
+        pub chem: f32,
+    }
 }
 
-/// An aggregated boundary-agent cell. `active` carries the activity
-/// predicate so the receiver can extend its active list across the process
-/// boundary (§3.2: "that RPC can add the affected voxels to the
-/// active-list").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AgentCell {
-    pub gid: u64,
-    pub epi_state: u8,
-    pub tcell: TCellSlot,
-    pub active: bool,
+wire_cell! {
+    /// An aggregated boundary-agent cell. `active` carries the activity
+    /// predicate so the receiver can extend its active list across the process
+    /// boundary (§3.2: "that RPC can add the affected voxels to the
+    /// active-list").
+    pub struct AgentCell {
+        pub gid: u64,
+        pub epi_state: u8,
+        pub tcell: TCellSlot,
+        pub active: bool,
+    }
 }
 
 /// One RPC / bulk-put payload.
@@ -72,8 +75,10 @@ impl WireSize for CpuMsg {
             CpuMsg::MoveIntent { .. } => 36,
             CpuMsg::BindIntent { .. } => 32,
             CpuMsg::MoveResult { .. } | CpuMsg::BindResult { .. } => 9,
-            CpuMsg::GhostConc(cells) => 16 + cells.len() * 16,
-            CpuMsg::GhostState { agents, conc } => 16 + agents.len() * 14 + conc.len() * 16,
+            CpuMsg::GhostConc(cells) => 16 + cells.len() * ConcCell::ENCODED_LEN,
+            CpuMsg::GhostState { agents, conc } => {
+                16 + agents.len() * AgentCell::ENCODED_LEN + conc.len() * ConcCell::ENCODED_LEN
+            }
         }
     }
 
@@ -115,29 +120,8 @@ impl Payload for CpuMsg {
                     *won = !*won;
                 }
             }
-            CpuMsg::GhostConc(cells) => {
-                if let Some(c) = pick(cells, &mut rng) {
-                    c.corrupt_with(&mut rng);
-                }
-            }
-            CpuMsg::GhostState { agents, conc } => {
-                let n = agents.len() + conc.len();
-                if n == 0 {
-                    return;
-                }
-                let i = (rng.next_u64() % n as u64) as usize;
-                if i < agents.len() {
-                    let a = &mut agents[i];
-                    match rng.next_u64() % 4 {
-                        0 => a.gid ^= 1 << (rng.next_u64() % 64),
-                        1 => a.epi_state ^= 1 << (rng.next_u64() % 8),
-                        2 => a.tcell.0 ^= 1 << (rng.next_u64() % 32),
-                        _ => a.active = !a.active,
-                    }
-                } else {
-                    conc[i - agents.len()].corrupt_with(&mut rng);
-                }
-            }
+            CpuMsg::GhostConc(conc) => flip_one(&mut [], conc, &mut rng),
+            CpuMsg::GhostState { agents, conc } => flip_one(agents, conc, &mut rng),
         }
     }
 
@@ -150,44 +134,16 @@ impl Payload for CpuMsg {
     }
 }
 
-impl ConcCell {
-    fn corrupt_with(&mut self, rng: &mut SplitMix64) {
-        match rng.next_u64() % 3 {
-            0 => self.gid ^= 1 << (rng.next_u64() % 64),
-            1 => {
-                let bit = 1u32 << (rng.next_u64() % 32);
-                self.virions = f32::from_bits(self.virions.to_bits() ^ bit);
-            }
-            _ => {
-                let bit = 1u32 << (rng.next_u64() % 32);
-                self.chem = f32::from_bits(self.chem.to_bits() ^ bit);
-            }
-        }
+/// One seeded flip in one cell of an aggregate, drawn over agents then conc.
+fn flip_one(agents: &mut [AgentCell], conc: &mut [ConcCell], rng: &mut SplitMix64) {
+    let n = agents.len() + conc.len();
+    if n == 0 {
+        return;
     }
-}
-
-fn pick<'a, T>(v: &'a mut [T], rng: &mut SplitMix64) -> Option<&'a mut T> {
-    if v.is_empty() {
-        None
-    } else {
-        let i = (rng.next_u64() % v.len() as u64) as usize;
-        Some(&mut v[i])
-    }
-}
-
-impl ConcCell {
-    fn encode_into<W: WireWrite>(&self, out: &mut W) {
-        out.put_u64(self.gid);
-        out.put_f32(self.virions);
-        out.put_f32(self.chem);
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(ConcCell {
-            gid: r.read_u64()?,
-            virions: r.read_f32()?,
-            chem: r.read_f32()?,
-        })
+    let i = (rng.next_u64() % n as u64) as usize;
+    match agents.get_mut(i) {
+        Some(a) => a.flip(rng),
+        None => conc[i - agents.len()].flip(rng),
     }
 }
 
@@ -226,24 +182,12 @@ impl WireCodec for CpuMsg {
             }
             CpuMsg::GhostConc(cells) => {
                 out.put_u8(4);
-                out.put_u64(cells.len() as u64);
-                for c in cells {
-                    c.encode_into(out);
-                }
+                encode_seq(cells, out);
             }
             CpuMsg::GhostState { agents, conc } => {
                 out.put_u8(5);
-                out.put_u64(agents.len() as u64);
-                for a in agents {
-                    out.put_u64(a.gid);
-                    out.put_u8(a.epi_state);
-                    out.put_u32(a.tcell.0);
-                    out.put_bool(a.active);
-                }
-                out.put_u64(conc.len() as u64);
-                for c in conc {
-                    c.encode_into(out);
-                }
+                encode_seq(agents, out);
+                encode_seq(conc, out);
             }
         }
     }
@@ -269,32 +213,11 @@ impl WireCodec for CpuMsg {
                 src: r.read_u64()?,
                 won: r.read_bool()?,
             },
-            4 => {
-                let n = r.read_len(16)?;
-                let mut cells = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cells.push(ConcCell::decode_from(r)?);
-                }
-                CpuMsg::GhostConc(cells)
-            }
-            5 => {
-                let na = r.read_len(14)?;
-                let mut agents = Vec::with_capacity(na);
-                for _ in 0..na {
-                    agents.push(AgentCell {
-                        gid: r.read_u64()?,
-                        epi_state: r.read_u8()?,
-                        tcell: TCellSlot(r.read_u32()?),
-                        active: r.read_bool()?,
-                    });
-                }
-                let nc = r.read_len(16)?;
-                let mut conc = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    conc.push(ConcCell::decode_from(r)?);
-                }
-                CpuMsg::GhostState { agents, conc }
-            }
+            4 => CpuMsg::GhostConc(r.read_seq(ConcCell::ENCODED_LEN)?),
+            5 => CpuMsg::GhostState {
+                agents: r.read_seq(AgentCell::ENCODED_LEN)?,
+                conc: r.read_seq(ConcCell::ENCODED_LEN)?,
+            },
             _ => return None,
         })
     }
@@ -348,7 +271,33 @@ mod tests {
                 ],
             },
         ];
+        // The generated cell codecs: the declared length is the encoded
+        // length, and every (field, bit) `flip` can draw shows on the wire.
+        macro_rules! every_flip_shows {
+            ($cell:expr, $ty:ident) => {
+                let wire = pgas::wire::encode_bucket(&[$cell]);
+                assert_eq!(wire.len(), $ty::ENCODED_LEN);
+                for (field, &bits) in $ty::FIELD_BITS.iter().enumerate() {
+                    for bit in 0..bits {
+                        let mut c = $cell;
+                        c.flip_at(field, bit);
+                        let flipped = pgas::wire::encode_bucket(&[c]);
+                        assert_ne!(flipped, wire, "{} field {field} bit {bit}", stringify!($ty));
+                    }
+                }
+            };
+        }
         for msg in msgs {
+            match &msg {
+                CpuMsg::GhostConc(cells) => {
+                    every_flip_shows!(cells[0], ConcCell);
+                }
+                CpuMsg::GhostState { agents, conc } => {
+                    every_flip_shows!(agents[0], AgentCell);
+                    every_flip_shows!(conc[0], ConcCell);
+                }
+                _ => {}
+            }
             assert!(msg.corruptible());
             for seed in 0..64u64 {
                 let mut m = msg.clone();

@@ -9,28 +9,31 @@
 use pgas::counters::WireSize;
 use pgas::crc::{Crc64, Payload};
 use pgas::fault::SplitMix64;
-use pgas::wire::{WireCodec, WireReader, WireWrite};
+use pgas::wire::{encode_seq, WireCodec, WireReader, WireWrite};
+use pgas::wire_cell;
 use simcov_core::tcell::TCellSlot;
 
-/// One voxel's bid contributions (only non-empty entries travel).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BidCell {
-    pub gid: u64,
-    pub move_bid: u128,
-    pub bind_bid: u128,
+wire_cell! {
+    /// One voxel's bid contributions (only non-empty entries travel).
+    pub struct BidCell {
+        pub gid: u64,
+        pub move_bid: u128,
+        pub bind_bid: u128,
+    }
 }
 
-/// One boundary voxel's full end-of-step state. Epithelial timers are
-/// included (unlike the CPU baseline) because neighbor devices recompute
-/// ghost FSM/production locally instead of receiving mid-step values.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HaloCell {
-    pub gid: u64,
-    pub epi_state: u8,
-    pub epi_timer: u32,
-    pub tcell: TCellSlot,
-    pub virions: f32,
-    pub chem: f32,
+wire_cell! {
+    /// One boundary voxel's full end-of-step state. Epithelial timers are
+    /// included (unlike the CPU baseline) because neighbor devices recompute
+    /// ghost FSM/production locally instead of receiving mid-step values.
+    pub struct HaloCell {
+        pub gid: u64,
+        pub epi_state: u8,
+        pub epi_timer: u32,
+        pub tcell: TCellSlot,
+        pub virions: f32,
+        pub chem: f32,
+    }
 }
 
 /// A bulk device-to-device copy.
@@ -55,11 +58,10 @@ impl GpuMsg {
 
 impl WireSize for GpuMsg {
     fn wire_size(&self) -> usize {
-        // Packed on-wire sizes, not Rust in-memory sizes: a bid entry is
-        // gid + two 16-byte bids; a halo cell packs to 25 bytes.
+        // Packed on-wire sizes, not Rust in-memory sizes.
         match self {
-            GpuMsg::Bids(v) => 16 + v.len() * 40,
-            GpuMsg::Halo(v) => 16 + v.len() * 25,
+            GpuMsg::Bids(v) => 16 + v.len() * BidCell::ENCODED_LEN,
+            GpuMsg::Halo(v) => 16 + v.len() * HaloCell::ENCODED_LEN,
         }
     }
 
@@ -78,40 +80,14 @@ impl Payload for GpuMsg {
 
     fn corrupt(&mut self, seed: u64) {
         let mut rng = SplitMix64::new(seed);
+        let n = self.n_cells() as u64;
+        if n == 0 {
+            return;
+        }
+        let i = (rng.next_u64() % n) as usize;
         match self {
-            GpuMsg::Bids(cells) => {
-                if cells.is_empty() {
-                    return;
-                }
-                let i = (rng.next_u64() % cells.len() as u64) as usize;
-                let c = &mut cells[i];
-                match rng.next_u64() % 3 {
-                    0 => c.gid ^= 1 << (rng.next_u64() % 64),
-                    1 => c.move_bid ^= 1 << (rng.next_u64() % 128),
-                    _ => c.bind_bid ^= 1 << (rng.next_u64() % 128),
-                }
-            }
-            GpuMsg::Halo(cells) => {
-                if cells.is_empty() {
-                    return;
-                }
-                let i = (rng.next_u64() % cells.len() as u64) as usize;
-                let c = &mut cells[i];
-                match rng.next_u64() % 6 {
-                    0 => c.gid ^= 1 << (rng.next_u64() % 64),
-                    1 => c.epi_state ^= 1 << (rng.next_u64() % 8),
-                    2 => c.epi_timer ^= 1 << (rng.next_u64() % 32),
-                    3 => c.tcell.0 ^= 1 << (rng.next_u64() % 32),
-                    4 => {
-                        let bit = 1u32 << (rng.next_u64() % 32);
-                        c.virions = f32::from_bits(c.virions.to_bits() ^ bit);
-                    }
-                    _ => {
-                        let bit = 1u32 << (rng.next_u64() % 32);
-                        c.chem = f32::from_bits(c.chem.to_bits() ^ bit);
-                    }
-                }
-            }
+            GpuMsg::Bids(cells) => cells[i].flip(&mut rng),
+            GpuMsg::Halo(cells) => cells[i].flip(&mut rng),
         }
     }
 
@@ -127,57 +103,19 @@ impl WireCodec for GpuMsg {
         match self {
             GpuMsg::Bids(cells) => {
                 out.put_u8(0);
-                out.put_u64(cells.len() as u64);
-                for c in cells {
-                    out.put_u64(c.gid);
-                    out.put_u128(c.move_bid);
-                    out.put_u128(c.bind_bid);
-                }
+                encode_seq(cells, out);
             }
             GpuMsg::Halo(cells) => {
                 out.put_u8(1);
-                out.put_u64(cells.len() as u64);
-                for c in cells {
-                    out.put_u64(c.gid);
-                    out.put_u8(c.epi_state);
-                    out.put_u32(c.epi_timer);
-                    out.put_u32(c.tcell.0);
-                    out.put_f32(c.virions);
-                    out.put_f32(c.chem);
-                }
+                encode_seq(cells, out);
             }
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         Some(match r.read_u8()? {
-            0 => {
-                let n = r.read_len(40)?;
-                let mut cells = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cells.push(BidCell {
-                        gid: r.read_u64()?,
-                        move_bid: r.read_u128()?,
-                        bind_bid: r.read_u128()?,
-                    });
-                }
-                GpuMsg::Bids(cells)
-            }
-            1 => {
-                let n = r.read_len(25)?;
-                let mut cells = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cells.push(HaloCell {
-                        gid: r.read_u64()?,
-                        epi_state: r.read_u8()?,
-                        epi_timer: r.read_u32()?,
-                        tcell: TCellSlot(r.read_u32()?),
-                        virions: r.read_f32()?,
-                        chem: r.read_f32()?,
-                    });
-                }
-                GpuMsg::Halo(cells)
-            }
+            0 => GpuMsg::Bids(r.read_seq(BidCell::ENCODED_LEN)?),
+            1 => GpuMsg::Halo(r.read_seq(HaloCell::ENCODED_LEN)?),
             _ => return None,
         })
     }
@@ -215,7 +153,31 @@ mod tests {
             m.digest(&mut c);
             c.finish()
         };
+        // The generated cell codecs: the declared length is the encoded
+        // length, and every (field, bit) `flip` can draw shows on the wire.
+        macro_rules! every_flip_shows {
+            ($cell:expr, $ty:ident) => {
+                let wire = pgas::wire::encode_bucket(&[$cell]);
+                assert_eq!(wire.len(), $ty::ENCODED_LEN);
+                for (field, &bits) in $ty::FIELD_BITS.iter().enumerate() {
+                    for bit in 0..bits {
+                        let mut c = $cell;
+                        c.flip_at(field, bit);
+                        let flipped = pgas::wire::encode_bucket(&[c]);
+                        assert_ne!(flipped, wire, "{} field {field} bit {bit}", stringify!($ty));
+                    }
+                }
+            };
+        }
         for msg in msgs {
+            match &msg {
+                GpuMsg::Bids(cells) => {
+                    every_flip_shows!(cells[0], BidCell);
+                }
+                GpuMsg::Halo(cells) => {
+                    every_flip_shows!(cells[0], HaloCell);
+                }
+            }
             assert!(msg.corruptible());
             for seed in 0..64u64 {
                 let mut m = msg.clone();

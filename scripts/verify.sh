@@ -217,19 +217,11 @@ echo "== control-plane replay gate (pure-core determinism) =="
 cargo run --release -q -p simcov-bench --bin replay_check -- --steps 40 --grid 24
 cargo test -q --test driver_state 2>/dev/null | tail -2
 
-# The perf gate fails (exit 1) if any hot kernel's best time regresses more
-# than 25% past the committed BENCH_baseline.json, if the wide-lane
-# diffusion kernel drops below 1.8x over the naive sweep, if the coalesced
-# halo exchange drops below 2.0x over per-message delivery, if the
-# bucket-placed trial table drops below 2.0x over the comparison sort, or if the
-# telemetry-on e2e run costs more than 15% over the identical telemetry-off
-# run (interleaved-pair min/min ratio). --threads 2 pins the parallel-rank
-# e2e kernel's worker count so the gate's numbers are reproducible. Refresh
-# the baseline (on a quiet machine, full sampling) with `cargo run --release
-# -p simcov-bench --bin perf_gate -- --update-baseline`.
-echo "== perf gate (hot-kernel regression + telemetry overhead budget) =="
-cargo run --release -p simcov-bench --bin perf_gate -- \
-    --smoke --tolerance "${SIMCOV_PERF_TOL:-0.25}" --threads 2 \
+# The perf gate exits 1 if one of its in-run ratios breaks its bound (the
+# table at the top of crates/bench/src/bin/perf_gate.rs); its exit status is
+# the verdict, the check below covers the artifacts.
+echo "== perf gate (interleaved ratio floors + telemetry overhead budget) =="
+cargo run --release -p simcov-bench --bin perf_gate -- --smoke \
     --json target/BENCH_perf_smoke.json \
     --metrics-out target/BENCH_perf_smoke.prom >/dev/null
 
@@ -237,24 +229,13 @@ python3 - <<'EOF'
 import json
 doc = json.load(open("target/BENCH_perf_smoke.json"))
 assert doc.get("suite") == "perf_gate", "wrong suite tag"
-assert doc["kernels"], "perf gate produced no kernel timings"
-names = {k["name"] for k in doc["kernels"]}
-assert "diffusion/wide_64sq" in names, "wide-lane kernel missing from run"
-assert "e2e/cpu_4ranks_threaded" in names, "parallel-rank kernel missing from run"
-sp = doc["speedups"]
-assert sp["diffusion_wide"] >= 1.8, f"wide diffusion below 1.8x: {sp}"
-assert sp["halo_exchange"] >= 2.0, f"coalesced halo below 2.0x: {sp}"
-assert sp["trial_table"] >= 2.0, f"bucket-placed trial table below 2.0x: {sp}"
-assert 0.0 < sp["gpu_step_over_stencil"] <= 8.0, f"GPU device step over 8x the stencil: {sp}"
-overhead = sp["telemetry_overhead"]
-assert 0.0 < overhead <= 1.15, f"telemetry overhead {overhead:.3f}x over budget"
+assert doc["speedups"], "perf gate measured no pair"
 lines = [l for l in open("target/BENCH_perf_smoke.prom")
          if l.strip() and not l.startswith("#")]
-assert any(l.startswith("perf_gate_min_ns") for l in lines), \
-    "perf gate metrics exposition missing kernel gauges"
-print(f"BENCH_perf_smoke.json OK: {len(doc['kernels'])} kernels, "
-      f"wide diffusion {sp['diffusion_wide']:.2f}x, halo {sp['halo_exchange']:.2f}x, "
-      f"telemetry overhead {overhead:.3f}x")
+assert any(l.startswith("perf_gate_speedup") for l in lines), \
+    "perf gate metrics exposition missing the ratio gauges"
+print("BENCH_perf_smoke.json OK:",
+      ", ".join(f"{k} {v:.2f}x" for k, v in doc["speedups"].items()))
 EOF
 
 # SIMD-differential and concurrent-rank suites under a --test-threads
