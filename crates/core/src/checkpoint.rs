@@ -3,31 +3,43 @@
 //! RNG (no hidden generator state to capture).
 //!
 //! Long SIMCoV campaigns (33,120+ steps) need restartability on shared
-//! clusters; the format here is a simple versioned little-endian layout
-//! with no external dependencies. Two blob versions share one header:
-//! version 1 ([`save`]/[`restore`]) captures a serial sim's resumable
-//! state; version 2 ([`encode_run`]/[`restore_run`]) captures a driver-run
-//! [`RunCheckpoint`] including the statistics history, and is what the
-//! durable crash-restart files persist.
+//! clusters. There is one blob version: [`encode_run`] writes a driver-run
+//! [`RunCheckpoint`] (resumable state plus the statistics history) and
+//! [`restore_run`] reads it back; the durable crash-restart files persist
+//! exactly this blob. Its layout, little-endian throughout:
+//!
+//! ```text
+//! [magic "SIMCOVCK"][version u32 = 2][parameter fingerprint u64][step u64]
+//! [write_state: dims 3×u32, epi state n×u8, epi timer n×u32, T-cell slots
+//!  n×u32, virions n×f32, chemokine n×f32, carry f64, total u64,
+//!  cohorts u64 + (expiry u64, count u64)*]
+//! [history u64 + StepStats (11 × 8 bytes)*]
+//! ```
+//!
+//! Every byte goes through `pgas::wire`. The state after the step counter
+//! is one [`write_state`] walk over a [`WireWrite`] sink, and the integrity
+//! seal [`crc_state`](crate::integrity::crc_state) is the CRC-64 of that
+//! same walk, so the seal cannot drift from what the blob holds.
 //!
 //! Every parse failure is a typed [`CheckpointError`]; hostile input is
 //! bounds-checked before any allocation.
 
+use crate::epithelial::{EpiCells, EpiState};
 use crate::fields::Field;
 use crate::grid::GridDims;
 use crate::integrity::crc_run;
 use crate::params::SimParams;
-use crate::serial::SerialSim;
 use crate::stats::{StepStats, TimeSeries};
 use crate::tcell::{Cohort, TCellSlot, VascularPool};
 use crate::world::World;
+use pgas::wire::{encode_seq, WireReader, WireWrite};
 use pgas::SplitMix64;
 use std::collections::VecDeque;
 
 const MAGIC: &[u8; 8] = b"SIMCOVCK";
-const VERSION: u32 = 1;
-/// Blob version for [`encode_run`]: version 1 state plus the statistics
-/// history trailer.
+/// The one blob version [`encode_run`] writes and [`restore_run`] reads.
+/// Version 1, a serial-only layout without the history trailer, is
+/// rejected like any other unknown version.
 const RUN_VERSION: u32 = 2;
 
 /// Why a checkpoint blob failed to restore. `Display` strings are part of
@@ -36,29 +48,24 @@ const RUN_VERSION: u32 = 2;
 pub enum CheckpointError {
     /// The blob does not start with the SIMCoV checkpoint magic.
     BadMagic,
-    /// A version this build cannot parse (or the wrong version for the
-    /// entry point: [`restore`] reads v1, [`restore_run`] reads v2).
+    /// A blob version this build does not write.
     UnsupportedVersion(u32),
     /// The blob was written under different simulation parameters.
     FingerprintMismatch,
-    /// The blob ends before a declared field.
-    Truncated { need: usize, offset: usize },
+    /// The blob ends before a declared field, or claims more cohorts or
+    /// history records than its remaining bytes could hold. `offset` is
+    /// where the read that failed began.
+    Truncated { offset: usize },
     /// Grid dims in the blob disagree with the resuming parameters.
     DimsMismatch { got: GridDims, expected: GridDims },
     /// An epithelial state byte outside the enum's range — corrupt payload.
     BadEpiState(u8),
-    /// An element count whose byte size overflows.
-    ElementCountOverflow(usize),
-    /// More cohorts claimed than the remaining payload could hold.
-    CohortsExceedPayload { claimed: usize, remaining: usize },
     /// Cohort counts overflow u64 when summed.
     CohortCountsOverflow,
     /// Cohort counts disagree with the pool's cached total.
     CohortSumMismatch { claimed: u64, total: u64 },
     /// The vascular carry is NaN or infinite.
     NonFiniteCarry,
-    /// More history records claimed than the remaining payload could hold.
-    HistoryExceedsPayload { claimed: usize, remaining: usize },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -72,23 +79,13 @@ impl std::fmt::Display for CheckpointError {
                 f,
                 "parameter fingerprint mismatch: resuming with different parameters"
             ),
-            CheckpointError::Truncated { need, offset } => {
-                write!(
-                    f,
-                    "truncated checkpoint: need {need} bytes at offset {offset}"
-                )
+            CheckpointError::Truncated { offset } => {
+                write!(f, "truncated checkpoint at byte {offset}")
             }
             CheckpointError::DimsMismatch { got, expected } => {
                 write!(f, "dims mismatch: {got:?} vs {expected:?}")
             }
             CheckpointError::BadEpiState(b) => write!(f, "corrupt epithelial state byte {b}"),
-            CheckpointError::ElementCountOverflow(n) => {
-                write!(f, "corrupt checkpoint: element count {n} overflows")
-            }
-            CheckpointError::CohortsExceedPayload { claimed, remaining } => write!(
-                f,
-                "corrupt checkpoint: {claimed} cohorts claimed, {remaining} bytes remain"
-            ),
             CheckpointError::CohortCountsOverflow => {
                 write!(f, "corrupt checkpoint: cohort counts overflow")
             }
@@ -99,134 +96,72 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::NonFiniteCarry => {
                 write!(f, "corrupt checkpoint: non-finite vascular carry")
             }
-            CheckpointError::HistoryExceedsPayload { claimed, remaining } => write!(
-                f,
-                "corrupt checkpoint: {claimed} history records claimed, {remaining} bytes remain"
-            ),
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32s(&mut self, vs: &[f32]) {
-        for v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    fn u32s(&mut self, vs: &[u32]) {
-        for v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    fn bytes(&mut self, vs: &[u8]) {
-        self.buf.extend_from_slice(vs);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        // checked_add: a hostile length must not wrap `pos + n` past the
-        // bounds check into an out-of-range slice.
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or(CheckpointError::Truncated {
-                need: n,
-                offset: self.pos,
-            })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Bytes left unread — an upper bound for any element count a hostile
-    /// blob may claim.
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
-        let raw = self.take(checked_len(n, 4)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, CheckpointError> {
-        let raw = self.take(checked_len(n, 4)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
-fn checked_len(n: usize, elem: usize) -> Result<usize, CheckpointError> {
-    n.checked_mul(elem)
-        .ok_or(CheckpointError::ElementCountOverflow(n))
-}
-
-/// Write the shared resumable payload: step, dims, world fields, pool.
-fn encode_state(w: &mut Writer, step: u64, world: &World, pool: &VascularPool) {
-    w.u64(step);
+/// Write the resumable state that follows a blob's step counter: dims,
+/// the world's per-voxel fields, then the vascular pool. The blob
+/// ([`encode_run`]) and the seal ([`crc_state`](crate::integrity::crc_state))
+/// are this one walk over two sinks.
+pub fn write_state<W: WireWrite>(out: &mut W, world: &World, pool: &VascularPool) {
     let dims = world.dims;
-    w.u32(dims.x);
-    w.u32(dims.y);
-    w.u32(dims.z);
-    w.bytes(&world.epi.state);
-    w.u32s(&world.epi.timer);
-    w.u32s(&world.tcells.iter().map(|t| t.0).collect::<Vec<u32>>());
-    w.f32s(&world.virions.data);
-    w.f32s(&world.chemokine.data);
-    let (cohorts, carry, total) = pool.snapshot();
-    w.f64(carry);
-    w.u64(total);
-    w.u64(cohorts.len() as u64);
-    for c in cohorts {
-        w.u64(c.expiry_step);
-        w.u64(c.count);
+    out.put_u32(dims.x);
+    out.put_u32(dims.y);
+    out.put_u32(dims.z);
+    out.put_bytes(&world.epi.state);
+    for &t in &world.epi.timer {
+        out.put_u32(t);
     }
+    for t in &world.tcells {
+        out.put_u32(t.0);
+    }
+    for &v in &world.virions.data {
+        out.put_f32(v);
+    }
+    for &c in &world.chemokine.data {
+        out.put_f32(c);
+    }
+    let (cohorts, carry, total) = pool.snapshot();
+    out.put_f64(carry);
+    out.put_u64(total);
+    encode_seq(&cohorts, out);
 }
 
-/// Parse the shared resumable payload back, validating every claim.
-fn decode_state(
-    r: &mut Reader,
+/// A reader's `None`: the blob ran out (or a count overran it) at the
+/// reader's position.
+fn need<T>(v: Option<T>, r: &WireReader) -> Result<T, CheckpointError> {
+    v.ok_or(CheckpointError::Truncated {
+        offset: r.position(),
+    })
+}
+
+/// Read `n` little-endian words — one per-voxel field — in a single
+/// bounds check.
+fn read_words<T>(
+    r: &mut WireReader,
+    n: usize,
+    from_word: impl Fn(u32) -> T,
+) -> Result<Vec<T>, CheckpointError> {
+    let bytes = need(n.checked_mul(4).and_then(|len| r.read_bytes(len)), r)?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|w| from_word(u32::from_le_bytes(w.try_into().expect("4-byte chunk"))))
+        .collect())
+}
+
+/// Parse what [`write_state`] wrote, validating every claim.
+fn read_state(
+    r: &mut WireReader,
     params: &SimParams,
-) -> Result<(u64, World, VascularPool), CheckpointError> {
-    let step = r.u64()?;
-    let dims = GridDims::new3d(r.u32()?, r.u32()?, r.u32()?);
+) -> Result<(World, VascularPool), CheckpointError> {
+    let dims = GridDims::new3d(
+        need(r.read_u32(), r)?,
+        need(r.read_u32(), r)?,
+        need(r.read_u32(), r)?,
+    );
     if dims != params.dims {
         return Err(CheckpointError::DimsMismatch {
             got: dims,
@@ -234,38 +169,20 @@ fn decode_state(
         });
     }
     let n = dims.nvoxels();
-    let epi_state = r.take(n)?.to_vec();
-    for &b in &epi_state {
-        if b > 5 {
-            return Err(CheckpointError::BadEpiState(b));
-        }
+    let epi_state = need(r.read_bytes(n), r)?.to_vec();
+    if let Some(&b) = epi_state.iter().find(|&&b| b > EpiState::Dead as u8) {
+        return Err(CheckpointError::BadEpiState(b));
     }
-    let epi_timer = r.u32s(n)?;
-    let tcells: Vec<TCellSlot> = r.u32s(n)?.into_iter().map(TCellSlot).collect();
-    let virions = r.f32s(n)?;
-    let chemokine = r.f32s(n)?;
-    let carry = r.f64()?;
-    let total = r.u64()?;
-    let n_cohorts = r.u64()? as usize;
-    // Each cohort occupies 16 bytes; a claimed count beyond the remaining
-    // payload is corrupt, and pre-allocating it would let a 20-byte blob
-    // demand gigabytes.
-    if n_cohorts > r.remaining() / 16 {
-        return Err(CheckpointError::CohortsExceedPayload {
-            claimed: n_cohorts,
-            remaining: r.remaining(),
-        });
-    }
-    let mut cohorts = Vec::with_capacity(n_cohorts);
-    for _ in 0..n_cohorts {
-        cohorts.push(Cohort {
-            expiry_step: r.u64()?,
-            count: r.u64()?,
-        });
-    }
-    // The pool's own invariants hold for every blob `save` writes; a blob
-    // that violates them is corrupt and must be rejected here rather than
-    // trip assertions (or overflow) inside `from_snapshot`.
+    let epi_timer = read_words(r, n, |w| w)?;
+    let tcells = read_words(r, n, TCellSlot)?;
+    let virions = read_words(r, n, f32::from_bits)?;
+    let chemokine = read_words(r, n, f32::from_bits)?;
+    let carry = need(r.read_f64(), r)?;
+    let total = need(r.read_u64(), r)?;
+    let cohorts: Vec<Cohort> = need(r.read_seq(Cohort::ENCODED_LEN), r)?;
+    // The pool's own invariants hold for every blob `encode_run` writes; a
+    // blob that violates them is corrupt and must be rejected here rather
+    // than trip assertions (or overflow) inside `from_snapshot`.
     let claimed = cohorts
         .iter()
         .try_fold(0u64, |acc, c| acc.checked_add(c.count))
@@ -278,7 +195,7 @@ fn decode_state(
     }
     let world = World {
         dims,
-        epi: crate::epithelial::EpiCells {
+        epi: EpiCells {
             state: epi_state,
             timer: epi_timer,
         },
@@ -286,122 +203,45 @@ fn decode_state(
         virions: Field { data: virions },
         chemokine: Field { data: chemokine },
     };
-    Ok((
-        step,
-        world,
-        VascularPool::from_snapshot(cohorts, carry, total),
-    ))
+    Ok((world, VascularPool::from_snapshot(cohorts, carry, total)))
 }
 
-/// Check the shared header, returning the blob's version for the caller to
-/// match against its expected entry point.
-fn decode_header(r: &mut Reader, params: &SimParams) -> Result<u32, CheckpointError> {
-    if r.take(8)? != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != VERSION && version != RUN_VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-    let fp = r.u64()?;
-    if fp != params_fingerprint(params) {
-        return Err(CheckpointError::FingerprintMismatch);
-    }
-    Ok(version)
-}
-
-/// Serialize a serial simulation's full resumable state (world, pool,
-/// step counter). Parameters are *not* embedded — resuming requires the
+/// Serialize a [`RunCheckpoint`]: the resumable state plus the statistics
+/// history, so a crash restart reproduces the full time series, not just
+/// the final state. Parameters are *not* embedded — resuming requires the
 /// same `SimParams`, which is checked via a fingerprint.
-pub fn save(sim: &SerialSim) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bytes(MAGIC);
-    w.u32(VERSION);
-    w.u64(params_fingerprint(&sim.params));
-    encode_state(&mut w, sim.step, &sim.world, &sim.pool);
-    w.buf
-}
-
-/// Restore a simulation from [`save`] output. The statistics history is
-/// not part of the checkpoint; the resumed run logs from the current step.
-pub fn restore(params: SimParams, blob: &[u8]) -> Result<SerialSim, CheckpointError> {
-    let mut r = Reader { buf: blob, pos: 0 };
-    let version = decode_header(&mut r, &params)?;
-    if version != VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-    let (step, world, pool) = decode_state(&mut r, &params)?;
-    let mut sim = SerialSim::from_world(params, world);
-    sim.pool = pool;
-    sim.step = step;
-    Ok(sim)
-}
-
-/// Bytes one encoded [`StepStats`] record occupies in a version-2 blob.
-const STEP_STATS_BYTES: usize = 11 * 8;
-
-/// Serialize a [`RunCheckpoint`] (version 2): the version-1 resumable
-/// state plus the statistics history, so a crash restart reproduces the
-/// full time series, not just the final state.
 pub fn encode_run(params: &SimParams, cp: &RunCheckpoint) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bytes(MAGIC);
-    w.u32(RUN_VERSION);
-    w.u64(params_fingerprint(params));
-    encode_state(&mut w, cp.step, &cp.world, &cp.pool);
-    w.u64(cp.history.steps.len() as u64);
-    for s in &cp.history.steps {
-        w.u64(s.step);
-        w.f64(s.virions);
-        w.f64(s.chemokine);
-        w.u64(s.tcells_vasculature);
-        w.u64(s.tcells_tissue);
-        w.u64(s.epi_healthy);
-        w.u64(s.epi_incubating);
-        w.u64(s.epi_expressing);
-        w.u64(s.epi_apoptotic);
-        w.u64(s.epi_dead);
-        w.u64(s.extravasated);
-    }
-    w.buf
+    let mut out = Vec::new();
+    out.put_bytes(MAGIC);
+    out.put_u32(RUN_VERSION);
+    out.put_u64(params_fingerprint(params));
+    out.put_u64(cp.step);
+    write_state(&mut out, &cp.world, &cp.pool);
+    encode_seq(&cp.history.steps, &mut out);
+    out
 }
 
 /// Restore a [`RunCheckpoint`] from [`encode_run`] output.
 pub fn restore_run(params: &SimParams, blob: &[u8]) -> Result<RunCheckpoint, CheckpointError> {
-    let mut r = Reader { buf: blob, pos: 0 };
-    let version = decode_header(&mut r, params)?;
+    let r = &mut WireReader::new(blob);
+    if need(r.read_bytes(MAGIC.len()), r)? != MAGIC {
+        return Err(CheckpointError::BadMagic);
+    }
+    let version = need(r.read_u32(), r)?;
     if version != RUN_VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let (step, world, pool) = decode_state(&mut r, params)?;
-    let n_records = r.u64()? as usize;
-    if n_records > r.remaining() / STEP_STATS_BYTES {
-        return Err(CheckpointError::HistoryExceedsPayload {
-            claimed: n_records,
-            remaining: r.remaining(),
-        });
+    if need(r.read_u64(), r)? != params_fingerprint(params) {
+        return Err(CheckpointError::FingerprintMismatch);
     }
-    let mut history = TimeSeries::default();
-    for _ in 0..n_records {
-        history.push(StepStats {
-            step: r.u64()?,
-            virions: r.f64()?,
-            chemokine: r.f64()?,
-            tcells_vasculature: r.u64()?,
-            tcells_tissue: r.u64()?,
-            epi_healthy: r.u64()?,
-            epi_incubating: r.u64()?,
-            epi_expressing: r.u64()?,
-            epi_apoptotic: r.u64()?,
-            epi_dead: r.u64()?,
-            extravasated: r.u64()?,
-        });
-    }
+    let step = need(r.read_u64(), r)?;
+    let (world, pool) = read_state(r, params)?;
+    let steps = need(r.read_seq(StepStats::ENCODED_LEN), r)?;
     Ok(RunCheckpoint {
         step,
         world,
         pool,
-        history,
+        history: TimeSeries { steps },
     })
 }
 
@@ -731,11 +571,29 @@ pub(crate) fn params_fingerprint(p: &SimParams) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::GridDims;
+    use crate::serial::SerialSim;
 
     fn sim() -> SerialSim {
         let p = SimParams::test_config(GridDims::new2d(24, 24), 160, 3, 13);
         SerialSim::new(p)
+    }
+
+    fn checkpoint(s: &SerialSim) -> RunCheckpoint {
+        RunCheckpoint {
+            step: s.step,
+            world: s.world.clone(),
+            pool: s.pool.clone(),
+            history: s.history.clone(),
+        }
+    }
+
+    fn blob_after(steps: u64) -> (SerialSim, Vec<u8>) {
+        let mut a = sim();
+        for _ in 0..steps {
+            a.advance_step();
+        }
+        let blob = encode_run(&a.params, &checkpoint(&a));
+        (a, blob)
     }
 
     #[test]
@@ -743,13 +601,13 @@ mod tests {
         let mut full = sim();
         full.run();
 
-        let mut first_half = sim();
-        for _ in 0..80 {
-            first_half.advance_step();
-        }
-        let blob = save(&first_half);
-        let mut resumed = restore(first_half.params.clone(), &blob).unwrap();
-        assert_eq!(resumed.step, 80);
+        let (first_half, blob) = blob_after(80);
+        let cp = restore_run(&first_half.params, &blob).unwrap();
+        assert_eq!(cp.step, 80);
+        let mut resumed = SerialSim::from_world(first_half.params.clone(), cp.world);
+        resumed.pool = cp.pool;
+        resumed.step = cp.step;
+        resumed.history = cp.history;
         for _ in 80..160 {
             resumed.advance_step();
         }
@@ -758,132 +616,101 @@ mod tests {
             "resumed run diverged from uninterrupted run"
         );
         assert_eq!(full.pool, resumed.pool);
+        assert_eq!(full.history, resumed.history);
     }
 
     #[test]
     fn rejects_wrong_parameters() {
-        let mut a = sim();
-        a.advance_step();
-        let blob = save(&a);
+        let (a, blob) = blob_after(1);
         let mut other = a.params.clone();
         other.infectivity *= 2.0;
-        let e = restore(other, &blob).unwrap_err();
+        let e = restore_run(&other, &blob).unwrap_err();
         assert_eq!(e, CheckpointError::FingerprintMismatch);
         assert!(e.to_string().contains("fingerprint"), "{e}");
     }
 
     #[test]
     fn rejects_corrupt_blobs() {
-        let mut a = sim();
-        a.advance_step();
-        let mut blob = save(&a);
+        let (a, mut blob) = blob_after(1);
         // Truncation.
         let short = &blob[..blob.len() / 2];
         assert!(matches!(
-            restore(a.params.clone(), short),
+            restore_run(&a.params, short),
             Err(CheckpointError::Truncated { .. })
         ));
         // Bad magic.
         blob[0] ^= 0xff;
         assert_eq!(
-            restore(a.params.clone(), &blob).unwrap_err(),
+            restore_run(&a.params, &blob).unwrap_err(),
             CheckpointError::BadMagic
         );
     }
 
     #[test]
     fn rejects_corrupt_state_bytes() {
-        let mut a = sim();
-        a.advance_step();
-        let mut blob = save(&a);
+        let (a, mut blob) = blob_after(1);
         // Corrupt an epithelial state byte (header is 8+4+8+8+12 = 40).
         blob[45] = 99;
-        let e = restore(a.params.clone(), &blob).unwrap_err();
+        let e = restore_run(&a.params, &blob).unwrap_err();
         assert_eq!(e, CheckpointError::BadEpiState(99));
         assert!(e.to_string().contains("epithelial"), "{e}");
     }
 
     #[test]
-    fn version_mismatch_between_entry_points() {
-        let mut a = sim();
-        a.advance_step();
-        let v1 = save(&a);
-        assert_eq!(
-            restore_run(&a.params, &v1).unwrap_err(),
-            CheckpointError::UnsupportedVersion(1)
-        );
-        let cp = RunCheckpoint {
-            step: a.step,
-            world: a.world.clone(),
-            pool: a.pool.clone(),
-            history: a.history.clone(),
-        };
-        let v2 = encode_run(&a.params, &cp);
-        assert_eq!(
-            restore(a.params.clone(), &v2).unwrap_err(),
-            CheckpointError::UnsupportedVersion(2)
-        );
-        // An unknown future version is rejected at the header.
-        let mut v9 = v1.clone();
-        v9[8..12].copy_from_slice(&9u32.to_le_bytes());
-        assert_eq!(
-            restore(a.params.clone(), &v9).unwrap_err(),
-            CheckpointError::UnsupportedVersion(9)
-        );
+    fn rejects_every_other_version() {
+        let (a, blob) = blob_after(1);
+        // Version 1 (the retired serial-only layout) and an unknown future
+        // version are both rejected at the header.
+        for v in [1u32, 9] {
+            let mut other = blob.clone();
+            other[8..12].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(
+                restore_run(&a.params, &other).unwrap_err(),
+                CheckpointError::UnsupportedVersion(v)
+            );
+        }
     }
 
     #[test]
     fn run_blob_roundtrips_with_history() {
-        let mut a = sim();
-        for _ in 0..30 {
-            a.advance_step();
-        }
+        let (a, blob) = blob_after(30);
         assert!(!a.history.is_empty(), "serial sim logs history");
-        let cp = RunCheckpoint {
-            step: a.step,
-            world: a.world.clone(),
-            pool: a.pool.clone(),
-            history: a.history.clone(),
-        };
-        let blob = encode_run(&a.params, &cp);
+        let cp = checkpoint(&a);
         let back = restore_run(&a.params, &blob).unwrap();
         assert_eq!(back, cp, "run checkpoint roundtrips bitwise");
 
         // A hostile history count must be rejected without allocation.
         let mut hostile = blob.clone();
-        let hist_at = blob.len() - 8 - cp.history.steps.len() * STEP_STATS_BYTES;
+        let hist_at = blob.len() - 8 - cp.history.steps.len() * StepStats::ENCODED_LEN;
         hostile[hist_at..hist_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
+        assert_eq!(
             restore_run(&a.params, &hostile).unwrap_err(),
-            CheckpointError::HistoryExceedsPayload { .. }
-        ));
+            CheckpointError::Truncated { offset: hist_at }
+        );
     }
 
-    /// Fuzz `restore` against hostile input: truncations at every length,
-    /// random byte flips in valid blobs, and fully random blobs. Restoring
-    /// must return `Err` (or a valid sim) — never panic, never misallocate.
-    /// Catches the `pos + n` bounds-check overflow and the unchecked
-    /// cohort-count pre-allocation.
+    /// Fuzz `restore_run` against hostile input: truncations at every
+    /// length, random byte flips in valid blobs, and fully random blobs.
+    /// Restoring must return `Err` (or a valid checkpoint) — never panic,
+    /// never misallocate. Catches a `pos + n` bounds-check overflow and an
+    /// unchecked cohort- or history-count pre-allocation.
     #[test]
     fn fuzz_restore_never_panics() {
         use crate::rng::{CounterRng, Stream};
 
-        let mut a = sim();
-        for _ in 0..20 {
-            a.advance_step();
-        }
-        let blob = save(&a);
+        let (a, blob) = blob_after(20);
 
         // Every truncation of a valid blob must be rejected cleanly.
         for len in 0..blob.len() {
             assert!(
-                restore(a.params.clone(), &blob[..len]).is_err(),
+                restore_run(&a.params, &blob[..len]).is_err(),
                 "truncation to {len} bytes accepted"
             );
         }
 
         // Byte flips anywhere in a valid blob: Err or a structurally valid
-        // sim (a flipped float payload can still restore), never a panic.
+        // checkpoint (a flipped float payload can still restore), never a
+        // panic.
         for case in 0..400u64 {
             let mut rng = CounterRng::new(0xC0FFEE, Stream::ExtravVoxel, case, 0);
             let mut mutated = blob.clone();
@@ -891,7 +718,7 @@ mod tests {
                 let at = rng.below(mutated.len() as u64) as usize;
                 mutated[at] ^= rng.next_u64() as u8;
             }
-            let _ = restore(a.params.clone(), &mutated);
+            let _ = restore_run(&a.params, &mutated);
         }
 
         // Fully random blobs of random lengths, plus adversarial giant
@@ -910,7 +737,7 @@ mod tests {
                 }
             }
             assert!(
-                restore(a.params.clone(), &junk).is_err(),
+                restore_run(&a.params, &junk).is_err(),
                 "random blob (case {case}) accepted"
             );
         }
@@ -1022,8 +849,7 @@ mod tests {
 
     #[test]
     fn checkpoint_size_is_compact() {
-        let a = sim();
-        let blob = save(&a);
+        let (_, blob) = blob_after(0);
         // 24×24 voxels × 17 B/voxel + header ≈ 10 KB.
         assert!(blob.len() < 16 * 1024, "blob {} bytes", blob.len());
     }

@@ -106,6 +106,15 @@ impl GridDims {
         self.x as usize * self.y as usize * self.z as usize
     }
 
+    /// [`nvoxels`](Self::nvoxels), or `None` where the product overflows —
+    /// what validation of outside dims computes before anything else
+    /// multiplies them.
+    pub fn checked_nvoxels(&self) -> Option<usize> {
+        (self.x as usize)
+            .checked_mul(self.y as usize)?
+            .checked_mul(self.z as usize)
+    }
+
     /// The deterministic neighbor-offset table for this dimensionality:
     /// 8 offsets for 2D grids, 26 for 3D.
     #[inline]

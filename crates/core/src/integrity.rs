@@ -25,6 +25,7 @@
 //! Violations are typed ([`IntegrityViolation`]); the driver maps them into
 //! the tiered recovery ladder (rollback to the last *verified* checkpoint).
 
+use crate::checkpoint::write_state;
 use crate::epithelial::EpiState;
 use crate::exact::ExactSum;
 use crate::tcell::VascularPool;
@@ -85,33 +86,11 @@ impl std::fmt::Display for IntegrityViolation {
 impl std::error::Error for IntegrityViolation {}
 
 /// CRC-64 over the complete resumable state (world + pool), bit-exact:
-/// float payloads are digested as their raw bits.
+/// the digest of exactly the bytes [`write_state`] puts into a checkpoint
+/// blob after its step counter.
 pub fn crc_state(world: &World, pool: &VascularPool) -> u64 {
     let mut crc = Crc64::new();
-    crc.write_u32(world.dims.x);
-    crc.write_u32(world.dims.y);
-    crc.write_u32(world.dims.z);
-    crc.update(&world.epi.state);
-    for &t in &world.epi.timer {
-        crc.write_u32(t);
-    }
-    for t in &world.tcells {
-        crc.write_u32(t.0);
-    }
-    for &v in &world.virions.data {
-        crc.write_f32(v);
-    }
-    for &c in &world.chemokine.data {
-        crc.write_f32(c);
-    }
-    let (cohorts, carry, total) = pool.snapshot();
-    crc.write_f64(carry);
-    crc.write_u64(total);
-    crc.write_len(cohorts.len());
-    for c in &cohorts {
-        crc.write_u64(c.expiry_step);
-        crc.write_u64(c.count);
-    }
+    write_state(&mut crc, world, pool);
     crc.finish()
 }
 

@@ -188,7 +188,10 @@ impl SimParams {
         };
         p.infectivity = 0.002;
         p.tcell_initial_delay = steps / 10;
-        p.tcell_generation_rate = (dims.nvoxels() as f64 / 200.0).max(2.0);
+        // Overflowing dims get an infinite rate here and a typed error from
+        // `validate`.
+        let voxels = dims.checked_nvoxels().map_or(f64::INFINITY, |n| n as f64);
+        p.tcell_generation_rate = (voxels / 200.0).max(2.0);
         p.incubation_period = (steps as f64 / 20.0).max(2.0);
         p.expressing_period = (steps as f64 / 10.0).max(2.0);
         p.apoptosis_period = (steps as f64 / 20.0).max(2.0);
@@ -222,18 +225,24 @@ impl SimParams {
     /// Validate parameter ranges; returns a human-readable description of the
     /// first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.dims.nvoxels() == 0 {
+        let d = self.dims;
+        let Some(n) = d.checked_nvoxels() else {
+            return Err(format!(
+                "dims = {} x {} x {}: voxel count overflows",
+                d.x, d.y, d.z
+            ));
+        };
+        if n == 0 {
             return Err("grid has zero voxels".into());
         }
         // Global voxel indices are stored in 32 bits (extravasation trial
         // table entries).
-        if u32::try_from(self.dims.nvoxels()).is_err() {
+        if u32::try_from(n).is_err() {
             return Err(format!(
-                "dims = {} x {} x {} is {} voxels, above the 32-bit voxel index limit {}",
-                self.dims.x,
-                self.dims.y,
-                self.dims.z,
-                self.dims.nvoxels(),
+                "dims = {} x {} x {} is {n} voxels, above the 32-bit voxel index limit {}",
+                d.x,
+                d.y,
+                d.z,
                 u32::MAX
             ));
         }
@@ -267,11 +276,10 @@ impl SimParams {
                 return Err(format!("{name} = {v} below one step"));
             }
         }
-        if self.num_foi as usize > self.dims.nvoxels() {
+        if self.num_foi as usize > n {
             return Err(format!(
-                "num_foi = {} exceeds voxel count {}",
-                self.num_foi,
-                self.dims.nvoxels()
+                "num_foi = {} exceeds voxel count {n}",
+                self.num_foi
             ));
         }
         if self.tcell_binding_period == 0 {

@@ -8,25 +8,28 @@
 use crate::exact::ExactSum;
 use std::ops::AddAssign;
 
-/// Aggregate statistics for a single timestep.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StepStats {
-    pub step: u64,
-    /// Total virion mass.
-    pub virions: f64,
-    /// Total inflammatory-signal mass.
-    pub chemokine: f64,
-    /// Circulating T cells in the vascular pool.
-    pub tcells_vasculature: u64,
-    /// T cells resident in tissue.
-    pub tcells_tissue: u64,
-    pub epi_healthy: u64,
-    pub epi_incubating: u64,
-    pub epi_expressing: u64,
-    pub epi_apoptotic: u64,
-    pub epi_dead: u64,
-    /// T cells that extravasated during this step (also the pool drain).
-    pub extravasated: u64,
+pgas::wire_cell! {
+    /// Aggregate statistics for a single timestep; a checkpoint's history
+    /// trailer is a sequence of these cells.
+    #[derive(Default)]
+    pub struct StepStats {
+        pub step: u64,
+        /// Total virion mass.
+        pub virions: f64,
+        /// Total inflammatory-signal mass.
+        pub chemokine: f64,
+        /// Circulating T cells in the vascular pool.
+        pub tcells_vasculature: u64,
+        /// T cells resident in tissue.
+        pub tcells_tissue: u64,
+        pub epi_healthy: u64,
+        pub epi_incubating: u64,
+        pub epi_expressing: u64,
+        pub epi_apoptotic: u64,
+        pub epi_dead: u64,
+        /// T cells that extravasated during this step (also the pool drain).
+        pub extravasated: u64,
+    }
 }
 
 impl AddAssign for StepStats {

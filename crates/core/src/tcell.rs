@@ -99,14 +99,16 @@ impl WireField for TCellSlot {
     }
 }
 
-/// A cohort of circulating T cells generated at the same step, expiring
-/// together. SIMCoV's vascular residence is modeled as a fixed period per
-/// cohort (the aggregate-pool simplification documented in DESIGN.md; the
-/// per-cell tissue lifetime *is* Poisson-drawn at extravasation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cohort {
-    pub expiry_step: u64,
-    pub count: u64,
+pgas::wire_cell! {
+    /// A cohort of circulating T cells generated at the same step, expiring
+    /// together. SIMCoV's vascular residence is modeled as a fixed period per
+    /// cohort (the aggregate-pool simplification documented in DESIGN.md; the
+    /// per-cell tissue lifetime *is* Poisson-drawn at extravasation).
+    #[derive(Eq)]
+    pub struct Cohort {
+        pub expiry_step: u64,
+        pub count: u64,
+    }
 }
 
 /// The implicit vascular T-cell pool. Every rank holds an identical replica

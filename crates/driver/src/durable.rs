@@ -22,6 +22,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use pgas::mailbox::frame;
+use pgas::wire::{WireReader, WireWrite};
 use simcov_core::checkpoint::{encode_run, restore_run, RunCheckpoint};
 use simcov_core::params::SimParams;
 
@@ -46,12 +47,11 @@ pub fn persist_checkpoint(
     params: &SimParams,
     cp: &RunCheckpoint,
 ) -> Result<(), SimError> {
-    let blob = encode_run(params, cp);
-    let framed = frame::encode(1, &blob);
+    let framed = frame::encode(1, &encode_run(params, cp));
     let mut out = Vec::with_capacity(FILE_MAGIC.len() + 4 + framed.len());
-    out.extend_from_slice(FILE_MAGIC);
-    out.extend_from_slice(&FILE_VERSION.to_le_bytes());
-    out.extend_from_slice(&framed);
+    out.put_bytes(FILE_MAGIC);
+    out.put_u32(FILE_VERSION);
+    out.put_bytes(&framed);
     let tmp = tmp_sibling(path);
     // Stage through an explicit handle and fsync it before the rename:
     // `fs::write` alone leaves the data in the page cache, so a crash after
@@ -100,20 +100,24 @@ pub fn sweep_stale_stages(path: &Path) -> u64 {
 pub fn load_checkpoint(path: &Path, params: &SimParams) -> Result<RunCheckpoint, SimError> {
     let bytes =
         fs::read(path).map_err(|e| SimError::Persist(format!("read {}: {e}", path.display())))?;
-    if bytes.len() < FILE_MAGIC.len() + 4 || &bytes[..FILE_MAGIC.len()] != FILE_MAGIC {
-        return Err(SimError::Persist(format!(
-            "{}: not a SIMCoV durable checkpoint",
-            path.display()
-        )));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let mut r = WireReader::new(&bytes);
+    let version = r
+        .read_bytes(FILE_MAGIC.len())
+        .filter(|magic| magic == FILE_MAGIC)
+        .and_then(|_| r.read_u32())
+        .ok_or_else(|| {
+            SimError::Persist(format!(
+                "{}: not a SIMCoV durable checkpoint",
+                path.display()
+            ))
+        })?;
     if version != FILE_VERSION {
         return Err(SimError::Persist(format!(
             "{}: unsupported durable checkpoint file version {version}",
             path.display()
         )));
     }
-    let (count, payload) = frame::decode(&bytes[12..])
+    let (count, payload) = frame::decode(&bytes[r.position()..])
         .map_err(|e| SimError::Persist(format!("{}: {e}", path.display())))?;
     if count != 1 {
         return Err(SimError::Persist(format!(

@@ -38,8 +38,9 @@ const fn build_table() -> [u64; 256] {
 
 static TABLE: [u64; 256] = build_table();
 
-/// Streaming CRC-64/XZ. Feed bytes with [`Crc64::update`] (or the typed
-/// helpers), read the digest with [`Crc64::finish`].
+/// Streaming CRC-64/XZ. Feed bytes with [`Crc64::update`] or any
+/// [`WireWrite`](crate::wire::WireWrite) writer, read the digest with
+/// [`Crc64::finish`].
 #[derive(Debug, Clone, Copy)]
 pub struct Crc64 {
     state: u64,
@@ -64,36 +65,15 @@ impl Crc64 {
         self.state = s;
     }
 
-    pub fn write_u8(&mut self, v: u8) {
-        self.update(&[v]);
-    }
-
-    pub fn write_u32(&mut self, v: u32) {
-        self.update(&v.to_le_bytes());
-    }
-
+    /// Same bytes as [`WireWrite::put_u64`](crate::wire::WireWrite::put_u64),
+    /// for callers that do not import the trait.
     pub fn write_u64(&mut self, v: u64) {
         self.update(&v.to_le_bytes());
     }
 
-    pub fn write_u128(&mut self, v: u128) {
-        self.update(&v.to_le_bytes());
-    }
-
-    /// Digest a float by its bit pattern — bitwise identity is the contract,
-    /// so `-0.0` and `0.0` hash differently on purpose.
-    pub fn write_f32(&mut self, v: f32) {
-        self.write_u32(v.to_bits());
-    }
-
+    /// Same bytes as [`WireWrite::put_f64`](crate::wire::WireWrite::put_f64).
     pub fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
-    }
-
-    /// Length prefixes are digested as `u64` so the digest is
-    /// platform-independent.
-    pub fn write_len(&mut self, v: usize) {
-        self.write_u64(v as u64);
     }
 
     pub fn finish(&self) -> u64 {
@@ -157,10 +137,11 @@ mod tests {
 
     #[test]
     fn typed_writers_match_byte_stream() {
+        use crate::wire::WireWrite;
         let mut a = Crc64::new();
         a.write_u64(0xDEAD_BEEF_0123_4567);
-        a.write_f32(1.5);
-        a.write_u8(9);
+        a.put_f32(1.5);
+        a.put_u8(9);
         let mut b = Crc64::new();
         b.update(&0xDEAD_BEEF_0123_4567u64.to_le_bytes());
         b.update(&1.5f32.to_bits().to_le_bytes());

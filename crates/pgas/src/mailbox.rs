@@ -42,6 +42,7 @@ use crate::counters::WireSize;
 use crate::crc::{Crc64, Payload};
 use crate::fault::SplitMix64;
 use crate::pool::WorkPool;
+use crate::wire::WireWrite;
 
 pub mod frame;
 
@@ -220,7 +221,7 @@ impl<M> Mailboxes<M> {
 /// first (so truncation is detectable), then every payload's wire content.
 fn batch_crc<M: Payload>(bucket: &[M]) -> u64 {
     let mut c = Crc64::new();
-    c.write_len(bucket.len());
+    c.put_u64(bucket.len() as u64);
     for m in bucket {
         m.digest(&mut c);
     }
@@ -488,7 +489,7 @@ mod tests {
 
     impl Payload for Blob {
         fn digest(&self, crc: &mut Crc64) {
-            crc.write_len(self.0.len());
+            crc.put_u64(self.0.len() as u64);
             crc.update(&self.0);
         }
         fn corrupt(&mut self, seed: u64) {

@@ -10,7 +10,7 @@
 //! The trailer CRC is CRC-64/XZ over everything before it (header +
 //! payload), so truncation, extension, and any bit flip are all detected.
 //! The parser follows the same hostile-input discipline as
-//! `checkpoint::restore`: every length is bounds-checked with `checked_add`
+//! `checkpoint::restore_run`: every length is bounds-checked with `checked_add`
 //! before use and nothing is allocated from an untrusted length — the
 //! decoded payload is a *borrow* into the input buffer.
 //!
@@ -105,24 +105,30 @@ impl From<FrameError> for FrameStreamError {
 /// returns fewer bytes than asked (a TCP segment boundary, a signal) must
 /// never be mistaken for end-of-stream, and a genuine EOF mid-fill must
 /// surface as a typed error, never as a short buffer silently treated as
-/// complete.
-fn fill_exact<R: std::io::Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<()> {
+/// complete. A failure also reports how many bytes had been filled, so a
+/// deadline that struck before the first byte (the stream is still aligned)
+/// can be told from one that struck mid-message.
+pub(crate) fn fill_exact<R: std::io::Read>(
+    r: &mut R,
+    buf: &mut [u8],
+) -> Result<(), (std::io::Error, usize)> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
-                return Err(std::io::Error::new(
+                let e = std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     format!(
                         "stream ended {} bytes into a {}-byte fill",
                         filled,
                         buf.len()
                     ),
-                ))
+                );
+                return Err((e, filled));
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+            Err(e) => return Err((e, filled)),
         }
     }
     Ok(())
@@ -142,26 +148,19 @@ pub fn read_frame<R: std::io::Read>(
     r: &mut R,
     max_payload: u64,
 ) -> Result<(u64, Vec<u8>), FrameStreamError> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    fill_exact(r, &mut header)?;
-    let count = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+    let mut frame = vec![0u8; FRAME_HEADER_BYTES];
+    fill_exact(r, &mut frame).map_err(|(e, _)| e)?;
+    let payload_len = u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes"));
     if payload_len > max_payload {
         return Err(FrameError::LengthOverflow { payload_len }.into());
     }
-    let mut rest = vec![0u8; payload_len as usize + FRAME_TRAILER_BYTES];
-    fill_exact(r, &mut rest)?;
-    let body_end = payload_len as usize;
-    let expected = u64::from_le_bytes(rest[body_end..].try_into().expect("8 bytes"));
-    let mut crc = crate::crc::Crc64::new();
-    crc.update(&header);
-    crc.update(&rest[..body_end]);
-    let got = crc.finish();
-    if got != expected {
-        return Err(FrameError::Corrupt { expected, got }.into());
-    }
-    rest.truncate(body_end);
-    Ok((count, rest))
+    frame.resize(
+        FRAME_HEADER_BYTES + payload_len as usize + FRAME_TRAILER_BYTES,
+        0,
+    );
+    fill_exact(r, &mut frame[FRAME_HEADER_BYTES..]).map_err(|(e, _)| e)?;
+    let (count, payload) = decode(&frame)?;
+    Ok((count, payload.to_vec()))
 }
 
 /// Encode `payload` (carrying `count` logical messages) as one frame.

@@ -12,7 +12,10 @@
 //! # Wire protocol
 //!
 //! Every socket message is `[kind: u8][aux: u64][len: u64][body]` (little
-//! endian). The parent drives; workers only ever reply to `FLUSH`:
+//! endian), read on both ends by one function over [`frame`]'s fill loop.
+//! The 17-byte header is not a sealed [`frame`]: the metered wire volume
+//! counts these exact bytes, and the batch frames inside are sealed
+//! already. The parent drives; workers only ever reply to `FLUSH`:
 //!
 //! | kind  | direction | aux       | body                                  |
 //! |-------|-----------|-----------|---------------------------------------|
@@ -66,7 +69,7 @@
 
 use crate::mailbox::frame::{self, FrameStreamError};
 use crate::mailbox::Outbox;
-use crate::wire::{decode_bucket, encode_bucket, WireCodec, WireWrite};
+use crate::wire::{decode_bucket, encode_bucket, WireCodec, WireReader, WireWrite};
 use simcov_telemetry::WireStats;
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
@@ -435,66 +438,48 @@ enum ReadFailure {
     Protocol,
 }
 
-fn classify_io(e: io::Error) -> ReadFailure {
-    match e.kind() {
-        io::ErrorKind::ConnectionReset
-        | io::ErrorKind::ConnectionAborted
-        | io::ErrorKind::BrokenPipe => ReadFailure::Closed,
-        _ => ReadFailure::Protocol,
-    }
-}
-
-/// Fill `buf` under the stream's read deadline, distinguishing a clean
-/// zero-progress timeout from a mid-message one.
-fn fill_deadline(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    consumed_any: bool,
-) -> Result<(), ReadFailure> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(ReadFailure::Closed),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Err(if filled == 0 && !consumed_any {
-                    ReadFailure::TimedOutClean
-                } else {
-                    ReadFailure::TimedOutDirty
-                });
-            }
-            Err(e) => return Err(classify_io(e)),
-        }
-    }
-    Ok(())
-}
-
-/// Read one `[kind][aux][len][body]` message under the read deadline.
-fn read_msg_deadline(stream: &mut TcpStream) -> Result<(u8, u64, Vec<u8>), ReadFailure> {
+/// Read one `[kind][aux][len][body]` socket message — the one header
+/// reader both ends use, over [`frame`]'s fill loop. A failure carries the
+/// I/O error and whether any byte of the message had already arrived.
+fn read_msg<R: Read>(stream: &mut R) -> Result<(u8, u64, Vec<u8>), (io::Error, bool)> {
     let mut head = [0u8; MSG_HEADER_BYTES];
-    fill_deadline(stream, &mut head, false)?;
-    let kind = head[0];
-    let aux = u64::from_le_bytes(head[1..9].try_into().expect("8 bytes"));
-    let len = u64::from_le_bytes(head[9..17].try_into().expect("8 bytes"));
+    frame::fill_exact(stream, &mut head).map_err(|(e, filled)| (e, filled > 0))?;
+    let mut h = WireReader::new(&head);
+    let (Some(kind), Some(aux), Some(len)) = (h.read_u8(), h.read_u64(), h.read_u64()) else {
+        unreachable!("the header is {MSG_HEADER_BYTES} bytes");
+    };
     if len > MAX_BODY_BYTES {
-        return Err(ReadFailure::Protocol);
+        let e = io::Error::new(io::ErrorKind::InvalidData, "oversized message body");
+        return Err((e, true));
     }
     let mut body = vec![0u8; len as usize];
-    fill_deadline(stream, &mut body, true)?;
+    frame::fill_exact(stream, &mut body).map_err(|(e, _)| (e, true))?;
     Ok((kind, aux, body))
 }
 
+/// [`read_msg`] under the stream's read deadline, with the failure
+/// classified for the retry ladder.
+fn read_msg_deadline(stream: &mut TcpStream) -> Result<(u8, u64, Vec<u8>), ReadFailure> {
+    read_msg(stream).map_err(|(e, partial)| match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut if partial => {
+            ReadFailure::TimedOutDirty
+        }
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ReadFailure::TimedOutClean,
+        io::ErrorKind::UnexpectedEof
+        | io::ErrorKind::ConnectionReset
+        | io::ErrorKind::ConnectionAborted
+        | io::ErrorKind::BrokenPipe => ReadFailure::Closed,
+        _ => ReadFailure::Protocol,
+    })
+}
+
 fn write_msg(stream: &mut TcpStream, kind: u8, aux: u64, body: &[u8]) -> io::Result<()> {
-    let mut head = [0u8; MSG_HEADER_BYTES];
-    head[0] = kind;
-    head[1..9].copy_from_slice(&aux.to_le_bytes());
-    head[9..17].copy_from_slice(&(body.len() as u64).to_le_bytes());
-    stream.write_all(&head)?;
-    stream.write_all(body)?;
-    Ok(())
+    let mut msg = Vec::with_capacity(MSG_HEADER_BYTES + body.len());
+    msg.put_u8(kind);
+    msg.put_u64(aux);
+    msg.put_u64(body.len() as u64);
+    msg.put_bytes(body);
+    stream.write_all(&msg)
 }
 
 /// Exponential backoff matching `RecoveryPolicy`: `base << (attempt - 1)`,
@@ -569,8 +554,7 @@ impl<M: WireCodec> ProcessTransport<M> {
                     let rank = aux as usize;
                     if kind != MSG_HELLO
                         || rank >= n
-                        || body.len() != 8
-                        || u64::from_le_bytes(body.try_into().expect("8 bytes")) != self.token
+                        || body != self.token.to_le_bytes()
                         || streams[rank].is_some()
                     {
                         continue; // wrong token / duplicate rank: reject
@@ -830,43 +814,29 @@ impl<M: WireCodec> ExchangeTransport<M> for ProcessTransport<M> {
                                 body[(bit / 8) as usize] ^= 1 << (bit % 8);
                             }
                         }
-                        match self.parse_inbox(&body) {
-                            Some(entries) => {
-                                // Everything PUT must have come back; a
-                                // missing source is indistinguishable from
-                                // a damaged inbox and retries the same way.
-                                let expected: Vec<usize> = (0..n)
-                                    .filter(|&src| !outboxes[src].bucket(dst).is_empty())
-                                    .collect();
-                                let got: Vec<usize> = entries.iter().map(|(src, _)| *src).collect();
-                                if expected != got {
-                                    self.counters.wire_retransmits += 1;
-                                    self.peer_stat(dst).retries += 1;
-                                    if retry(self) {
-                                        continue;
-                                    }
-                                    self.timeout_peer(dst);
-                                    outcome.unhealed_garbled.push(dst);
-                                    break;
-                                }
-                                for (src, msgs) in entries {
-                                    self.counters.frames_received += 1;
-                                    self.peer_stat(dst).frames_received += 1;
-                                    outboxes[src].replace_bucket(dst, msgs);
-                                }
-                                break;
+                        // Everything PUT must have come back; a missing
+                        // source is indistinguishable from a damaged inbox
+                        // and retries the same way.
+                        let expected = (0..n).filter(|&src| !outboxes[src].bucket(dst).is_empty());
+                        let delivered = self
+                            .parse_inbox(&body)
+                            .filter(|entries| entries.iter().map(|(src, _)| *src).eq(expected));
+                        let Some(entries) = delivered else {
+                            self.counters.wire_retransmits += 1;
+                            self.peer_stat(dst).retries += 1;
+                            if retry(self) {
+                                continue;
                             }
-                            None => {
-                                self.counters.wire_retransmits += 1;
-                                self.peer_stat(dst).retries += 1;
-                                if retry(self) {
-                                    continue;
-                                }
-                                self.timeout_peer(dst);
-                                outcome.unhealed_garbled.push(dst);
-                                break;
-                            }
+                            self.timeout_peer(dst);
+                            outcome.unhealed_garbled.push(dst);
+                            break;
+                        };
+                        for (src, msgs) in entries {
+                            self.counters.frames_received += 1;
+                            self.peer_stat(dst).frames_received += 1;
+                            outboxes[src].replace_bucket(dst, msgs);
                         }
+                        break;
                     }
                     Err(ReadFailure::TimedOutClean) => {
                         self.counters.deadline_retries += 1;
@@ -884,11 +854,7 @@ impl<M: WireCodec> ExchangeTransport<M> for ProcessTransport<M> {
                         self.timeout_peer(dst);
                         break;
                     }
-                    Err(ReadFailure::Closed) => {
-                        self.close_peer(dst);
-                        break;
-                    }
-                    Err(ReadFailure::Protocol) => {
+                    Err(ReadFailure::Closed | ReadFailure::Protocol) => {
                         self.close_peer(dst);
                         break;
                     }
@@ -956,25 +922,6 @@ impl<M> Drop for ProcessTransport<M> {
     }
 }
 
-/// Blocking read of one socket message (worker side: no deadlines — a
-/// worker's life is bounded by its parent's socket).
-fn worker_read_msg(stream: &mut TcpStream) -> io::Result<(u8, u64, Vec<u8>)> {
-    let mut head = [0u8; MSG_HEADER_BYTES];
-    stream.read_exact(&mut head)?;
-    let kind = head[0];
-    let aux = u64::from_le_bytes(head[1..9].try_into().expect("8 bytes"));
-    let len = u64::from_le_bytes(head[9..17].try_into().expect("8 bytes"));
-    if len > MAX_BODY_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "oversized message body",
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    stream.read_exact(&mut body)?;
-    Ok((kind, aux, body))
-}
-
 /// The worker process entry point: connect back to the parent, identify
 /// (`HELLO` with the session token), then serve the frame-holder protocol
 /// until `EXIT`, a protocol violation, or the parent's disappearance.
@@ -992,7 +939,9 @@ pub fn run_rank_worker(connect: &str, rank: usize, token: u64) -> io::Result<()>
     let mut retained: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut pending_stall_ns: u64 = 0;
     loop {
-        let (kind, aux, body) = match worker_read_msg(&mut stream) {
+        // No deadline on this side: a worker's life is bounded by its
+        // parent's socket.
+        let (kind, aux, body) = match read_msg(&mut stream) {
             Ok(m) => m,
             Err(_) => return Ok(()), // parent gone: nothing to clean up
         };

@@ -37,7 +37,14 @@ impl<'a> WireReader<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// Bytes consumed so far — where a failed read stopped.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Borrow the next `n` raw bytes.
+    #[inline]
+    pub fn read_bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.remaining() < n {
             return None;
         }
@@ -47,7 +54,7 @@ impl<'a> WireReader<'a> {
     }
 
     pub fn read_u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
+        self.read_bytes(1).map(|s| s[0])
     }
 
     pub fn read_bool(&mut self) -> Option<bool> {
@@ -58,18 +65,20 @@ impl<'a> WireReader<'a> {
         }
     }
 
+    #[inline]
     pub fn read_u32(&mut self) -> Option<u32> {
-        self.take(4)
+        self.read_bytes(4)
             .map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
     }
 
+    #[inline]
     pub fn read_u64(&mut self) -> Option<u64> {
-        self.take(8)
+        self.read_bytes(8)
             .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
     }
 
     pub fn read_u128(&mut self) -> Option<u128> {
-        self.take(16)
+        self.read_bytes(16)
             .map(|s| u128::from_le_bytes(s.try_into().expect("16 bytes")))
     }
 
@@ -77,13 +86,21 @@ impl<'a> WireReader<'a> {
         self.read_u32().map(f32::from_bits)
     }
 
+    #[inline]
+    pub fn read_f64(&mut self) -> Option<f64> {
+        self.read_u64().map(f64::from_bits)
+    }
+
     /// Read a length prefix for a sequence whose elements occupy at least
     /// `elem_floor` encoded bytes each. A length that could not possibly fit
-    /// in the remaining buffer is rejected before any allocation.
+    /// in the remaining buffer is rejected before any allocation, and the
+    /// reader stays at the length word.
     pub fn read_len(&mut self, elem_floor: usize) -> Option<usize> {
+        let at = self.pos;
         let len = self.read_u64()?;
         let floor = elem_floor.max(1) as u64;
         if len > self.remaining() as u64 / floor {
+            self.pos = at;
             return None;
         }
         Some(len as usize)
@@ -110,8 +127,13 @@ pub trait WireWrite {
     fn put_u128(&mut self, v: u128) {
         self.put_bytes(&v.to_le_bytes());
     }
+    /// Floats travel as their bit pattern — bitwise identity is the
+    /// contract, so `-0.0` and `0.0` encode differently on purpose.
     fn put_f32(&mut self, v: f32) {
         self.put_u32(v.to_bits());
+    }
+    fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
     }
 }
 
@@ -216,6 +238,7 @@ wire_scalar! {
     u64: 8 bytes, 64 bits, put_u64, read_u64, |v, bit| v ^ (1 << bit);
     u128: 16 bytes, 128 bits, put_u128, read_u128, |v, bit| v ^ (1 << bit);
     f32: 4 bytes, 32 bits, put_f32, read_f32, |v, bit| f32::from_bits(v.to_bits() ^ (1 << bit));
+    f64: 8 bytes, 64 bits, put_f64, read_f64, |v, bit| f64::from_bits(v.to_bits() ^ (1 << bit));
     bool: 1 bytes, 1 bits, put_bool, read_bool, |v, _bit| !v;
 }
 
