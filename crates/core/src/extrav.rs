@@ -15,20 +15,34 @@
 //! depends on; the voxel-major order on top of it is what makes a contiguous
 //! range of global indices a contiguous slice.
 //!
+//! **Which trials are listed.** A trial can change something only where a T
+//! cell can land ([`extrav_possible`]) or is blocked by one already there;
+//! anywhere else it finds a free voxel and fails. So
+//! [`TrialTable::rebuild_listed`] places only trials on voxels the units
+//! mark ([`mark_listed`], from the step-start state) and only counts the rest
+//! per voxel, for [`TrialTable::unlisted_in`] to answer a row range in O(1).
+//! This is exact: trials are evaluated against the state the mark was taken
+//! from (a ghost copy holds its owner's), and a voxel gains a T cell within
+//! the step only through one of its own trials, which requires it listed.
+//! [`TrialTable::rebuild`] and [`TrialTable::build`] list every voxel.
+//!
 //! **How it is built.** Placing `n` trials into `V` voxels with dense integer
-//! keys needs no comparisons: one RNG pass records each trial's voxel, a
-//! histogram + prefix sum over the buckets gives every bucket its slice, and
-//! one scatter *in trial order* fills the slices — stable, so each voxel's
-//! trials are ascending by construction. A bucket is `voxel >> shift` with the
-//! smallest `shift` that keeps the bucket count at or below `2n`: one voxel
-//! per bucket (`shift = 0`) whenever `V ≤ 2n`, which is all steady-state
-//! traffic (`n ≈ 5·V` under `SimParams::scaled_to`). When `V ≫ n` a bucket
-//! spans `2^shift` voxels but holds under one trial on average, and a
-//! comparison sort of each such sub-slice finishes the order; memory is
-//! `O(n)`, never `O(V)`.
+//! keys needs no comparisons: one RNG pass keeps each listed trial in trial
+//! order (and counts each unlisted one at its voxel), a histogram + prefix
+//! sum over the buckets gives every bucket its slice, and one scatter *in
+//! trial order* fills the slices — stable, so each voxel's trials are
+//! ascending by construction. A bucket is `voxel >> shift` with the smallest
+//! `shift` that keeps the bucket count at or below `2n`: one voxel per bucket
+//! (`shift = 0`) whenever `V ≤ 2n`, which is all steady-state traffic
+//! (`n ≈ 5·V` under `SimParams::scaled_to`). When `V ≫ n` a bucket spans
+//! `2^shift` voxels but holds under one trial on average, a comparison sort
+//! of each such sub-slice finishes the order, and every trial is listed.
+//! Memory is `O(n)`, never `O(V)`: the per-voxel mask and counts exist only
+//! when `V ≤ 2n`.
 
 use crate::params::SimParams;
-use crate::rules::extrav_voxel;
+use crate::rules::{extrav_possible, extrav_voxel};
+use crate::soa::VoxelSoA;
 
 /// One extravasation trial: the global voxel index it lands on and its index
 /// in the step's trial sequence. Ordered by `(voxel, trial)`.
@@ -43,29 +57,50 @@ pub struct Trial {
 /// successful trial claims the voxel).
 #[derive(Debug, Clone, Default)]
 pub struct TrialTable {
+    /// The listed trials.
     entries: Vec<Trial>,
     /// `entries[starts[b]..starts[b + 1]]` are the trials whose
     /// `voxel >> shift` is `b`.
     starts: Vec<u32>,
     shift: u32,
-    /// Rebuild scratch: the voxel of every trial, in trial order.
-    voxels: Vec<u32>,
+    /// `unlisted[g]` counts the unlisted trials on voxels below `g`; empty
+    /// under coarse buckets, which list every trial.
+    unlisted: Vec<u32>,
+    /// Rebuild scratch: the listed trials in trial order.
+    listed: Vec<Trial>,
+    /// Rebuild scratch: one bit per voxel, set where trials are listed.
+    mask: Vec<u64>,
 }
 
 impl TrialTable {
-    /// Build the table for `step` given the circulating pool size.
+    /// Build the complete table for `step` given the circulating pool size.
     pub fn build(p: &SimParams, step: u64, ntrials: u64) -> Self {
         let mut table = TrialTable::default();
         table.rebuild(p, step, ntrials);
         table
     }
 
-    /// Replace the contents with the table for `step`, reusing the buffers.
+    /// Replace the contents with the complete table for `step`, reusing the
+    /// buffers: every voxel is listed.
+    pub fn rebuild(&mut self, p: &SimParams, step: u64, ntrials: u64) {
+        self.rebuild_listed(p, step, ntrials, |mask| mask.fill(u64::MAX));
+    }
+
+    /// Replace the contents with the table for `step`, listing only the
+    /// trials on voxels whose bit `mark` sets in a zeroed mask (bit `g % 64`
+    /// of word `g / 64` for voxel `g`) and counting the rest per voxel.
+    /// `mark` runs only under per-voxel buckets; coarse ones list every trial.
     ///
     /// # Panics
     /// If `ntrials` or the grid's voxel count does not fit the 32-bit entry
     /// fields (`SimParams::validate` rejects such grids up front).
-    pub fn rebuild(&mut self, p: &SimParams, step: u64, ntrials: u64) {
+    pub fn rebuild_listed(
+        &mut self,
+        p: &SimParams,
+        step: u64,
+        ntrials: u64,
+        mark: impl FnOnce(&mut [u64]),
+    ) {
         let n = u32::try_from(ntrials)
             .expect("extravasation trial count exceeds the table's 32-bit trial index");
         let nvoxels = p.dims.nvoxels();
@@ -73,43 +108,70 @@ impl TrialTable {
             u32::try_from(nvoxels).is_ok(),
             "grid of {nvoxels} voxels exceeds the table's 32-bit voxel index"
         );
-        // No clear first: the scatter below overwrites every one of the `n`
-        // slots, so entries kept from the last step need no re-zeroing.
-        self.entries
-            .resize(n as usize, Trial { voxel: 0, trial: 0 });
+        self.listed.clear();
         self.starts.clear();
-        self.voxels.clear();
+        self.unlisted.clear();
         self.shift = 0;
         if n == 0 {
+            self.entries.clear();
             return;
         }
         let last_voxel = nvoxels.saturating_sub(1);
-        let mut shift = 0;
-        while (last_voxel >> shift) >= 2 * n as usize {
-            shift += 1;
+        while (last_voxel >> self.shift) >= 2 * n as usize {
+            self.shift += 1;
         }
-        self.shift = shift;
-        let nbuckets = (last_voxel >> shift) + 1;
+        let shift = self.shift;
 
-        self.voxels
-            .extend((0..n).map(|i| extrav_voxel(p, step, u64::from(i)) as u32));
+        // One RNG pass: a listed trial is kept in trial order; an unlisted
+        // one only counts at slot `voxel + 1`, and the prefix sum turns the
+        // counts into "unlisted below `g`".
+        let trial = |i: u32| Trial {
+            voxel: extrav_voxel(p, step, u64::from(i)) as u32,
+            trial: i,
+        };
+        if shift == 0 {
+            self.mask.clear();
+            self.mask.resize(nvoxels.div_ceil(64), 0);
+            mark(&mut self.mask);
+            self.unlisted.resize(nvoxels + 1, 0);
+            for t in (0..n).map(trial) {
+                let v = t.voxel as usize;
+                if self.mask[v / 64] >> (v % 64) & 1 != 0 {
+                    self.listed.push(t);
+                } else {
+                    self.unlisted[v + 1] += 1;
+                }
+            }
+            let mut below = 0;
+            for c in &mut self.unlisted {
+                below += *c;
+                *c = below;
+            }
+        } else {
+            self.listed.extend((0..n).map(trial));
+        }
 
+        // No clear first: the scatter below overwrites every slot, so
+        // entries kept from the last step need no re-zeroing.
+        self.entries
+            .resize(self.listed.len(), Trial { voxel: 0, trial: 0 });
         // Count bucket `b` at slot `b + 2`; after the prefix sum slot `b + 1`
         // is bucket `b`'s start, and the scatter advances it to the bucket's
         // end — the next bucket's start. Slots `0..=nbuckets` are then the
         // final offsets and the spare last slot goes.
+        let nbuckets = (last_voxel >> shift) + 1;
         self.starts.resize(nbuckets + 2, 0);
-        for &v in &self.voxels {
-            self.starts[(v >> shift) as usize + 2] += 1;
+        for t in &self.listed {
+            self.starts[(t.voxel >> shift) as usize + 2] += 1;
         }
         let mut end = 0u32;
         for s in &mut self.starts[2..] {
             end += *s;
             *s = end;
         }
-        for (trial, &voxel) in (0..n).zip(&self.voxels) {
-            let cursor = &mut self.starts[(voxel >> shift) as usize + 1];
-            self.entries[*cursor as usize] = Trial { voxel, trial };
+        for &t in &self.listed {
+            let cursor = &mut self.starts[(t.voxel >> shift) as usize + 1];
+            self.entries[*cursor as usize] = t;
             *cursor += 1;
         }
         self.starts.pop();
@@ -119,6 +181,14 @@ impl TrialTable {
                 self.entries[w[0] as usize..w[1] as usize].sort_unstable();
             }
         }
+    }
+
+    /// How many trials landed on unlisted voxels in `[gid_lo, gid_hi)`.
+    pub fn unlisted_in(&self, gid_lo: usize, gid_hi: usize) -> u64 {
+        if self.unlisted.is_empty() {
+            return 0;
+        }
+        u64::from(self.unlisted[gid_hi] - self.unlisted[gid_lo])
     }
 
     pub fn len(&self) -> usize {
@@ -148,6 +218,26 @@ impl TrialTable {
     /// All trials in `(voxel, trial)` order.
     pub fn all(&self) -> &[Trial] {
         &self.entries
+    }
+}
+
+/// Set the mask bit of every voxel of one contiguous row of a unit's storage
+/// where a trial can change something: a T cell blocks it, or
+/// [`extrav_possible`] holds. `soa[li..li + len]` hold the voxels of global
+/// indices `gi..gi + len`.
+pub fn mark_listed(
+    p: &SimParams,
+    mask: &mut [u64],
+    gi: usize,
+    soa: &VoxelSoA,
+    li: usize,
+    len: usize,
+) {
+    for d in 0..len {
+        if soa.tcells[li + d].occupied() || extrav_possible(p, soa.chem.get(li + d)) {
+            let g = gi + d;
+            mask[g / 64] |= 1 << (g % 64);
+        }
     }
 }
 
@@ -255,26 +345,131 @@ mod tests {
         );
     }
 
+    /// Sixty seeded `(params, step, trial count)` cases: 2D and 3D grids
+    /// from one voxel to 40,000, under both per-voxel and coarse buckets.
+    fn seeded_shapes(rng: &mut CounterRng) -> Vec<(SimParams, u64, u64)> {
+        (0..60)
+            .map(|case| {
+                let dims = if case % 3 == 0 {
+                    GridDims::new3d(
+                        1 + rng.below(12) as u32,
+                        1 + rng.below(12) as u32,
+                        1 + rng.below(12) as u32,
+                    )
+                } else {
+                    GridDims::new2d(1 + rng.below(200) as u32, 1 + rng.below(200) as u32)
+                };
+                let p = SimParams {
+                    seed: rng.next_u64(),
+                    ..params_for(dims)
+                };
+                (p, rng.below(1_000), rng.below(3_000))
+            })
+            .collect()
+    }
+
     #[test]
     fn equals_the_comparison_sort_over_a_seeded_shape_sweep() {
         let mut rng = CounterRng::new(2024, Stream::ExtravVoxel, 0, 0);
-        for case in 0..60 {
-            let dims = if case % 3 == 0 {
-                GridDims::new3d(
-                    1 + rng.below(12) as u32,
-                    1 + rng.below(12) as u32,
-                    1 + rng.below(12) as u32,
-                )
-            } else {
-                GridDims::new2d(1 + rng.below(200) as u32, 1 + rng.below(200) as u32)
-            };
-            let p = SimParams {
-                seed: rng.next_u64(),
-                ..params_for(dims)
-            };
-            let n = rng.below(3_000);
-            let step = rng.below(1_000);
+        for (p, step, n) in seeded_shapes(&mut rng) {
             assert_matches_oracle(&TrialTable::build(&p, step, n), &p, step, n);
+        }
+    }
+
+    /// A seeded mask listing about one voxel in `1 << sparsity`.
+    fn seeded_mask(rng: &mut CounterRng, nvoxels: usize, sparsity: u32) -> Vec<u64> {
+        (0..nvoxels.div_ceil(64))
+            .map(|_| (0..sparsity).fold(u64::MAX, |m, _| m & rng.next_u64()))
+            .collect()
+    }
+
+    fn is_listed(mask: &[u64], voxel: u32) -> bool {
+        mask[voxel as usize / 64] >> (voxel % 64) & 1 != 0
+    }
+
+    /// Rebuild `t` listing by `mask`; the mask if the table asked for it,
+    /// `None` when coarse buckets listed everything without asking.
+    fn rebuild_with<'m>(
+        t: &mut TrialTable,
+        p: &SimParams,
+        step: u64,
+        n: u64,
+        mask: &'m [u64],
+    ) -> Option<&'m [u64]> {
+        let mut asked = false;
+        t.rebuild_listed(p, step, n, |m| {
+            m.copy_from_slice(mask);
+            asked = true;
+        });
+        asked.then_some(mask)
+    }
+
+    /// `t` must hold exactly the trials of `complete` the mask lists (all of
+    /// them when it is `None`), and count the rest over every row of `p`'s
+    /// grid and over seeded ranges.
+    #[track_caller]
+    fn assert_listing(
+        t: &TrialTable,
+        complete: &TrialTable,
+        p: &SimParams,
+        mask: Option<&[u64]>,
+        rng: &mut CounterRng,
+    ) {
+        let listed = |e: &Trial| mask.is_none_or(|m| is_listed(m, e.voxel));
+        let expect: Vec<Trial> = complete.all().iter().copied().filter(listed).collect();
+        assert_eq!(t.all(), expect.as_slice());
+        let nvoxels = p.dims.nvoxels();
+        let row = p.dims.x as usize;
+        let mut ranges: Vec<(usize, usize)> =
+            (0..nvoxels).step_by(row).map(|lo| (lo, lo + row)).collect();
+        for _ in 0..32 {
+            let a = rng.below(nvoxels as u64 + 1) as usize;
+            let b = rng.below(nvoxels as u64 + 1) as usize;
+            ranges.push((a.min(b), a.max(b)));
+        }
+        for &(lo, hi) in &ranges {
+            let in_range = complete.in_gid_range(lo, hi).iter();
+            let unlisted = in_range.filter(|e| !listed(e)).count() as u64;
+            assert_eq!(t.unlisted_in(lo, hi), unlisted, "[{lo}, {hi})");
+        }
+        assert_ranges_match_filter(t, &ranges);
+    }
+
+    #[test]
+    fn listed_table_is_the_complete_table_filtered_by_the_mask() {
+        let mut rng = CounterRng::new(7, Stream::ExtravVoxel, 0, 0);
+        let (mut listed_cases, mut coarse_cases) = (0, 0);
+        for (p, step, n) in seeded_shapes(&mut rng) {
+            let complete = TrialTable::build(&p, step, n);
+            for sparsity in [0, 1, 3, 64] {
+                let mask = seeded_mask(&mut rng, p.dims.nvoxels(), sparsity);
+                let mut t = TrialTable::default();
+                let used = rebuild_with(&mut t, &p, step, n, &mask);
+                assert_eq!(used.is_some(), complete.shift == 0 && n > 0);
+                if used.is_some() {
+                    listed_cases += 1;
+                } else if n > 0 {
+                    coarse_cases += 1;
+                }
+                assert_listing(&t, &complete, &p, used, &mut rng);
+            }
+        }
+        assert!(
+            listed_cases > 40 && coarse_cases > 40,
+            "{listed_cases} listed, {coarse_cases} coarse"
+        );
+    }
+
+    #[test]
+    fn an_all_listed_mask_is_the_complete_table() {
+        let mut rng = CounterRng::new(9, Stream::ExtravVoxel, 0, 0);
+        for (p, step, n) in seeded_shapes(&mut rng) {
+            let complete = TrialTable::build(&p, step, n);
+            let mut t = TrialTable::default();
+            t.rebuild_listed(&p, step, n, |m| m.fill(u64::MAX));
+            assert_eq!(t.all(), complete.all());
+            assert_eq!((&t.starts, t.shift), (&complete.starts, complete.shift));
+            assert_eq!(t.unlisted_in(0, p.dims.nvoxels()), 0);
         }
     }
 
@@ -310,18 +505,39 @@ mod tests {
     fn rebuild_in_place_leaves_no_stale_entry() {
         let big = params();
         let sparse = params_for(GridDims::new2d(2048, 2048));
+        let mut rng = CounterRng::new(5, Stream::ExtravVoxel, 0, 0);
         let mut t = TrialTable::default();
-        for (p, step, n) in [
-            (&big, 1, 50_000),
-            (&sparse, 2, 3), // shrinks, and switches to coarse buckets
-            (&big, 3, 0),
-            (&big, 4, 60_000),
+        // Listed, complete and coarse rebuilds in turn, growing and shrinking.
+        for (p, step, n, sparsity) in [
+            (&big, 1, 50_000, Some(2)),
+            (&big, 2, 40_000, None),
+            (&sparse, 3, 3, Some(0)), // shrinks, and switches to coarse buckets
+            (&big, 4, 60_000, Some(5)),
+            (&big, 5, 0, Some(1)),
+            (&big, 6, 30_000, Some(0)),
+            (&sparse, 7, 9, None),
+            (&big, 8, 45_000, Some(3)),
         ] {
-            t.rebuild(p, step, n);
-            assert_matches_oracle(&t, p, step, n);
-            let fresh = TrialTable::build(p, step, n);
+            let complete = TrialTable::build(p, step, n);
+            let mut fresh = TrialTable::default();
+            let mask = sparsity.map(|s| seeded_mask(&mut rng, p.dims.nvoxels(), s));
+            let used = match &mask {
+                Some(mask) => {
+                    let used = rebuild_with(&mut t, p, step, n, mask);
+                    assert_eq!(used, rebuild_with(&mut fresh, p, step, n, mask));
+                    used
+                }
+                None => {
+                    t.rebuild(p, step, n);
+                    fresh.rebuild(p, step, n);
+                    assert_matches_oracle(&t, p, step, n);
+                    None
+                }
+            };
+            assert_listing(&t, &complete, p, used, &mut rng);
             assert_eq!(t.all(), fresh.all());
             assert_eq!((&t.starts, t.shift), (&fresh.starts, fresh.shift));
+            assert_eq!(t.unlisted, fresh.unlisted);
         }
     }
 

@@ -281,12 +281,20 @@ pub fn extrav_voxel(p: &SimParams, step: u64, trial: u64) -> usize {
     CounterRng::new(p.seed, Stream::ExtravVoxel, step, trial).below(n) as usize
 }
 
+/// Whether any trial can succeed at a voxel holding `chem`: false only below
+/// the detection threshold, so NaN counts as possible and corrupted state is
+/// evaluated, never skipped.
+#[inline]
+pub fn extrav_possible(p: &SimParams, chem: f32) -> bool {
+    chem.partial_cmp(&p.min_chemokine) != Some(std::cmp::Ordering::Less)
+}
+
 /// Whether trial `i` succeeds given the chemokine level at its voxel: the
 /// signal must exceed the detection threshold and the entry probability is
 /// proportional to (equal to, capped at 1) the concentration.
 #[inline]
 pub fn extrav_succeeds(p: &SimParams, step: u64, trial: u64, chem: f32) -> bool {
-    if chem < p.min_chemokine {
+    if !extrav_possible(p, chem) {
         return false;
     }
     let mut rng = CounterRng::new(p.seed, Stream::ExtravProb, step, trial);
@@ -540,6 +548,25 @@ mod tests {
         // Saturated signal always succeeds.
         assert!(extrav_succeeds(&p, 3, 7, 1.0));
         assert!(extrav_lifetime(&p, 3, 7) >= 1);
+    }
+
+    #[test]
+    fn a_trial_the_listing_skips_could_never_succeed() {
+        let p = SimParams::default();
+        assert!(p.min_chemokine > 0.0);
+        let below = p.min_chemokine.next_down();
+        for chem in [f32::NEG_INFINITY, -0.0, 0.0, f32::from_bits(1), below] {
+            assert!(
+                !extrav_possible(&p, chem),
+                "{chem:e} is below the threshold"
+            );
+            for trial in 0..10_000 {
+                assert!(!extrav_succeeds(&p, 3, trial, chem), "{chem:e}");
+            }
+        }
+        for chem in [p.min_chemokine, 1.0, f32::INFINITY, f32::NAN] {
+            assert!(extrav_possible(&p, chem), "{chem:e} must be listed");
+        }
     }
 
     #[test]

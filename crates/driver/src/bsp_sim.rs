@@ -85,6 +85,11 @@ pub trait Unit: Sized + Send {
         trials: &TrialTable,
     ) -> Result<Vec<StatsPartial>, SuperstepError>;
 
+    /// Set the bit of every owned voxel where an extravasation trial can
+    /// change something ([`simcov_core::extrav::mark_listed`]) in the trial
+    /// table's per-voxel mask.
+    fn mark_listed(&self, params: &SimParams, mask: &mut [u64]);
+
     /// Active work items right now: active-list voxels (CPU) or active
     /// tiles (GPU).
     fn n_active(&self) -> usize;
@@ -233,8 +238,13 @@ impl<U: Unit> BspSim<U> {
     /// statistics allreduce (the per-step UPC++ reduction of §3.3). Exact
     /// summation makes the result independent of the unit count.
     fn compute_step(&mut self, t: u64) -> Result<StatsPartial, SuperstepError> {
+        let (params, units) = (&self.core.params, &self.units);
         self.trials
-            .rebuild(&self.core.params, t, self.core.vascular.circulating());
+            .rebuild_listed(params, t, self.core.vascular.circulating(), |mask| {
+                for u in units {
+                    u.mark_listed(params, mask);
+                }
+            });
         let partials = U::step(
             &mut self.bsp,
             &self.core.pool,

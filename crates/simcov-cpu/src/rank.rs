@@ -8,7 +8,7 @@ use pgas::Outbox;
 use simcov_core::decomp::{Partition, Subdomain};
 use simcov_core::epithelial::EpiState;
 use simcov_core::exact::ExactSum;
-use simcov_core::extrav::{Trial, TrialTable};
+use simcov_core::extrav::{self, Trial, TrialTable};
 use simcov_core::grid::{Coord, GridDims};
 use simcov_core::halo::HaloBox;
 use simcov_core::lanes::{self, KernelMode};
@@ -845,6 +845,19 @@ impl CpuRank {
             }
             _ => {
                 self.soa.epi.timer[li] ^= 1 << (rng.next_u64() % 32);
+            }
+        }
+    }
+
+    /// Set the trial-table mask bit of every owned voxel a trial can change.
+    pub fn mark_listed(&self, p: &SimParams, mask: &mut [u64]) {
+        let core = self.hb.core;
+        let len = (core.hi.x - core.lo.x) as usize;
+        for z in core.lo.z..core.hi.z {
+            for y in core.lo.y..core.hi.y {
+                let row = Coord::new(core.lo.x, y, z);
+                let (gi, li) = (self.dims.index(row), self.hb.local(row));
+                extrav::mark_listed(p, mask, gi, &self.soa, li, len);
             }
         }
     }

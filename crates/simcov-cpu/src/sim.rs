@@ -63,6 +63,10 @@ impl Unit for CpuRank {
         bsp.try_superstep(pool, ranks, |_r, s, inbox, out| s.finish(p, t, inbox, out))
     }
 
+    fn mark_listed(&self, params: &SimParams, mask: &mut [u64]) {
+        CpuRank::mark_listed(self, params, mask)
+    }
+
     fn n_active(&self) -> usize {
         CpuRank::n_active(self)
     }

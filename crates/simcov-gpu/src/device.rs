@@ -25,7 +25,7 @@ use pgas::Outbox;
 use simcov_core::decomp::{Partition, Subdomain};
 use simcov_core::diffusion::{produce_chemokine, produce_virions};
 use simcov_core::epithelial::EpiState;
-use simcov_core::extrav::{Trial, TrialTable};
+use simcov_core::extrav::{self, Trial, TrialTable};
 use simcov_core::fields::Field;
 use simcov_core::grid::{Coord, GridDims};
 use simcov_core::halo::HaloBox;
@@ -364,6 +364,8 @@ impl GpuDevice {
                 let row = Coord::new(x0, y, z);
                 let g0 = self.dims.index(row);
                 let g1 = g0 + (x1 - x0) as usize;
+                // A trial on an unlisted voxel finds it free and fails.
+                evaluated += trials.unlisted_in(g0, g1);
                 for &Trial { voxel, trial } in trials.in_gid_range(g0, g1) {
                     // Global indices run contiguously along x.
                     let c = row.offset((voxel as usize - g0) as i64, 0, 0);
@@ -893,6 +895,18 @@ impl GpuDevice {
             }
             _ => {
                 self.soa.epi.timer[li] ^= 1 << (rng.next_u64() % 32);
+            }
+        }
+    }
+
+    /// Set the trial-table mask bit of every owned voxel a trial can change.
+    pub fn mark_listed(&self, p: &SimParams, mask: &mut [u64]) {
+        for t in 0..self.layout.n_tiles() {
+            let span = self.layout.tile_span(t);
+            let cb = span.clip(self.boxes.core);
+            for (oy, oz, li) in span.rows(cb) {
+                let row = span.origin.offset(cb.x0 as i64, oy as i64, oz as i64);
+                extrav::mark_listed(p, mask, self.dims.index(row), &self.soa, li, cb.nx());
             }
         }
     }

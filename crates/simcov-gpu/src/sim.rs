@@ -146,6 +146,10 @@ impl Unit for GpuDevice {
         })
     }
 
+    fn mark_listed(&self, params: &SimParams, mask: &mut [u64]) {
+        GpuDevice::mark_listed(self, params, mask)
+    }
+
     fn n_active(&self) -> usize {
         self.n_active_tiles()
     }

@@ -1,19 +1,27 @@
-//! Hostile text inputs: the two text parsers that accept outside input —
+//! Hostile inputs: the two text parsers that accept outside input —
 //! `parse_config` (SIMCoV `key = value` files) and `RunSpec::from_json`
 //! (sweep submissions) — must answer every malformed, truncated or
-//! out-of-range document with `Ok` or a typed error, never a panic.
+//! out-of-range document with `Ok` or a typed error, never a panic; and
+//! `load_checkpoint` must answer every damaged durable file with a typed
+//! `SimError`, never a panic or an allocation sized by a hostile field.
 //!
 //! Each parser starts from one valid document and is fed seeded
 //! truncations, dropped and duplicated lines, and every numeric field set
-//! in turn to each of a table of hostile numbers.
+//! in turn to each of a table of hostile numbers. The durable file is cut
+//! at every length and has its count and length fields overwritten.
 
+use simcov_repro::pgas::crc::crc64;
 use simcov_repro::pgas::SplitMix64;
+use simcov_repro::simcov_core::checkpoint::RunCheckpoint;
 use simcov_repro::simcov_core::config::{parse_config, to_config};
 use simcov_repro::simcov_core::foi::FoiPattern;
 use simcov_repro::simcov_core::grid::GridDims;
 use simcov_repro::simcov_core::json::Json;
 use simcov_repro::simcov_core::params::SimParams;
-use simcov_repro::simcov_driver::{ConfigError, RecoveryPolicy};
+use simcov_repro::simcov_core::serial::SerialSim;
+use simcov_repro::simcov_driver::{
+    load_checkpoint, persist_checkpoint, ConfigError, RecoveryPolicy, SimError,
+};
 use simcov_repro::simcov_sweep::{ExecutorKind, FaultSpec, RunSpec};
 
 /// Every number a hostile field is set to: zero, negative, the u32 edge,
@@ -187,4 +195,85 @@ fn overflowing_dims_are_a_typed_error() {
         }
         other => panic!("expected a typed dims error, got {other:?}"),
     }
+}
+
+/// Where the durable file's frame header sits: after the 8-byte file magic
+/// and the 4-byte file version come the frame's message count and payload
+/// length, then the payload (the run blob) and an 8-byte CRC trailer.
+const FRAME_COUNT_AT: usize = 12;
+const FRAME_LEN_AT: usize = 20;
+const PAYLOAD_AT: usize = 28;
+
+fn put_u64(bytes: &mut [u8], at: usize, v: u64) {
+    bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Recompute the frame's CRC trailer, so a damaged field gets past the
+/// checksum and reaches the parser behind it.
+fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+    let end = bytes.len() - 8;
+    let crc = crc64(&bytes[FRAME_COUNT_AT..end]);
+    put_u64(&mut bytes, end, crc);
+    bytes
+}
+
+#[test]
+fn damaged_durable_files_are_a_typed_error() {
+    let params = SimParams::test_config(GridDims::new2d(5, 4), 12, 1, 3);
+    let mut sim = SerialSim::new(params.clone());
+    for _ in 0..4 {
+        sim.advance_step();
+    }
+    let cp = RunCheckpoint {
+        step: sim.step,
+        world: sim.world.clone(),
+        pool: sim.pool.clone(),
+        history: sim.history.clone(),
+    };
+    let path =
+        std::env::temp_dir().join(format!("simcov_hostile_durable_{}.ck", std::process::id()));
+    persist_checkpoint(&path, &params, &cp).expect("checkpoint persists");
+    let file = std::fs::read(&path).expect("checkpoint reads back");
+    let restored = load_checkpoint(&path, &params).expect("the clean file loads");
+    assert_eq!(restored.history, cp.history);
+
+    let mut cases: Vec<(String, Vec<u8>)> = (0..file.len())
+        .map(|cut| (format!("truncated at {cut}"), file[..cut].to_vec()))
+        .collect();
+    // The run blob ends with its history: a u64 count, then 88 bytes a step.
+    let history_at = file.len() - 8 - cp.history.steps.len() * 88 - 8;
+    assert!(history_at > PAYLOAD_AT);
+    for (field, at, values) in [
+        (
+            "frame count",
+            FRAME_COUNT_AT,
+            &[2, u64::from(u32::MAX), u64::MAX][..],
+        ),
+        (
+            "frame length",
+            FRAME_LEN_AT,
+            &[u64::from(u32::MAX), u64::MAX][..],
+        ),
+        (
+            "history count",
+            history_at,
+            &[u64::from(u32::MAX), u64::MAX][..],
+        ),
+    ] {
+        for &v in values {
+            let mut bytes = file.clone();
+            put_u64(&mut bytes, at, v);
+            cases.push((format!("{field} {v}"), bytes.clone()));
+            cases.push((format!("{field} {v}, resealed"), resealed(bytes)));
+        }
+    }
+    for (what, bytes) in cases {
+        std::fs::write(&path, &bytes).expect("case written");
+        match std::panic::catch_unwind(|| load_checkpoint(&path, &params)) {
+            Ok(Err(SimError::Persist(_) | SimError::Checkpoint(_))) => {}
+            Ok(other) => panic!("{what}: expected a typed load error, got {other:?}"),
+            Err(_) => panic!("{what}: load_checkpoint panicked"),
+        }
+    }
+    let _ = std::fs::remove_file(&path);
 }
