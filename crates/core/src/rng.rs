@@ -13,6 +13,11 @@
 //! per-bit avalanche smoke tests (see the tests below) and is far cheaper
 //! than cryptographic counters, matching the paper's "large range of
 //! integers" bid generation where genuine ties are negligibly unlikely.
+//!
+//! The fold is a chain, so its `(seed, stream, step)` prefix is one value per
+//! step: [`StepKey`] folds it once and [`StepKey::rng`] folds only the id.
+//! [`CounterRng::new`] is that pair, so a hoisted key draws exactly what an
+//! unhoisted one does; a test pins every draw to a CRC taken before the split.
 
 /// Independent named stochastic streams. Using distinct streams for distinct
 /// model decisions guarantees that, e.g., an infection draw can never be
@@ -54,6 +59,30 @@ fn splitmix(mut x: u64) -> u64 {
     x
 }
 
+/// The `(seed, stream, step)` prefix of a [`CounterRng`] key, folded once.
+#[derive(Debug, Clone, Copy)]
+pub struct StepKey(u64);
+
+impl StepKey {
+    #[inline]
+    pub fn new(seed: u64, stream: Stream, step: u64) -> Self {
+        // Fold the key words through the mixer with distinct odd constants so
+        // no two (stream, step, id) triples collide in practice.
+        let mut h = splitmix(seed ^ 0x9e3779b97f4a7c15);
+        h = splitmix(h ^ (stream as u64).wrapping_mul(0xd1b54a32d192ed03));
+        StepKey(splitmix(h ^ step.wrapping_mul(0x8cb92ba72f3d8dd7)))
+    }
+
+    /// The generator for entity `id` (global voxel index, trial index, ...).
+    #[inline]
+    pub fn rng(self, id: u64) -> CounterRng {
+        CounterRng {
+            base: splitmix(self.0 ^ id.wrapping_mul(0xaef17502108ef2d9)),
+            draw: 0,
+        }
+    }
+}
+
 /// A stateless counter RNG keyed on `(seed, stream, step, id)`. Multiple
 /// draws under one key are obtained by bumping an internal draw counter, so
 /// a `CounterRng` value is cheap and `Copy`-free but fully deterministic.
@@ -68,13 +97,7 @@ impl CounterRng {
     /// index, trial index, ...).
     #[inline]
     pub fn new(seed: u64, stream: Stream, step: u64, id: u64) -> Self {
-        // Fold the key words through the mixer with distinct odd constants so
-        // no two (stream, step, id) triples collide in practice.
-        let mut h = splitmix(seed ^ 0x9e3779b97f4a7c15);
-        h = splitmix(h ^ (stream as u64).wrapping_mul(0xd1b54a32d192ed03));
-        h = splitmix(h ^ step.wrapping_mul(0x8cb92ba72f3d8dd7));
-        h = splitmix(h ^ id.wrapping_mul(0xaef17502108ef2d9));
-        CounterRng { base: h, draw: 0 }
+        StepKey::new(seed, stream, step).rng(id)
     }
 
     /// Next raw 64-bit value.
@@ -238,6 +261,76 @@ mod tests {
         }
         let avg = total as f64 / samples as f64;
         assert!((24.0..40.0).contains(&avg), "avalanche average {avg}");
+    }
+
+    const STREAMS: [Stream; 11] = [
+        Stream::ExtravVoxel,
+        Stream::ExtravProb,
+        Stream::TCellLife,
+        Stream::TCellAction,
+        Stream::TCellBid,
+        Stream::Infection,
+        Stream::IncubationPeriod,
+        Stream::ExpressingPeriod,
+        Stream::ApoptosisPeriod,
+        Stream::BindProb,
+        Stream::FoiPlacement,
+    ];
+
+    /// Every `(seed, stream, step, id)` key of the pin sweep: all streams,
+    /// the step and id edges, and seeded ids.
+    fn pin_keys() -> Vec<(u64, Stream, u64, u64)> {
+        let mut seeded = CounterRng::new(0x5EED, Stream::TCellBid, 0, 0);
+        let mut ids = vec![0, 1, u64::from(u32::MAX), u64::MAX];
+        ids.extend((0..8).map(|_| seeded.next_u64()));
+        let mut keys = Vec::new();
+        for seed in [0, 2024, u64::MAX] {
+            for stream in STREAMS {
+                for step in [0, 1, 517, u64::MAX] {
+                    keys.extend(ids.iter().map(|&id| (seed, stream, step, id)));
+                }
+            }
+        }
+        keys
+    }
+
+    /// The outputs of every draw method under one key, in a fixed order.
+    fn draws(mut r: CounterRng) -> Vec<u64> {
+        vec![
+            r.next_u64(),
+            r.below(7),
+            r.below(u64::MAX),
+            r.next_f64().to_bits(),
+            u64::from(r.poisson(8.0)),
+            u64::from(r.poisson(480.0)),
+            r.next_u64(),
+        ]
+    }
+
+    /// The draw values are part of every recorded trajectory: this CRC was
+    /// captured before the key fold was split into `StepKey`, so any change
+    /// to a single value fails here first.
+    #[test]
+    fn draws_are_pinned() {
+        let mut crc = pgas::Crc64::new();
+        for (seed, stream, step, id) in pin_keys() {
+            for v in draws(CounterRng::new(seed, stream, step, id)) {
+                crc.write_u64(v);
+            }
+        }
+        assert_eq!(crc.finish(), 0xaeca_91f7_dccd_1733);
+    }
+
+    #[test]
+    fn a_hoisted_step_key_draws_what_counter_rng_new_draws() {
+        for (seed, stream, step, id) in pin_keys() {
+            let key = StepKey::new(seed, stream, step);
+            assert_eq!(
+                draws(key.rng(id)),
+                draws(CounterRng::new(seed, stream, step, id)),
+                "{seed} {stream:?} {step} {id}"
+            );
+        }
     }
 
     #[test]

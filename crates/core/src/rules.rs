@@ -29,7 +29,7 @@
 use crate::epithelial::EpiState;
 use crate::grid::{Coord, GridDims};
 use crate::params::SimParams;
-use crate::rng::{CounterRng, Stream};
+use crate::rng::{CounterRng, StepKey, Stream};
 use crate::tcell::TCellSlot;
 
 /// Read access to the step-start simulation state around a voxel. Parallel
@@ -273,12 +273,20 @@ pub fn epi_update(
 // Extravasation
 // ---------------------------------------------------------------------------
 
-/// The voxel extravasation trial `i` of `step` lands on (uniform over the
-/// whole grid, §2.2).
+/// The voxel draw of `step`'s extravasation trials, with the step key and
+/// the grid size taken out of the trial loop: trial `i` lands on `draw(i)`,
+/// uniform over the whole grid (§2.2).
+#[inline]
+pub fn extrav_voxels(p: &SimParams, step: u64) -> impl Fn(u64) -> usize + Copy {
+    let key = StepKey::new(p.seed, Stream::ExtravVoxel, step);
+    let nvoxels = p.dims.nvoxels() as u64;
+    move |trial| key.rng(trial).below(nvoxels) as usize
+}
+
+/// The voxel extravasation trial `i` of `step` lands on.
 #[inline]
 pub fn extrav_voxel(p: &SimParams, step: u64, trial: u64) -> usize {
-    let n = p.dims.nvoxels() as u64;
-    CounterRng::new(p.seed, Stream::ExtravVoxel, step, trial).below(n) as usize
+    extrav_voxels(p, step)(trial)
 }
 
 /// Whether any trial can succeed at a voxel holding `chem`: false only below

@@ -8,6 +8,8 @@
 //! so before comparing: steps whose sparse trials use coarse buckets, steps
 //! with chemokine above the detection threshold, and steps after the
 //! chemokine has cleared while circulating T cells keep trying to land.
+//! `SerialDriver` runs the same arcs, pinned by constants recorded before the
+//! serial oracle learned to skip trials on voxels no T cell can enter.
 
 use simcov_repro::gpusim::DeviceCounters;
 use simcov_repro::pgas::crc::crc64;
@@ -17,7 +19,7 @@ use simcov_repro::simcov_core::grid::GridDims;
 use simcov_repro::simcov_core::integrity::crc_run;
 use simcov_repro::simcov_core::params::SimParams;
 use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
-use simcov_repro::simcov_driver::Simulation;
+use simcov_repro::simcov_driver::{SerialDriver, Simulation};
 use simcov_repro::simcov_gpu::{GpuSim, GpuSimConfig};
 
 /// What one run is pinned by.
@@ -194,6 +196,40 @@ fn gpu_3d_arc_is_pinned() {
             update_elements: 6_746_579,
             counters: 0xcb58_be89_e5cd_83a5,
             comm: 0xde2f_9ca8_0cbb_d391,
+            run: 0x2f0e_40d0_139f_34c0,
+            blob: 0x32de_d53f_3461_50ac,
+        },
+    );
+}
+
+/// CRC-64 of twenty zero words: the serial executor counts no device work and
+/// no communication.
+const NO_COUNTERS: u64 = 0x3841_ce00_d51d_7ed3;
+
+#[test]
+fn serial_2d_arc_is_pinned() {
+    let mut sim = SerialDriver::new(params_2d()).expect("valid config");
+    check(
+        &mut sim,
+        Pins {
+            update_elements: 0,
+            counters: NO_COUNTERS,
+            comm: NO_COUNTERS,
+            run: 0xffd6_1181_a14c_8f7c,
+            blob: 0xfae8_0e9f_c9ae_179f,
+        },
+    );
+}
+
+#[test]
+fn serial_3d_arc_is_pinned() {
+    let mut sim = SerialDriver::new(params_3d()).expect("valid config");
+    check(
+        &mut sim,
+        Pins {
+            update_elements: 0,
+            counters: NO_COUNTERS,
+            comm: NO_COUNTERS,
             run: 0x2f0e_40d0_139f_34c0,
             blob: 0x32de_d53f_3461_50ac,
         },
