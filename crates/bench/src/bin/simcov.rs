@@ -13,11 +13,12 @@
 //! ```
 //!
 //! `--transport process` runs the exchange over the socket transport: one
-//! worker process per rank (this same binary re-exec'd with
-//! `--rank-worker`), CRC64-sealed frames, read/write deadlines with
-//! bounded retry. Results are bitwise identical to `inproc`. `--wire-kill
-//! SUPERSTEP:RANK` SIGKILLs one worker at that BSP barrier; the run
-//! engages the default recovery ladder and rides the real crash out.
+//! forked worker process per rank, CRC64-sealed frames, read/write
+//! deadlines with bounded retry. Results are bitwise identical to `inproc`.
+//! `--wire-kill SUPERSTEP:RANK` schedules one rank death at that BSP
+//! superstep (cpu/gpu executors); the run engages the default recovery
+//! ladder and rides it out. Under `--transport process` the death is a real
+//! SIGKILL of the rank's worker.
 //!
 //! `--json` writes a structured run summary; on the cpu/gpu executors it
 //! includes the per-step [`StepRecord`]s of the metrics layer (agents,
@@ -38,7 +39,7 @@
 //! crash-restart testing (exit code 3).
 
 use gpusim::{KernelCategory, SharedSink, StepRecord};
-use pgas::{ProcessTransportConfig, TransportMode, WireFaultPlan};
+use pgas::{FaultEvent, FaultKind, FaultPlan, ProcessTransportConfig, TransportMode};
 use simcov_bench::cli::{die, expect_value, or_die, parse_value, write_or_die, CommonFlags};
 use simcov_bench::json::write_json;
 use simcov_core::config::parse_config;
@@ -46,7 +47,7 @@ use simcov_core::json::Json;
 use simcov_core::render::render_slice;
 use simcov_core::stats::TimeSeries;
 use simcov_cpu::CpuSim;
-use simcov_driver::{RecoveryPolicy, RunConfig, SerialDriver, Simulation};
+use simcov_driver::{RunConfig, SerialDriver, Simulation};
 use simcov_gpu::{GpuKnobs, GpuSim, GpuVariant};
 use simcov_telemetry::{chrome, prometheus, HealthConfig, Telemetry};
 use std::fs;
@@ -80,32 +81,6 @@ fn usage() -> ! {
          \t[--trace-out FILE] [--metrics-out FILE]\n\
          \t[--transport inproc|process] [--wire-kill SUPERSTEP:RANK]",
     )
-}
-
-/// `simcov --rank-worker --connect ADDR --rank N --token T`: the per-rank
-/// frame-holder process of the socket transport re-enters this same binary.
-/// Never invoked by hand; the argument surface is frozen by the transport.
-fn run_worker(args: &[String]) -> ! {
-    let (mut connect, mut rank, mut token) = (None, None, None);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => connect = it.next().cloned(),
-            "--rank" => rank = it.next().and_then(|v| v.parse::<usize>().ok()),
-            "--token" => token = it.next().and_then(|v| v.parse::<u64>().ok()),
-            _ => {}
-        }
-    }
-    let (Some(connect), Some(rank), Some(token)) = (connect, rank, token) else {
-        die("--rank-worker requires --connect ADDR --rank N --token T");
-    };
-    match pgas::run_rank_worker(&connect, rank, token) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("rank worker {rank}: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn parse_args() -> Args {
@@ -158,7 +133,7 @@ fn parse_args() -> Args {
             "--resume" => args.resume = Some(expect_value(&a, it.next())),
             "--transport" => args.transport = expect_value(&a, it.next()),
             "--wire-kill" => {
-                // SUPERSTEP:RANK — SIGKILL that worker at that BSP barrier.
+                // SUPERSTEP:RANK — that rank dies at that BSP superstep.
                 let v = expect_value(&a, it.next());
                 let parsed = v
                     .split_once(':')
@@ -180,21 +155,23 @@ fn parse_args() -> Args {
 }
 
 /// The executor config the flags describe: every shared knob is set here,
-/// once, whichever executor `exec` belongs to.
+/// once, whichever executor `exec` belongs to. A `--wire-kill` death makes
+/// the plan non-empty, which engages the default recovery ladder.
 fn run_config<X: Default>(
     params: simcov_core::params::SimParams,
     args: &Args,
     transport: TransportMode,
     exec: X,
 ) -> RunConfig<X> {
-    let cfg = RunConfig::new(params, args.units)
+    let deaths = args.wire_kill.map(|(superstep, rank)| FaultEvent {
+        superstep,
+        rank,
+        kind: FaultKind::RankDeath,
+    });
+    RunConfig::new(params, args.units)
         .with_transport(transport)
-        .with_exec(exec);
-    if args.wire_kill.is_some() {
-        cfg.with_recovery(RecoveryPolicy::default())
-    } else {
-        cfg
-    }
+        .with_fault_plan(FaultPlan::from_events(deaths.into_iter().collect()))
+        .with_exec(exec)
 }
 
 fn write_csv(path: &str, h: &TimeSeries) {
@@ -222,11 +199,6 @@ fn write_csv(path: &str, h: &TimeSeries) {
 }
 
 fn main() {
-    // Transport workers re-enter this binary; divert before normal parsing.
-    let argv: Vec<String> = std::env::args().collect();
-    if argv.get(1).map(String::as_str) == Some("--rank-worker") {
-        run_worker(&argv[2..]);
-    }
     let args = parse_args();
     let text = or_die(
         fs::read_to_string(&args.config),
@@ -258,23 +230,14 @@ fn main() {
     let ck_params = params.clone();
     // The per-step metrics sink backing --json.
     let sink = SharedSink::new();
-    // `--transport process` re-execs this binary as one worker per rank;
-    // `--wire-kill` additionally schedules a real SIGKILL at a barrier, so
-    // the default recovery ladder is engaged to ride it out.
     let transport = match args.transport.as_str() {
         "inproc" => TransportMode::InProcess,
-        "process" => {
-            let exe = or_die(std::env::current_exe(), "cannot locate this binary");
-            let mut tcfg = ProcessTransportConfig::exec(exe);
-            if let Some((superstep, rank)) = args.wire_kill {
-                tcfg = tcfg.with_wire_faults(WireFaultPlan::none().kill_worker(superstep, rank));
-            }
-            TransportMode::Process(tcfg)
-        }
+        "process" => TransportMode::Process(ProcessTransportConfig::forked()),
         _ => usage(),
     };
-    if matches!(transport, TransportMode::Process(_)) && args.executor == "serial" {
-        die("--transport process requires --executor cpu or gpu");
+    let process = matches!(transport, TransportMode::Process(_));
+    if args.executor == "serial" && (process || args.wire_kill.is_some()) {
+        die("--transport process and --wire-kill require --executor cpu or gpu");
     }
     // One object-safe driver API over all three executors.
     const REJECTED: &str = "run configuration rejected";

@@ -1,5 +1,6 @@
 //! Input the user got wrong — a missing config, a malformed one, a run
-//! configuration the executor rejects — ends the `simcov` tool with a message
+//! configuration the executor rejects, a fault flag the executor cannot
+//! take or cannot parse — ends the `simcov` tool with a message
 //! on stderr and status 2, never a panic.
 
 use std::process::Command;
@@ -22,6 +23,18 @@ fn bad_input_is_a_clean_exit_2_not_a_panic() {
             config("valid.config", "16 16 1"),
             "--units".into(),
             "0".into(),
+        ],
+        vec![
+            config("valid.config", "16 16 1"),
+            "--executor".into(),
+            "serial".into(),
+            "--wire-kill".into(),
+            "3:1".into(),
+        ],
+        vec![
+            config("valid.config", "16 16 1"),
+            "--wire-kill".into(),
+            "30".into(),
         ],
     ];
     for args in &cases {

@@ -294,9 +294,12 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
         let mut shuffles: Vec<(usize, u64)> = Vec::new();
         let mut corruptions: Vec<(usize, u64)> = Vec::new();
         let mut stalls: Vec<(usize, u64)> = Vec::new();
-        if !self.plan.is_exhausted() {
+        // The due events also go to an attached transport, which reads the
+        // wire ones (rank deaths, stalls, inbox garbles and drops).
+        let due = self.plan.take_due(step_index);
+        if !due.is_empty() {
             let n = self.n_ranks;
-            for ev in self.plan.take_due(step_index) {
+            for ev in due {
                 let rank = ev.rank % n;
                 match ev.kind {
                     FaultKind::RankDeath => killed.push(rank),
@@ -325,22 +328,11 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
                             seed,
                         });
                     }
+                    FaultKind::InboxGarble { .. } | FaultKind::InboxDrop => {}
                 }
             }
             killed.sort_unstable();
             killed.dedup();
-        }
-
-        // Under a process transport a scheduled rank death is a *real*
-        // crash: the rank's worker process is SIGKILLed along with the
-        // logical skip, so the wire discovers the same dead set the
-        // heartbeat scan does.
-        if !killed.is_empty() {
-            if let Some(t) = self.transport.as_mut() {
-                for &rank in &killed {
-                    t.kill_rank(rank);
-                }
-            }
         }
 
         for ob in &mut self.outboxes {
@@ -466,10 +458,13 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
         // below delivers is exactly what came back over the wire, so a
         // frame lost or garbled past the retry budget has real effect.
         // Buckets bound for a dead peer keep their staged originals, which
-        // keeps the volume metering transport-invariant.
+        // keeps the volume metering transport-invariant. A scheduled rank
+        // death is a *real* crash there: the transport SIGKILLs the rank's
+        // worker, so the wire discovers the same dead set the heartbeat
+        // scan does.
         let wire = match self.transport.as_mut() {
             Some(t) => {
-                let outcome = t.round_trip(step_index, &mut self.outboxes);
+                let outcome = t.round_trip(step_index, &mut self.outboxes, due);
                 self.wire_counters = t.counters();
                 outcome
             }
@@ -1015,7 +1010,8 @@ mod tests {
         assert_eq!(t.get(), 0);
     }
 
-    use crate::transport::{ProcessTransportConfig, WireFaultPlan};
+    use crate::fault::FaultEvent;
+    use crate::transport::ProcessTransportConfig;
 
     fn fast_transport() -> ProcessTransportConfig {
         ProcessTransportConfig::forked()
@@ -1064,7 +1060,6 @@ mod tests {
 
     #[test]
     fn rank_death_under_transport_is_a_real_worker_crash() {
-        use crate::fault::FaultEvent;
         let pool = WorkPool::new(2);
         let mut bsp: Bsp<u64> = Bsp::new(3);
         bsp.attach_process_transport(fast_transport())
@@ -1088,6 +1083,10 @@ mod tests {
             panic!("expected structural failure, got {err}");
         };
         assert_eq!(err.dead_ranks, vec![1], "wire and heartbeat agree");
+        assert!(
+            bsp.transport_counters().peers_closed >= 1,
+            "the socket saw the crash"
+        );
 
         // The recovery path: rebuild over the survivors respawns workers
         // and the domain keeps exchanging over the wire.
@@ -1106,10 +1105,16 @@ mod tests {
     fn unhealed_wire_garble_is_a_typed_integrity_failure() {
         let pool = WorkPool::new(0);
         let mut bsp: Bsp<u64> = Bsp::new(2);
-        let cfg = fast_transport()
-            .with_retry(2, 50_000)
-            .with_wire_faults(WireFaultPlan::none().garble(0, 1, 0xBAD, true));
-        bsp.attach_process_transport(cfg).expect("spawn workers");
+        bsp.attach_process_transport(fast_transport().with_retry(2, 50_000))
+            .expect("spawn workers");
+        bsp.inject_faults(FaultPlan::from_events(vec![FaultEvent {
+            superstep: 0,
+            rank: 1,
+            kind: FaultKind::InboxGarble {
+                seed: 0xBAD,
+                sticky: true,
+            },
+        }]));
         let mut states = vec![0u64; 2];
         let err = bsp
             .try_superstep(&pool, &mut states, |rank, _s, _i, out| {

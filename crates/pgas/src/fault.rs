@@ -22,6 +22,13 @@
 //! - **Slow rank** — the rank is healthy but late; metered in
 //!   [`CommCounters::stalls`] / [`CommCounters::stall_ns`] as simulated
 //!   straggler time. Not a failure.
+//! - **Inbox garble / inbox drop** — wire faults: the process transport
+//!   garbles or loses the rank's inbox reply and heals it by re-request.
+//!   In-process they do nothing.
+//!
+//! Under the process transport ([`crate::transport`]) a rank death also
+//! SIGKILLs the rank's worker and a slow rank also makes its worker sleep,
+//! so one plan drives both the logical and the wire faults.
 //!
 //! [`Bsp::try_superstep`]: crate::bsp::Bsp::try_superstep
 //! [`CommCounters::duplicates_suppressed`]: crate::CommCounters
@@ -40,8 +47,10 @@ pub enum FaultKind {
     /// The network delivers the rank's outbox twice; the exactly-once layer
     /// suppresses the duplicates.
     MessageDuplicate,
-    /// The rank is `stall_ns` nanoseconds late to the barrier (simulated —
-    /// metered, never slept).
+    /// The rank is `stall_ns` nanoseconds late to the barrier. Metered;
+    /// in-process never slept. Under the process transport the rank's
+    /// worker also sleeps `stall_ns` before its next reply, so a stall past
+    /// the deadline × retry budget classifies the peer as timed out.
     SlowRank { stall_ns: u64 },
     /// The network reorders the rank's *incoming* deliveries within the
     /// superstep: its assembled inbox is permuted with a shuffle seeded from
@@ -61,6 +70,14 @@ pub enum FaultKind {
     /// applies the flip after the step's seal is taken, and the driver's
     /// seal-scrub catches it before the next step consumes the state.
     StateCorruption { seed: u64 },
+    /// One seeded bit flips in the rank's inbox reply on the wire. `sticky`
+    /// garbles every re-request too, exhausting the transport's retry
+    /// budget into an [`IntegrityFailure`]; otherwise the first re-request
+    /// heals it. Only the process transport reads it.
+    InboxGarble { seed: u64, sticky: bool },
+    /// The rank's inbox reply is lost on the wire once, forcing a
+    /// re-request. Only the process transport reads it.
+    InboxDrop,
 }
 
 /// One scheduled fault: `kind` strikes `rank` at global superstep index

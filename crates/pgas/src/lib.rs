@@ -44,7 +44,7 @@ pub use mailbox::{ExchangeFaults, ExchangeVolume, Mailboxes, Outbox, BATCH_HEADE
 pub use pool::WorkPool;
 pub use reduce::{allreduce, tree_depth};
 pub use transport::{
-    run_rank_worker, ExchangeTransport, ProcessTransport, ProcessTransportConfig, SpawnMode,
-    TransportCounters, TransportMode, WireFault, WireFaultKind, WireFaultPlan, WireOutcome,
+    ExchangeTransport, ProcessTransport, ProcessTransportConfig, TransportCounters, TransportMode,
+    WireOutcome,
 };
 pub use wire::{decode_bucket, encode_bucket, WireCodec, WireField, WireReader, WireWrite};

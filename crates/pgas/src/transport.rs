@@ -3,11 +3,11 @@
 //! The default [`crate::Bsp`] path exchanges coalesced batches through
 //! in-process double-buffered mailboxes — fast, but every "rank death" is
 //! simulated. This module adds the second transport the paper's UPC++ layer
-//! implies: each rank is backed by a **worker process** (forked, or exec'd
-//! as `simcov --rank-worker`) that holds the rank's in-flight inbox frames,
-//! reached over localhost TCP sockets. Killing a worker is a genuine crash:
-//! its sockets reset, its retained frames are gone, and the parent discovers
-//! the loss the way a distributed runtime does — at the barrier.
+//! implies: each rank is backed by a forked **worker process** that holds
+//! the rank's in-flight inbox frames, reached over localhost TCP sockets.
+//! Killing a worker is a genuine crash: its sockets reset, its retained
+//! frames are gone, and the parent discovers the loss the way a distributed
+//! runtime does — at the barrier.
 //!
 //! # Wire protocol
 //!
@@ -25,7 +25,10 @@
 //! | FLUSH | p → w     | nonce     | — (worker replies INBOX)              |
 //! | INBOX | w → p     | nonce     | `[n][src u64][frame]*`, ascending src |
 //! | STALL | p → w     | ns        | — (worker sleeps before next reply)   |
-//! | EXIT  | p → w     | —         | —                                     |
+//!
+//! There is no exit message: teardown is SIGKILL, because a worker wedged
+//! writing an INBOX nobody reads would block a graceful wait forever, and
+//! workers hold nothing durable.
 //!
 //! A batch frame is exactly [`crate::mailbox::frame`]'s sealed layout with
 //! the bucket's messages encoded via [`WireCodec`]; the INBOX body carries
@@ -42,6 +45,16 @@
 //! buckets the logical exchange then delivers — so a frame garbled or lost
 //! on the wire really does corrupt or lose the delivered messages unless
 //! the retry machinery heals it.
+//!
+//! # Faults
+//!
+//! The wire faults ride the run's one [`FaultPlan`](crate::fault::FaultPlan):
+//! [`Bsp::try_superstep`](crate::Bsp::try_superstep) hands each superstep's
+//! due events to [`ExchangeTransport::round_trip`]. A `RankDeath` SIGKILLs
+//! the rank's worker before `BEGIN`, so the parent discovers the crash
+//! through its socket; a `SlowRank` sends `STALL`; `InboxGarble` and
+//! `InboxDrop` damage or lose the received inbox, which the retry ladder
+//! below heals.
 //!
 //! # Deadlines, retry, and failure classification
 //!
@@ -67,6 +80,7 @@
 //!
 //! [`SuperstepFailure::dead_ranks`]: crate::fault::SuperstepFailure
 
+use crate::fault::{FaultEvent, FaultKind};
 use crate::mailbox::frame::{self, FrameStreamError};
 use crate::mailbox::Outbox;
 use crate::wire::{decode_bucket, encode_bucket, WireCodec, WireReader, WireWrite};
@@ -82,7 +96,6 @@ const MSG_PUT: u8 = 3;
 const MSG_FLUSH: u8 = 4;
 const MSG_INBOX: u8 = 5;
 const MSG_STALL: u8 = 6;
-const MSG_EXIT: u8 = 7;
 
 /// `[kind][aux][len]` framing of every socket message.
 const MSG_HEADER_BYTES: usize = 17;
@@ -104,152 +117,11 @@ extern "C" {
     fn _exit(code: i32) -> !;
 }
 
-/// How worker processes come to exist.
-#[derive(Clone, Debug)]
-pub enum SpawnMode {
-    /// `fork()` without exec: the child runs [`run_rank_worker`] directly.
-    /// The right mode for library use and tests — nothing about the host
-    /// binary's CLI is assumed.
-    Fork,
-    /// Spawn `program [args…] --rank-worker --connect A --rank N --token T`.
-    /// The `simcov` CLI uses this with its own executable path.
-    Exec {
-        program: std::path::PathBuf,
-        args: Vec<String>,
-    },
-}
-
-/// One scheduled wire-level fault (distinct from the logical
-/// [`FaultPlan`](crate::fault::FaultPlan), whose events keep their exact
-/// in-process semantics and counters under this transport).
-#[derive(Clone, Debug)]
-pub struct WireFault {
-    /// Global superstep index the fault fires at.
-    pub superstep: u64,
-    /// Destination rank (interpreted modulo the current rank count).
-    pub rank: usize,
-    pub kind: WireFaultKind,
-}
-
-/// What strikes the wire.
-#[derive(Clone, Debug)]
-pub enum WireFaultKind {
-    /// SIGKILL the rank's worker process at the start of the barrier —
-    /// a *real* crash the parent only discovers through its sockets.
-    KillWorker,
-    /// XOR one seeded bit into the received inbox bytes. `sticky` garbles
-    /// every retry too, exhausting the budget into a typed integrity
-    /// failure; otherwise the first re-`FLUSH` heals it.
-    GarbleInbox { seed: u64, sticky: bool },
-    /// Discard the received inbox once, forcing a deadline-free retransmit.
-    DropInbox,
-    /// Make the worker sleep `stall_ns` before its next reply; longer than
-    /// the full deadline × retry budget, this classifies the peer as timed
-    /// out.
-    StallPeer { stall_ns: u64 },
-}
-
-/// Deterministic schedule of wire faults, consumed as supersteps pass.
-#[derive(Clone, Debug, Default)]
-pub struct WireFaultPlan {
-    events: Vec<WireFault>,
-}
-
-impl WireFaultPlan {
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, fault: WireFault) {
-        self.events.push(fault);
-    }
-
-    pub fn kill_worker(mut self, superstep: u64, rank: usize) -> Self {
-        self.events.push(WireFault {
-            superstep,
-            rank,
-            kind: WireFaultKind::KillWorker,
-        });
-        self
-    }
-
-    pub fn garble(mut self, superstep: u64, rank: usize, seed: u64, sticky: bool) -> Self {
-        self.events.push(WireFault {
-            superstep,
-            rank,
-            kind: WireFaultKind::GarbleInbox { seed, sticky },
-        });
-        self
-    }
-
-    pub fn drop_inbox(mut self, superstep: u64, rank: usize) -> Self {
-        self.events.push(WireFault {
-            superstep,
-            rank,
-            kind: WireFaultKind::DropInbox,
-        });
-        self
-    }
-
-    pub fn stall(mut self, superstep: u64, rank: usize, stall_ns: u64) -> Self {
-        self.events.push(WireFault {
-            superstep,
-            rank,
-            kind: WireFaultKind::StallPeer { stall_ns },
-        });
-        self
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    fn due_kills(&mut self, superstep: u64, n: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.events.retain(|ev| {
-            if ev.superstep == superstep && matches!(ev.kind, WireFaultKind::KillWorker) {
-                out.push(ev.rank % n);
-                false
-            } else {
-                true
-            }
-        });
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    fn due_for_peer(&mut self, superstep: u64, dst: usize, n: usize) -> PeerFaults {
-        let mut due = PeerFaults::default();
-        self.events.retain(|ev| {
-            if ev.superstep != superstep || ev.rank % n != dst {
-                return true;
-            }
-            match ev.kind {
-                WireFaultKind::GarbleInbox { seed, sticky } => due.garble = Some((seed, sticky)),
-                WireFaultKind::DropInbox => due.drop_once = true,
-                WireFaultKind::StallPeer { stall_ns } => due.stall_ns = Some(stall_ns),
-                WireFaultKind::KillWorker => return true, // handled up front
-            }
-            false
-        });
-        due
-    }
-}
-
-#[derive(Default)]
-struct PeerFaults {
-    garble: Option<(u64, bool)>,
-    drop_once: bool,
-    stall_ns: Option<u64>,
-}
-
 /// Socket/process tuning for the transport. Retry semantics deliberately
 /// mirror the driver's `RecoveryPolicy`: a bounded retry count with
 /// exponential backoff `base << (attempt - 1)`.
 #[derive(Clone, Debug)]
 pub struct ProcessTransportConfig {
-    pub spawn: SpawnMode,
     /// Per-connection read deadline (one `FLUSH` → `INBOX` wait).
     pub read_timeout_ns: u64,
     /// Per-connection write deadline.
@@ -260,33 +132,18 @@ pub struct ProcessTransportConfig {
     pub backoff_base_ns: u64,
     /// Worker handshake deadline at spawn/respawn.
     pub handshake_timeout_ns: u64,
-    /// Deterministic wire-fault schedule (empty by default).
-    pub wire_faults: WireFaultPlan,
 }
 
 impl ProcessTransportConfig {
-    /// Fork-mode defaults: 1 s deadlines, 8 retries, 1 ms backoff base —
-    /// the same retry/backoff shape as `RecoveryPolicy::default()`.
+    /// Forked workers with 1 s deadlines, 8 retries and a 1 ms backoff
+    /// base — the same retry/backoff shape as `RecoveryPolicy::default()`.
     pub fn forked() -> Self {
         ProcessTransportConfig {
-            spawn: SpawnMode::Fork,
             read_timeout_ns: 1_000_000_000,
             write_timeout_ns: 1_000_000_000,
             max_retries: 8,
             backoff_base_ns: 1_000_000,
             handshake_timeout_ns: 10_000_000_000,
-            wire_faults: WireFaultPlan::none(),
-        }
-    }
-
-    /// Exec-mode defaults over a worker program (usually `current_exe()`).
-    pub fn exec(program: std::path::PathBuf) -> Self {
-        ProcessTransportConfig {
-            spawn: SpawnMode::Exec {
-                program,
-                args: Vec::new(),
-            },
-            ..Self::forked()
         }
     }
 
@@ -299,11 +156,6 @@ impl ProcessTransportConfig {
     pub fn with_retry(mut self, max_retries: u32, backoff_base_ns: u64) -> Self {
         self.max_retries = max_retries;
         self.backoff_base_ns = backoff_base_ns;
-        self
-    }
-
-    pub fn with_wire_faults(mut self, plan: WireFaultPlan) -> Self {
-        self.wire_faults = plan;
         self
     }
 }
@@ -363,14 +215,16 @@ pub struct WireOutcome {
 pub trait ExchangeTransport<M>: Send {
     /// Ship every non-empty outbox bucket to its destination worker and
     /// read back what the workers actually hold, replacing the buckets with
-    /// the round-tripped contents. Never fails outright: per-peer faults
-    /// are classified in the returned [`WireOutcome`].
-    fn round_trip(&mut self, superstep: u64, outboxes: &mut [Outbox<M>]) -> WireOutcome;
-
-    /// SIGKILL a rank's worker (the logical `RankDeath` fault becomes a
-    /// real crash under this transport). Returns whether a live worker was
-    /// there to kill.
-    fn kill_rank(&mut self, rank: usize) -> bool;
+    /// the round-tripped contents. `due` is the superstep's fault events
+    /// from the run's plan; the wire ones strike here (see the module
+    /// docs). Never fails outright: per-peer faults are classified in the
+    /// returned [`WireOutcome`].
+    fn round_trip(
+        &mut self,
+        superstep: u64,
+        outboxes: &mut [Outbox<M>],
+        due: &[FaultEvent],
+    ) -> WireOutcome;
 
     /// Replace the worker set for a rebuilt domain of `n_ranks`. Returning
     /// `false` means the transport could not re-establish itself; the
@@ -381,33 +235,29 @@ pub trait ExchangeTransport<M>: Send {
     fn counters(&self) -> TransportCounters;
 }
 
-enum WorkerPid {
-    Forked(i32),
-    Spawned(std::process::Child),
-    Reaped,
-}
-
 struct Worker {
-    pid: WorkerPid,
+    /// The forked process; `None` once it has been SIGKILLed and reaped.
+    pid: Option<i32>,
     stream: Option<TcpStream>,
 }
 
 impl Worker {
-    /// SIGKILL and reap. Idempotent; drops the stream so subsequent I/O
-    /// classifies the peer as closed.
+    /// SIGKILL and reap. Idempotent. The parent's end of the socket stays
+    /// open, so the next exchange discovers the crash as a closed peer.
     fn kill(&mut self) {
-        match std::mem::replace(&mut self.pid, WorkerPid::Reaped) {
-            WorkerPid::Forked(pid) => unsafe {
-                kill(pid, SIGKILL);
-                waitpid(pid, std::ptr::null_mut(), 0);
-            },
-            WorkerPid::Spawned(mut child) => {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            WorkerPid::Reaped => {}
+        if let Some(pid) = self.pid.take() {
+            sigkill(pid);
         }
-        self.stream = None;
+    }
+}
+
+/// SIGKILL and reap a forked worker that has not been reaped yet.
+fn sigkill(pid: i32) {
+    // SAFETY: plain syscalls on a child pid this transport forked; callers
+    // reap each pid once, so it cannot name a recycled process.
+    unsafe {
+        kill(pid, SIGKILL);
+        waitpid(pid, std::ptr::null_mut(), 0);
     }
 }
 
@@ -564,13 +414,7 @@ impl<M: WireCodec> ProcessTransport<M> {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
-                        for pid in &mut pids {
-                            Worker {
-                                pid: std::mem::replace(pid, WorkerPid::Reaped),
-                                stream: None,
-                            }
-                            .kill();
-                        }
+                        pids.into_iter().for_each(sigkill);
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
                             format!("worker handshake: {accepted}/{n} ranks reported in time"),
@@ -585,52 +429,36 @@ impl<M: WireCodec> ProcessTransport<M> {
         self.workers = pids
             .into_iter()
             .zip(streams)
-            .map(|(pid, stream)| Worker { pid, stream })
+            .map(|(pid, stream)| Worker {
+                pid: Some(pid),
+                stream,
+            })
             .collect();
         self.n_ranks = n;
         self.counters.per_peer = (0..n).map(WireStats::new).collect();
         Ok(())
     }
 
-    fn spawn_one(&self, rank: usize) -> io::Result<WorkerPid> {
-        match &self.cfg.spawn {
-            SpawnMode::Fork => {
-                let pid = unsafe { fork() };
-                if pid < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                if pid == 0 {
-                    // Child. Run the worker loop and leave via _exit so no
-                    // parent-side destructors or test harness code runs in
-                    // this process, whatever happens — including a panic.
-                    let addr = self.addr.clone();
-                    let token = self.token;
-                    let code = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_rank_worker(&addr, rank, token)
-                    }))
-                    .map(|r| if r.is_ok() { 0 } else { 1 })
-                    .unwrap_or(2);
-                    unsafe { _exit(code) }
-                }
-                Ok(WorkerPid::Forked(pid))
-            }
-            SpawnMode::Exec { program, args } => {
-                let child = std::process::Command::new(program)
-                    .args(args)
-                    .arg("--rank-worker")
-                    .arg("--connect")
-                    .arg(&self.addr)
-                    .arg("--rank")
-                    .arg(rank.to_string())
-                    .arg("--token")
-                    .arg(self.token.to_string())
-                    .stdin(std::process::Stdio::null())
-                    .stdout(std::process::Stdio::null())
-                    .stderr(std::process::Stdio::null())
-                    .spawn()?;
-                Ok(WorkerPid::Spawned(child))
-            }
+    fn spawn_one(&self, rank: usize) -> io::Result<i32> {
+        // SAFETY: the child only runs the worker loop over its own copies of
+        // the parent's memory and then `_exit`s; it never returns here.
+        let pid = unsafe { fork() };
+        if pid < 0 {
+            return Err(io::Error::last_os_error());
         }
+        if pid == 0 {
+            // Child. Run the worker loop and leave via _exit so no
+            // parent-side destructors or test harness code runs in this
+            // process, whatever happens — including a panic.
+            let code = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_rank_worker(&self.addr, rank, self.token)
+            }))
+            .map(|r| if r.is_ok() { 0 } else { 1 })
+            .unwrap_or(2);
+            // SAFETY: `_exit` ends the child without running destructors.
+            unsafe { _exit(code) }
+        }
+        Ok(pid)
     }
 
     fn peer_stat(&mut self, dst: usize) -> &mut WireStats {
@@ -724,15 +552,20 @@ impl<M: WireCodec> ProcessTransport<M> {
 }
 
 impl<M: WireCodec> ExchangeTransport<M> for ProcessTransport<M> {
-    fn round_trip(&mut self, superstep: u64, outboxes: &mut [Outbox<M>]) -> WireOutcome {
+    fn round_trip(
+        &mut self,
+        superstep: u64,
+        outboxes: &mut [Outbox<M>],
+        due: &[FaultEvent],
+    ) -> WireOutcome {
         let n = self.n_ranks;
         debug_assert_eq!(outboxes.len(), n, "one outbox per rank");
         let mut outcome = WireOutcome::default();
 
-        // Scheduled worker kills first: a crash "just before the barrier".
-        let mut plan = std::mem::take(&mut self.cfg.wire_faults);
-        for rank in plan.due_kills(superstep, n) {
-            self.kill_rank(rank);
+        // Scheduled rank deaths first: a real crash "just before the
+        // barrier", found below through the dead worker's socket.
+        for ev in due.iter().filter(|ev| ev.kind == FaultKind::RankDeath) {
+            self.workers[ev.rank % n].kill();
         }
 
         // BEGIN: workers drop frames retained from the previous superstep.
@@ -764,10 +597,17 @@ impl<M: WireCodec> ExchangeTransport<M> for ProcessTransport<M> {
             if self.workers[dst].stream.is_none() {
                 continue;
             }
-            let faults = plan.due_for_peer(superstep, dst, n);
-            let mut drop_once = faults.drop_once;
-            let mut garble_pending = faults.garble.is_some();
-            if let Some(ns) = faults.stall_ns {
+            let (mut stall_ns, mut garble, mut drop_once) = (None, None, false);
+            for ev in due.iter().filter(|ev| ev.rank % n == dst) {
+                match ev.kind {
+                    FaultKind::SlowRank { stall_ns: ns } => stall_ns = Some(ns),
+                    FaultKind::InboxGarble { seed, sticky } => garble = Some((seed, sticky)),
+                    FaultKind::InboxDrop => drop_once = true,
+                    _ => {}
+                }
+            }
+            let mut garble_pending = garble.is_some();
+            if let Some(ns) = stall_ns {
                 if !self.send_to(dst, MSG_STALL, ns, &[]) {
                     continue;
                 }
@@ -807,7 +647,7 @@ impl<M: WireCodec> ExchangeTransport<M> for ProcessTransport<M> {
                             self.timeout_peer(dst);
                             break;
                         }
-                        if let Some((seed, sticky)) = faults.garble {
+                        if let Some((seed, sticky)) = garble {
                             if (sticky || garble_pending) && !body.is_empty() {
                                 garble_pending = false;
                                 let bit = seed % (body.len() as u64 * 8);
@@ -861,7 +701,6 @@ impl<M: WireCodec> ExchangeTransport<M> for ProcessTransport<M> {
                 }
             }
         }
-        self.cfg.wire_faults = plan;
 
         for (rank, w) in self.workers.iter().enumerate() {
             if w.stream.is_none() && !outcome.unhealed_garbled.contains(&rank) {
@@ -871,21 +710,6 @@ impl<M: WireCodec> ExchangeTransport<M> for ProcessTransport<M> {
         outcome.dead_peers.sort_unstable();
         outcome.unhealed_garbled.sort_unstable();
         outcome
-    }
-
-    fn kill_rank(&mut self, rank: usize) -> bool {
-        if rank >= self.workers.len() {
-            return false;
-        }
-        let had = matches!(
-            self.workers[rank].pid,
-            WorkerPid::Forked(_) | WorkerPid::Spawned(_)
-        );
-        self.workers[rank].kill();
-        if had {
-            self.peer_stat(rank).alive = false;
-        }
-        had
     }
 
     fn rebuilt(&mut self, n_ranks: usize) -> bool {
@@ -913,22 +737,17 @@ impl<M: WireCodec> ExchangeTransport<M> for ProcessTransport<M> {
 
 impl<M> Drop for ProcessTransport<M> {
     fn drop(&mut self) {
-        // SIGKILL rather than a cooperative EXIT: a worker wedged writing
-        // an INBOX nobody will read would block a graceful wait forever,
-        // and the workers hold nothing durable.
+        // SIGKILL: see the module docs on teardown.
         for w in &mut self.workers {
             w.kill();
         }
     }
 }
 
-/// The worker process entry point: connect back to the parent, identify
-/// (`HELLO` with the session token), then serve the frame-holder protocol
-/// until `EXIT`, a protocol violation, or the parent's disappearance.
-///
-/// Exposed publicly so a host binary can implement
-/// `--rank-worker --connect A --rank N --token T` (the `simcov` CLI does).
-pub fn run_rank_worker(connect: &str, rank: usize, token: u64) -> io::Result<()> {
+/// The forked worker's body: connect back to the parent, identify (`HELLO`
+/// with the session token), then serve the frame-holder protocol until a
+/// protocol violation, the parent's disappearance, or SIGKILL.
+fn run_rank_worker(connect: &str, rank: usize, token: u64) -> io::Result<()> {
     let mut stream = TcpStream::connect(connect)?;
     stream.set_nodelay(true)?;
     write_msg(&mut stream, MSG_HELLO, rank as u64, &token.to_le_bytes())?;
@@ -963,7 +782,6 @@ pub fn run_rank_worker(connect: &str, rank: usize, token: u64) -> io::Result<()>
                 }
                 write_msg(&mut stream, MSG_INBOX, aux, &out)?;
             }
-            MSG_EXIT => return Ok(()),
             _ => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -999,6 +817,15 @@ mod tests {
             .with_retry(3, 100_000)
     }
 
+    /// One due event at superstep 0.
+    fn due(rank: usize, kind: FaultKind) -> [FaultEvent; 1] {
+        [FaultEvent {
+            superstep: 0,
+            rank,
+            kind,
+        }]
+    }
+
     #[test]
     fn healthy_round_trip_is_lossless_and_bit_identical() {
         let n = 4;
@@ -1007,7 +834,7 @@ mod tests {
         let reference = staged(n);
         let mut obs = staged(n);
         for superstep in 0..3u64 {
-            let outcome = t.round_trip(superstep, &mut obs);
+            let outcome = t.round_trip(superstep, &mut obs, &[]);
             assert!(outcome.dead_peers.is_empty(), "{outcome:?}");
             assert!(outcome.unhealed_garbled.is_empty());
         }
@@ -1034,36 +861,30 @@ mod tests {
         let n = 3;
         let mut t: ProcessTransport<u64> =
             ProcessTransport::spawn(n, fast_cfg()).expect("spawn workers");
-        assert!(t.kill_rank(1), "worker 1 was alive");
         let mut obs = staged(n);
-        let outcome = t.round_trip(0, &mut obs);
+        // Rank 4 is rank 1 of a 3-rank domain.
+        let outcome = t.round_trip(0, &mut obs, &due(4, FaultKind::RankDeath));
         assert_eq!(outcome.dead_peers, vec![1]);
         assert!(outcome.unhealed_garbled.is_empty());
         // Survivors still round-tripped cleanly.
         assert_eq!(obs[0].bucket(2), staged(n)[0].bucket(2));
-        assert!(!t.counters().per_peer[1].alive, "peer 1 marked down");
-    }
-
-    #[test]
-    fn scheduled_kill_is_discovered_at_the_barrier() {
-        let n = 3;
-        let cfg = fast_cfg().with_wire_faults(WireFaultPlan::none().kill_worker(1, 2));
-        let mut t: ProcessTransport<u64> = ProcessTransport::spawn(n, cfg).expect("spawn workers");
-        let mut obs = staged(n);
-        assert!(t.round_trip(0, &mut obs).dead_peers.is_empty());
-        let mut obs = staged(n);
-        let outcome = t.round_trip(1, &mut obs);
-        assert_eq!(outcome.dead_peers, vec![2]);
+        let c = t.counters();
+        assert!(!c.per_peer[1].alive, "peer 1 marked down");
+        assert_eq!(c.peers_closed, 1, "the socket saw the crash");
     }
 
     #[test]
     fn garbled_inbox_heals_by_retransmit() {
         let n = 2;
-        let cfg = fast_cfg().with_wire_faults(WireFaultPlan::none().garble(0, 1, 0xBEEF, false));
-        let mut t: ProcessTransport<u64> = ProcessTransport::spawn(n, cfg).expect("spawn workers");
+        let mut t: ProcessTransport<u64> =
+            ProcessTransport::spawn(n, fast_cfg()).expect("spawn workers");
         let reference = staged(n);
         let mut obs = staged(n);
-        let outcome = t.round_trip(0, &mut obs);
+        let garble = FaultKind::InboxGarble {
+            seed: 0xBEEF,
+            sticky: false,
+        };
+        let outcome = t.round_trip(0, &mut obs, &due(1, garble));
         assert!(outcome.dead_peers.is_empty(), "{outcome:?}");
         assert!(outcome.unhealed_garbled.is_empty());
         assert_eq!(obs[0].bucket(1), reference[0].bucket(1), "healed delivery");
@@ -1076,12 +897,14 @@ mod tests {
     #[test]
     fn sticky_garble_exhausts_budget_into_unhealed() {
         let n = 2;
-        let cfg = fast_cfg()
-            .with_retry(2, 50_000)
-            .with_wire_faults(WireFaultPlan::none().garble(0, 1, 0x1CE, true));
+        let cfg = fast_cfg().with_retry(2, 50_000);
         let mut t: ProcessTransport<u64> = ProcessTransport::spawn(n, cfg).expect("spawn workers");
         let mut obs = staged(n);
-        let outcome = t.round_trip(0, &mut obs);
+        let garble = FaultKind::InboxGarble {
+            seed: 0x1CE,
+            sticky: true,
+        };
+        let outcome = t.round_trip(0, &mut obs, &due(1, garble));
         assert_eq!(outcome.unhealed_garbled, vec![1]);
         assert!(!outcome.dead_peers.contains(&1), "garbage is not death");
     }
@@ -1089,11 +912,11 @@ mod tests {
     #[test]
     fn dropped_inbox_heals_by_retransmit() {
         let n = 2;
-        let cfg = fast_cfg().with_wire_faults(WireFaultPlan::none().drop_inbox(0, 0));
-        let mut t: ProcessTransport<u64> = ProcessTransport::spawn(n, cfg).expect("spawn workers");
+        let mut t: ProcessTransport<u64> =
+            ProcessTransport::spawn(n, fast_cfg()).expect("spawn workers");
         let reference = staged(n);
         let mut obs = staged(n);
-        let outcome = t.round_trip(0, &mut obs);
+        let outcome = t.round_trip(0, &mut obs, &due(0, FaultKind::InboxDrop));
         assert!(outcome.dead_peers.is_empty());
         assert_eq!(obs[1].bucket(0), reference[1].bucket(0));
         assert!(t.counters().wire_retransmits >= 1);
@@ -1105,11 +928,13 @@ mod tests {
         // 30 ms deadline, 1 retry: a 500 ms stall cannot be survived.
         let cfg = ProcessTransportConfig::forked()
             .with_deadlines(30_000_000, 500_000_000)
-            .with_retry(1, 100_000)
-            .with_wire_faults(WireFaultPlan::none().stall(0, 1, 500_000_000));
+            .with_retry(1, 100_000);
         let mut t: ProcessTransport<u64> = ProcessTransport::spawn(n, cfg).expect("spawn workers");
         let mut obs = staged(n);
-        let outcome = t.round_trip(0, &mut obs);
+        let stall = FaultKind::SlowRank {
+            stall_ns: 500_000_000,
+        };
+        let outcome = t.round_trip(0, &mut obs, &due(1, stall));
         assert_eq!(outcome.dead_peers, vec![1]);
         assert!(t.counters().peers_timed_out >= 1);
         assert!(t.counters().deadline_retries >= 1);
@@ -1121,12 +946,14 @@ mod tests {
         // 40 ms deadline, 6 retries: a 100 ms stall heals through retries.
         let cfg = ProcessTransportConfig::forked()
             .with_deadlines(40_000_000, 500_000_000)
-            .with_retry(6, 100_000)
-            .with_wire_faults(WireFaultPlan::none().stall(0, 1, 100_000_000));
+            .with_retry(6, 100_000);
         let mut t: ProcessTransport<u64> = ProcessTransport::spawn(n, cfg).expect("spawn workers");
         let reference = staged(n);
         let mut obs = staged(n);
-        let outcome = t.round_trip(0, &mut obs);
+        let stall = FaultKind::SlowRank {
+            stall_ns: 100_000_000,
+        };
+        let outcome = t.round_trip(0, &mut obs, &due(1, stall));
         assert!(outcome.dead_peers.is_empty(), "{outcome:?}");
         assert_eq!(obs[0].bucket(1), reference[0].bucket(1));
         assert!(t.counters().deadline_retries >= 1);
@@ -1137,11 +964,13 @@ mod tests {
         let n = 4;
         let mut t: ProcessTransport<u64> =
             ProcessTransport::spawn(n, fast_cfg()).expect("spawn workers");
-        t.kill_rank(3);
+        let mut obs = staged(n);
+        let outcome = t.round_trip(0, &mut obs, &due(3, FaultKind::RankDeath));
+        assert_eq!(outcome.dead_peers, vec![3]);
         assert!(t.rebuilt(3), "respawn over survivors");
         let reference = staged(3);
         let mut obs = staged(3);
-        let outcome = t.round_trip(7, &mut obs);
+        let outcome = t.round_trip(7, &mut obs, &[]);
         assert!(outcome.dead_peers.is_empty(), "{outcome:?}");
         for src in 0..3 {
             for dst in 0..3 {

@@ -142,14 +142,19 @@ for exec in cpu gpu; do
     fi
     echo "process transport OK ($exec): socket CSV identical to in-process"
 done
-timeout 180 cargo run --release -q -p simcov-bench --bin simcov -- target/verify_sdc.config \
-    --executor cpu --units 4 --transport process --wire-kill 30:1 \
-    --out-csv target/verify_pt_killed.csv 2>/dev/null >/dev/null
-if ! cmp -s target/verify_pt_cpu_inproc.csv target/verify_pt_killed.csv; then
-    echo "kill-and-recover run diverged from the failure-free run"
-    exit 1
-fi
-echo "process transport OK (kill-and-recover): recovered CSV identical to failure-free"
+# `--wire-kill` is one rank death in the run's fault plan: a real SIGKILL
+# of the worker over sockets, a logical death in-process. Both recover to
+# the failure-free bytes.
+for transport in process inproc; do
+    timeout 180 cargo run --release -q -p simcov-bench --bin simcov -- target/verify_sdc.config \
+        --executor cpu --units 4 --transport "$transport" --wire-kill 30:1 \
+        --out-csv "target/verify_pt_killed_${transport}.csv" 2>/dev/null >/dev/null
+    if ! cmp -s target/verify_pt_cpu_inproc.csv "target/verify_pt_killed_${transport}.csv"; then
+        echo "kill-and-recover run ($transport) diverged from the failure-free run"
+        exit 1
+    fi
+    echo "process transport OK (kill-and-recover, $transport): recovered CSV identical to failure-free"
+done
 
 # Telemetry smoke: both exporters on a 32x32 run, per executor. The Chrome
 # trace must parse and nest (>= 4 span levels on the GPU executor: step ->

@@ -13,11 +13,11 @@
 //!    escalated through the recovery ladder, and the recovered trajectory
 //!    is bitwise identical to the failure-free run.
 //!
-//! Workers are forked (not exec'd — the CLI covers that spawn mode), so a
-//! `KillWorker` fault is a real `SIGKILL(2)` of a real process and a
-//! "closed socket" is a real EOF, not a simulated flag.
+//! Workers are forked, so a `RankDeath` fault is a real `SIGKILL(2)` of a
+//! real process and a "closed socket" is a real EOF, not a simulated flag.
+//! Every fault, wire or logical, is one event of the run's `FaultPlan`.
 
-use simcov_repro::pgas::{ProcessTransportConfig, TransportMode, WireFaultPlan};
+use simcov_repro::pgas::{FaultEvent, FaultKind, FaultPlan, ProcessTransportConfig, TransportMode};
 use simcov_repro::simcov_core::grid::GridDims;
 use simcov_repro::simcov_core::params::SimParams;
 use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
@@ -30,8 +30,17 @@ fn params(seed: u64) -> SimParams {
 
 /// Forked workers with deadlines short enough that a stall test finishes
 /// quickly but long enough that a loaded CI machine never trips them.
-fn transport(faults: WireFaultPlan) -> TransportMode {
-    TransportMode::Process(ProcessTransportConfig::forked().with_wire_faults(faults))
+fn transport() -> TransportMode {
+    TransportMode::Process(ProcessTransportConfig::forked())
+}
+
+/// A plan of one fault: `kind` strikes `rank` at `superstep`.
+fn one_fault(superstep: u64, rank: usize, kind: FaultKind) -> FaultPlan {
+    FaultPlan::from_events(vec![FaultEvent {
+        superstep,
+        rank,
+        kind,
+    }])
 }
 
 fn recovery() -> RecoveryPolicy {
@@ -46,7 +55,7 @@ fn healthy_socket_run_is_bitwise_identical_to_in_process_cpu() {
     let mut inproc = CpuSim::new(CpuSimConfig::new(params(11), 4)).expect("valid config");
     inproc.run().expect("healthy run");
 
-    let cfg = CpuSimConfig::new(params(11), 4).with_transport(transport(WireFaultPlan::none()));
+    let cfg = CpuSimConfig::new(params(11), 4).with_transport(transport());
     let mut socketed = CpuSim::new(cfg).expect("transport spawns");
     socketed.run().expect("healthy socket run");
 
@@ -65,6 +74,12 @@ fn healthy_socket_run_is_bitwise_identical_to_in_process_cpu() {
     let wire = socketed.transport_counters().expect("transport attached");
     assert!(wire.frames_sent > 0, "frames crossed the wire");
     assert_eq!(wire.frames_received, wire.frames_sent, "lossless exchange");
+    // The exact bytes on the wire, pinned so a protocol edit cannot move
+    // them unnoticed.
+    assert_eq!(
+        (wire.frames_sent, wire.bytes_sent, wire.bytes_received),
+        (992, 304_297, 291_049)
+    );
     assert_eq!(wire.wire_retransmits, 0);
     assert_eq!(wire.peers_closed + wire.peers_timed_out, 0);
 }
@@ -74,7 +89,7 @@ fn healthy_socket_run_is_bitwise_identical_to_in_process_gpu() {
     let mut inproc = GpuSim::new(GpuSimConfig::new(params(13), 4)).expect("valid config");
     inproc.run().expect("healthy run");
 
-    let cfg = GpuSimConfig::new(params(13), 4).with_transport(transport(WireFaultPlan::none()));
+    let cfg = GpuSimConfig::new(params(13), 4).with_transport(transport());
     let mut socketed = GpuSim::new(cfg).expect("transport spawns");
     socketed.run().expect("healthy socket run");
 
@@ -90,6 +105,10 @@ fn healthy_socket_run_is_bitwise_identical_to_in_process_gpu() {
     let wire = socketed.transport_counters().expect("transport attached");
     assert!(wire.frames_sent > 0);
     assert_eq!(wire.frames_received, wire.frames_sent);
+    assert_eq!(
+        (wire.frames_sent, wire.bytes_sent, wire.bytes_received),
+        (960, 194_920, 183_400)
+    );
 }
 
 /// A worker SIGKILLed mid-run: the barrier sees the closed socket, the
@@ -103,7 +122,8 @@ fn sigkilled_worker_recovers_bitwise_identical_cpu() {
 
     // CPU: 3 supersteps per step — superstep 30 is mid step 10.
     let cfg = CpuSimConfig::new(params(17), 4)
-        .with_transport(transport(WireFaultPlan::none().kill_worker(30, 1)))
+        .with_transport(transport())
+        .with_fault_plan(one_fault(30, 1, FaultKind::RankDeath))
         .with_recovery(recovery());
     let mut faulty = CpuSim::new(cfg).expect("transport spawns");
     faulty.run().expect("recovery must absorb the crash");
@@ -115,6 +135,7 @@ fn sigkilled_worker_recovers_bitwise_identical_cpu() {
     let wire = faulty.transport_counters().expect("transport attached");
     assert!(wire.workers_respawned >= 3, "survivor workers respawned");
     assert_eq!(wire.degraded, 0, "never fell back to in-process");
+    assert!(wire.peers_closed >= 1, "the socket saw the crash");
 
     assert_eq!(clean.history(), faulty.history(), "time series diverged");
     assert!(
@@ -133,13 +154,16 @@ fn sigkilled_worker_recovers_bitwise_identical_gpu() {
     clean.run().expect("no faults");
 
     let cfg = GpuSimConfig::new(params(19), 4)
-        .with_transport(transport(WireFaultPlan::none().kill_worker(20, 2)))
+        .with_transport(transport())
+        .with_fault_plan(one_fault(20, 2, FaultKind::RankDeath))
         .with_recovery(recovery());
     let mut faulty = GpuSim::new(cfg).expect("transport spawns");
     faulty.run().expect("recovery must absorb the crash");
 
     assert_eq!(faulty.recovery_log().len(), 1);
     assert_eq!(faulty.n_units(), 3);
+    let wire = faulty.transport_counters().expect("transport attached");
+    assert!(wire.peers_closed >= 1, "the socket saw the crash");
     assert_eq!(clean.history(), faulty.history(), "time series diverged");
     assert!(
         clean
@@ -159,7 +183,15 @@ fn garbled_frame_heals_in_barrier_without_recovery() {
     clean.run().expect("no faults");
 
     let cfg = CpuSimConfig::new(params(23), 4)
-        .with_transport(transport(WireFaultPlan::none().garble(31, 2, 77, false)));
+        .with_transport(transport())
+        .with_fault_plan(one_fault(
+            31,
+            2,
+            FaultKind::InboxGarble {
+                seed: 77,
+                sticky: false,
+            },
+        ));
     let mut healed = CpuSim::new(cfg).expect("transport spawns");
     healed.run().expect("garble heals in-barrier");
 
@@ -178,7 +210,8 @@ fn dropped_inbox_heals_in_barrier_without_recovery() {
     clean.run().expect("no faults");
 
     let cfg = CpuSimConfig::new(params(29), 4)
-        .with_transport(transport(WireFaultPlan::none().drop_inbox(40, 0)));
+        .with_transport(transport())
+        .with_fault_plan(one_fault(40, 0, FaultKind::InboxDrop));
     let mut healed = CpuSim::new(cfg).expect("transport spawns");
     healed.run().expect("drop heals in-barrier");
 
@@ -200,10 +233,13 @@ fn stalled_peer_past_deadline_recovers_bitwise_identical() {
     // inside the budget and must classify as timed out.
     let tcfg = ProcessTransportConfig::forked()
         .with_deadlines(60_000_000, 1_000_000_000)
-        .with_retry(2, 1_000_000)
-        .with_wire_faults(WireFaultPlan::none().stall(33, 3, 1_000_000_000));
+        .with_retry(2, 1_000_000);
+    let stall = FaultKind::SlowRank {
+        stall_ns: 1_000_000_000,
+    };
     let cfg = CpuSimConfig::new(params(31), 4)
         .with_transport(TransportMode::Process(tcfg))
+        .with_fault_plan(one_fault(33, 3, stall))
         .with_recovery(recovery());
     let mut faulty = CpuSim::new(cfg).expect("transport spawns");
     faulty.run().expect("recovery must absorb the timeout");
