@@ -15,7 +15,7 @@
 //! bound is broken.
 
 use pgas::{Mailboxes, Outbox, WorkPool};
-use simcov_bench::cli::{write_or_die, CommonFlags};
+use simcov_bench::cli::{die_unknown, expect_value, write_or_die};
 use simcov_bench::json::write_json;
 use simcov_bench::microbench::{Bench, BenchResult};
 use simcov_core::decomp::{Partition, Strategy};
@@ -427,11 +427,23 @@ fn ratio(results: &[BenchResult], c: &Check) -> f64 {
 }
 
 fn main() {
-    let flags = CommonFlags::parse("usage: perf_gate [--json PATH] [--smoke] [--metrics-out PATH]");
+    let (mut json, mut smoke, mut metrics_out) = (None, false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--json" => json = Some(expect_value(&a, args.next())),
+            "--smoke" => smoke = true,
+            "--metrics-out" => metrics_out = Some(expect_value(&a, args.next())),
+            _ => die_unknown(
+                &a,
+                "usage: perf_gate [--json PATH] [--smoke] [--metrics-out PATH]",
+            ),
+        }
+    }
     // One shared telemetry instance for the instrumented side of the
     // overhead pair; its registry also backs `--metrics-out`.
     let tel = Telemetry::enabled(3, 1 << 14);
-    let results = run_benches(flags.smoke, &tel);
+    let results = run_benches(smoke, &tel);
 
     let mut failures = Vec::new();
     let mut ratios = Vec::new();
@@ -449,9 +461,9 @@ fn main() {
         ratios.push((c.name, r));
     }
 
-    if let Some(path) = &flags.json {
+    if let Some(path) = &json {
         let mut doc = Json::obj([("suite", Json::from("perf_gate"))]);
-        doc.push("mode", if flags.smoke { "smoke" } else { "full" });
+        doc.push("mode", if smoke { "smoke" } else { "full" });
         doc.push(
             "kernels",
             Json::Arr(results.iter().map(BenchResult::to_json).collect()),
@@ -468,7 +480,7 @@ fn main() {
         write_json(path, &doc);
     }
 
-    if let Some(path) = &flags.metrics_out {
+    if let Some(path) = &metrics_out {
         let reg = tel.registry().expect("tel is enabled");
         for r in &results {
             reg.gauge_with(

@@ -1,11 +1,14 @@
 //! The reproduction suite: every table and figure of the paper's evaluation,
 //! or the sections named on the command line.
 //!
-//! `repro_all` runs everything in order (Fig 5 and Table 2 as two views of one
-//! set of §4.1 trials) and writes the composite artifact `BENCH_results.json`;
-//! `repro_all fig6` (any of [`SECTIONS`]) prints that one report and writes
-//! JSON only where `--json <path>` points. `SIMCOV_SCALE` / `SIMCOV_TRIALS`
-//! control fidelity vs. runtime. `--metrics-out <path>` additionally writes the
+//! `repro_all` runs the paper suite in order (Fig 5 and Table 2 as two views
+//! of one set of §4.1 trials) and writes the composite artifact
+//! `BENCH_results.json`; `repro_all fig6` (any of [`SECTIONS`]) prints that
+//! one report and writes JSON only where `--json <path>` points. Four
+//! sections run only when named: `fault_sweep`, `sdc_sweep`,
+//! `ablation_tiles` and `ablation_decomp` (`simcov_bench::sweeps`).
+//! `SIMCOV_SCALE` / `SIMCOV_TRIALS` control fidelity vs. runtime of the
+//! paper sections. `--metrics-out <path>` additionally writes the
 //! per-section wall-clock gauges (and anything the experiments put in the
 //! global registry) as Prometheus text exposition.
 //!
@@ -14,22 +17,36 @@
 //! real seconds are deliberately both present so a regression in either is
 //! visible.
 
-use simcov_bench::cli::{die_unknown, write_or_die, CommonFlags};
+use simcov_bench::cli::{die_unknown, expect_value, write_or_die};
 use simcov_bench::configs::{scale_from_env, trials_from_env};
 use simcov_bench::experiments::{
     correctness_trials, fig4, fig5_panels, fig5_to_json, fig6, fig7, fig8, render_fig5,
     render_table1, render_table2, table1_to_json, table2_rows, table2_to_json,
 };
 use simcov_bench::json::write_json;
+use simcov_bench::sweeps::{ablation_decomp, ablation_tiles, fault_sweep, sdc_sweep};
 use simcov_core::json::Json;
 use simcov_telemetry::{prometheus, Registry};
 use std::time::Instant;
 
-const SECTIONS: [&str; 7] = ["table1", "fig4", "fig5", "table2", "fig6", "fig7", "fig8"];
+const SECTIONS: [&str; 11] = [
+    "table1",
+    "fig4",
+    "fig5",
+    "table2",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fault_sweep",
+    "sdc_sweep",
+    "ablation_tiles",
+    "ablation_decomp",
+];
 /// What no argument runs.
 const SUITE: [&str; 6] = ["table1", "fig4", "fig5_and_table2", "fig6", "fig7", "fig8"];
-const USAGE: &str = "usage: repro_all [table1|fig4|fig5|table2|fig6|fig7|fig8]... \
-                     [--json PATH] [--metrics-out PATH]";
+const USAGE: &str = "usage: repro_all [SECTION]... [--json PATH] [--metrics-out PATH]\n\
+                     sections: table1 fig4 fig5 table2 fig6 fig7 fig8 \
+                     fault_sweep sdc_sweep ablation_tiles ablation_decomp";
 
 /// One section's text report and JSON record. On their own, Fig 5 and Table 2
 /// keep the seed bases they have always been published with.
@@ -70,6 +87,10 @@ fn run_section(name: &str, scale: u32, trials: usize) -> (String, Json) {
             let r = fig8(scale);
             (r.render(), r.to_json())
         }
+        "fault_sweep" => fault_sweep(),
+        "sdc_sweep" => sdc_sweep(),
+        "ablation_tiles" => ablation_tiles(),
+        "ablation_decomp" => ablation_decomp(),
         other => unreachable!("main admits only SECTIONS and SUITE names, not {other}"),
     }
 }
@@ -77,15 +98,21 @@ fn run_section(name: &str, scale: u32, trials: usize) -> (String, Json) {
 fn main() {
     let scale = scale_from_env();
     let trials = trials_from_env();
-    let (flags, named) = CommonFlags::parse_with_rest();
-    if let Some(bad) = named.iter().find(|n| !SECTIONS.contains(&n.as_str())) {
-        die_unknown(bad, USAGE);
+    let (mut json_path, mut metrics_out, mut named) = (None, None, Vec::new());
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--json" => json_path = Some(expect_value(&a, args.next())),
+            "--metrics-out" => metrics_out = Some(expect_value(&a, args.next())),
+            s if SECTIONS.contains(&s) => named.push(a),
+            _ => die_unknown(&a, USAGE),
+        }
     }
-    let (sections, json_path): (Vec<&str>, _) = if named.is_empty() {
-        let path = flags.json.unwrap_or_else(|| "BENCH_results.json".into());
-        (SUITE.to_vec(), Some(path))
+    let sections: Vec<&str> = if named.is_empty() {
+        json_path.get_or_insert_with(|| "BENCH_results.json".into());
+        SUITE.to_vec()
     } else {
-        (named.iter().map(String::as_str).collect(), flags.json)
+        named.iter().map(String::as_str).collect()
     };
     let suite_t0 = Instant::now();
 
@@ -119,7 +146,7 @@ fn main() {
         write_json(&path, &doc);
     }
 
-    if let Some(mpath) = flags.metrics_out {
+    if let Some(mpath) = metrics_out {
         let reg = Registry::global();
         reg.gauge(
             "repro_total_wall_seconds",

@@ -40,7 +40,7 @@
 
 use gpusim::{KernelCategory, SharedSink, StepRecord};
 use pgas::{FaultEvent, FaultKind, FaultPlan, ProcessTransportConfig, TransportMode};
-use simcov_bench::cli::{die, expect_value, or_die, parse_value, write_or_die, CommonFlags};
+use simcov_bench::cli::{die, die_unknown, expect_value, or_die, parse_value, write_or_die};
 use simcov_bench::json::write_json;
 use simcov_core::config::parse_config;
 use simcov_core::json::Json;
@@ -71,16 +71,16 @@ struct Args {
     wire_kill: Option<(u64, usize)>,
 }
 
+const USAGE: &str = "usage: simcov <config-file> [--executor serial|cpu|gpu] [--units N]\n\
+                     \t[--out-csv FILE] [--frames DIR] [--n-frames K]\n\
+                     \t[--variant unoptimized|fast-reduction|memory-tiling|combined]\n\
+                     \t[--json FILE] [--persist FILE] [--persist-every K]\n\
+                     \t[--resume FILE] [--halt-after N]\n\
+                     \t[--trace-out FILE] [--metrics-out FILE]\n\
+                     \t[--transport inproc|process] [--wire-kill SUPERSTEP:RANK]";
+
 fn usage() -> ! {
-    die(
-        "usage: simcov <config-file> [--executor serial|cpu|gpu] [--units N]\n\
-         \t[--out-csv FILE] [--frames DIR] [--n-frames K]\n\
-         \t[--variant unoptimized|fast-reduction|memory-tiling|combined]\n\
-         \t[--json FILE] [--persist FILE] [--persist-every K]\n\
-         \t[--resume FILE] [--halt-after N]\n\
-         \t[--trace-out FILE] [--metrics-out FILE]\n\
-         \t[--transport inproc|process] [--wire-kill SUPERSTEP:RANK]",
-    )
+    die(USAGE)
 }
 
 fn parse_args() -> Args {
@@ -102,11 +102,7 @@ fn parse_args() -> Args {
         transport: "inproc".into(),
         wire_kill: None,
     };
-    let (common, rest) = CommonFlags::parse_with_rest();
-    args.json = common.json;
-    args.trace_out = common.trace_out;
-    args.metrics_out = common.metrics_out;
-    let mut it = rest.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--executor" => args.executor = expect_value(&a, it.next()),
@@ -141,11 +137,14 @@ fn parse_args() -> Args {
                 args.wire_kill = parsed.or_else(|| usage())
             }
             "--halt-after" => args.halt_after = Some(parse_value(&a, it.next())),
+            "--json" => args.json = Some(expect_value(&a, it.next())),
+            "--trace-out" => args.trace_out = Some(expect_value(&a, it.next())),
+            "--metrics-out" => args.metrics_out = Some(expect_value(&a, it.next())),
             "--help" | "-h" => usage(),
             other if args.config.is_empty() && !other.starts_with('-') => {
                 args.config = other.to_string()
             }
-            _ => usage(),
+            _ => die_unknown(&a, USAGE),
         }
     }
     if args.config.is_empty() {

@@ -28,7 +28,7 @@
 //! process — the DLQ is the failure channel of a batch server; the summary
 //! (and `--json`) reports their count.
 
-use simcov_bench::cli::{self, CommonFlags};
+use simcov_bench::cli;
 use simcov_bench::json::write_json;
 use simcov_core::grid::GridDims;
 use simcov_core::json::Json;
@@ -46,10 +46,11 @@ struct Cli {
     pool_threads: usize,
     persist_every: u64,
     halt_after: Option<u64>,
+    seed: u64,
+    json: Option<String>,
 }
 
-fn parse_cli() -> (Cli, CommonFlags) {
-    let (common, rest) = CommonFlags::parse_with_rest();
+fn parse_cli() -> Cli {
     let mut cli = Cli {
         jobs_file: None,
         demo: None,
@@ -58,8 +59,10 @@ fn parse_cli() -> (Cli, CommonFlags) {
         pool_threads: 0,
         persist_every: 10,
         halt_after: None,
+        seed: 1,
+        json: None,
     };
-    let mut it = rest.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" => cli.jobs_file = Some(cli::expect_value(&a, it.next())),
@@ -69,6 +72,8 @@ fn parse_cli() -> (Cli, CommonFlags) {
             "--pool-threads" => cli.pool_threads = cli::parse_value(&a, it.next()),
             "--persist-every" => cli.persist_every = cli::parse_value(&a, it.next()),
             "--halt-after" => cli.halt_after = Some(cli::parse_value(&a, it.next())),
+            "--seed" => cli.seed = cli::parse_value(&a, it.next()),
+            "--json" => cli.json = Some(cli::expect_value(&a, it.next())),
             other => cli::die_unknown(other, USAGE),
         }
     }
@@ -77,7 +82,7 @@ fn parse_cli() -> (Cli, CommonFlags) {
             "exactly one of --jobs and --demo is required\n{USAGE}"
         ));
     }
-    (cli, common)
+    cli
 }
 
 /// Parse a sweep file: a top-level array of jobs or `{"jobs": [...]}`.
@@ -113,10 +118,10 @@ fn demo_jobs(n: u64, base_seed: u64) -> Vec<JobSpec> {
 }
 
 fn main() {
-    let (cli, common) = parse_cli();
+    let cli = parse_cli();
     let mut jobs = match (&cli.jobs_file, cli.demo) {
         (Some(path), _) => load_jobs(path),
-        (None, Some(n)) => demo_jobs(n, common.seed.unwrap_or(1)),
+        (None, Some(n)) => demo_jobs(n, cli.seed),
         _ => unreachable!(),
     };
     for j in &mut jobs {
@@ -176,7 +181,7 @@ fn main() {
          {interrupted} interrupted, {dead} dead-lettered"
     );
 
-    if let Some(path) = common.json {
+    if let Some(path) = cli.json {
         write_json(
             &path,
             &Json::obj([

@@ -1,11 +1,11 @@
-//! Structured experiment runners behind the bench binaries.
+//! Structured experiment runners behind `repro_all`'s paper sections.
 //!
 //! Each paper artifact (Fig 4–8, Tables 1–2) is a function returning a
 //! plain-data result with three consumers: `render()` produces the
-//! human-readable table the binaries print, `to_json()` produces the
-//! machine-readable record the `--json` flag and `repro_all`'s
-//! `BENCH_results.json` artifact are built from, and the integration tests
-//! assert on the fields directly.
+//! human-readable table `repro_all` prints, `to_json()` produces the
+//! machine-readable record its `--json` flag and `BENCH_results.json`
+//! artifact are built from, and the integration tests assert on the fields
+//! directly.
 
 use crate::configs::{paper, Experiment, ScaledExperiment};
 use crate::report::{banner, fmt_secs, shape_verdict, Table};

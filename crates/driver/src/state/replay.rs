@@ -3,8 +3,8 @@
 //! Folding the log through [`DriverState::apply`] reproduces the live
 //! run's state trajectory, effect sequence, and recovery/integrity record
 //! streams exactly — with zero filesystem, checkpoint-store, or executor
-//! access. The `replay_check` binary and the cascade property suite are
-//! built on this.
+//! access. The live-run replay tests and the cascade property suite in
+//! `tests/driver_state.rs` are built on this.
 
 use super::{DriverState, Effect, Event, StopCause};
 

@@ -41,15 +41,21 @@ assert any(l.startswith("repro_section_wall_seconds") for l in lines), \
 print("BENCH_smoke.json OK:", ", ".join(sorted(doc)))
 EOF
 
-# The fault sweep asserts in-process that every recovered run is bitwise
-# identical to its failure-free baseline; the JSON check covers the artifact.
-echo "== fault sweep smoke (recovery + JSON artifact) =="
-cargo run --release -p simcov-bench --bin fault_sweep -- \
-    --json target/BENCH_fault_sweep.json >/dev/null
+# The fault, SDC and ablation sweeps are repro_all sections that run only
+# when named. The fault sweep asserts in-process that every recovered run is
+# bitwise identical to its failure-free baseline; the SDC sweep that every
+# healed run is bitwise identical to its corruption-free baseline
+# (statistics and per-voxel state) and that corruption-free cells stay
+# silent at every audit period. The JSON checks cover the artifact; both
+# ablations run at a fixed scale whatever SIMCOV_SCALE says.
+echo "== sweeps (recovery, corruption healing, ablations + JSON artifact) =="
+SIMCOV_SCALE=256 cargo run --release -p simcov-bench --bin repro_all -- \
+    fault_sweep sdc_sweep ablation_tiles ablation_decomp \
+    --json target/BENCH_sweeps.json >/dev/null
 
 python3 - <<'EOF'
 import json
-doc = json.load(open("target/BENCH_fault_sweep.json"))
+doc = json.load(open("target/BENCH_sweeps.json"))["fault_sweep"]["results"]
 assert doc.get("suite") == "fault_sweep", "wrong suite tag"
 rows = doc["rows"]
 assert rows, "fault sweep produced no rows"
@@ -57,20 +63,12 @@ for r in rows:
     assert r["identical_to_failure_free"], f"recovery diverged: {r}"
     assert r["checkpoint_delta_bytes"] <= r["checkpoint_full_bytes"], f"delta > dense: {r}"
 assert any(r["recoveries"] > 0 for r in rows), "no cell exercised recovery"
-print(f"BENCH_fault_sweep.json OK: {len(rows)} cells, all bitwise-identical")
+print(f"fault_sweep OK: {len(rows)} cells, all bitwise-identical")
 EOF
-
-# The SDC sweep asserts in-process that every healed run is bitwise
-# identical to its corruption-free baseline (statistics and per-voxel
-# state) and that corruption-free cells stay silent at every audit period;
-# the JSON check covers the artifact.
-echo "== SDC sweep smoke (corruption healing + JSON artifact) =="
-cargo run --release -p simcov-bench --bin sdc_sweep -- --smoke \
-    --json target/BENCH_sdc_sweep.json >/dev/null
 
 python3 - <<'EOF'
 import json
-doc = json.load(open("target/BENCH_sdc_sweep.json"))
+doc = json.load(open("target/BENCH_sweeps.json"))["sdc_sweep"]["results"]
 assert doc.get("suite") == "sdc_sweep", "wrong suite tag"
 rows = doc["rows"]
 assert rows, "sdc sweep produced no rows"
@@ -82,8 +80,17 @@ for r in rows:
         assert clean == (0, 0, 0, 0, 0), f"false positive on a clean run: {r}"
 assert any(r["retransmits"] > 0 for r in rows), "no cell exercised in-barrier healing"
 assert any(r["rollbacks"] > 0 for r in rows), "no cell exercised the rollback tier"
-print(f"BENCH_sdc_sweep.json OK: {len(rows)} cells, all healed bitwise-identical, "
+print(f"sdc_sweep OK: {len(rows)} cells, all healed bitwise-identical, "
       f"zero false positives")
+EOF
+
+python3 - <<'EOF'
+import json
+doc = json.load(open("target/BENCH_sweeps.json"))
+for name in ("ablation_tiles", "ablation_decomp"):
+    rows = doc[name]["results"]["rows"]
+    assert rows, f"{name} produced no rows"
+    print(f"{name} OK: {len(rows)} rows")
 EOF
 
 # Crash-restart smoke: a run killed mid-flight (simulated SIGKILL after
@@ -214,12 +221,12 @@ EOF
 done
 
 # Control-plane replay gate: seeded fault cascades on both executors with
-# event recording on; the recorded log must fold through the pure core to
-# the exact live control state and record streams (zero filesystem or
-# executor access during the replay). The cascade property suite drives
-# the same core through hundreds of seeded event sequences.
+# event recording on, a fatal one included; the recorded log must fold
+# through the pure core to the exact live control state and record streams
+# (zero filesystem or executor access during the replay). The cascade
+# property suite drives the same core through hundreds of seeded event
+# sequences.
 echo "== control-plane replay gate (pure-core determinism) =="
-cargo run --release -q -p simcov-bench --bin replay_check -- --steps 40 --grid 24
 cargo test -q --test driver_state 2>/dev/null | tail -2
 
 # The perf gate exits 1 if one of its in-run ratios breaks its bound (the

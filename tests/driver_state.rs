@@ -634,7 +634,7 @@ fn fatal_run_replays_to_the_matching_halt() {
         Some(StopCause::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 3),
         other => panic!("replay must reproduce the halt, got {other:?}"),
     }
-    assert_eq!(r.final_state.recovery_log.as_slice(), sim.recovery_log());
+    assert_replay_matches(&sim);
 }
 
 /// Recording mid-run: the snapshot taken at `enable_event_recording` is the
