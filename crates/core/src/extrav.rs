@@ -3,10 +3,11 @@
 //! All circulating T cells make one extravasation attempt per step at a
 //! uniformly random voxel (§2.2). The trial sequence is a pure function of
 //! `(seed, step, trial index)`, so every rank can reconstruct it; this table
-//! computes it once per step and groups it by voxel so a rank can extract the
-//! trials landing in a row of its region with two offset lookups instead of a
-//! full scan (the *modeled* system distributes trial generation across ranks —
-//! see DESIGN.md; the cost model charges each rank `ntrials / n_ranks`).
+//! computes it once per step, on the step's worker pool, and groups it by
+//! voxel so a rank can extract the trials landing in a row of its region
+//! with two offset lookups instead of a full scan (the *modeled* system
+//! distributes trial generation across ranks — see DESIGN.md; the cost model
+//! charges each rank `ntrials / n_ranks`).
 //!
 //! **What order is guaranteed, and why it is enough.** Entries are ascending
 //! by `(voxel, trial index)`. Trials only ever interact *within* a voxel — the
@@ -27,7 +28,7 @@
 //! [`TrialTable::rebuild`] and [`TrialTable::build`] list every voxel.
 //!
 //! **How it is built.** Placing `n` trials into `V` voxels with dense integer
-//! keys needs no comparisons: one RNG pass keeps each listed trial in trial
+//! keys needs no comparisons: an RNG pass keeps each listed trial in trial
 //! order (and counts each unlisted one at its voxel), a histogram + prefix
 //! sum over the buckets gives every bucket its slice, and one scatter *in
 //! trial order* fills the slices — stable, so each voxel's trials are
@@ -37,17 +38,40 @@
 //! (`n ≈ 5·V` under `SimParams::scaled_to`). When `V ≫ n` a bucket spans
 //! `2^shift` voxels but holds under one trial on average, a comparison sort
 //! of each such sub-slice finishes the order, and every trial is listed.
-//! Memory is `O(n)`, never `O(V)`: the per-voxel mask and counts exist only
-//! when `V ≤ 2n`.
+//!
+//! **The RNG pass runs on the step's pool.** It is cut into chunks of
+//! [`CHUNK_TRIALS`] consecutive trial indices (one chunk on an inline pool)
+//! that the pool's threads claim. A trial's voxel is a pure function of
+//! `(seed, step, trial)`, so each chunk's listed trials are in trial order
+//! and the histogram and scatter read the chunks in chunk order: the same
+//! sequence one thread would produce. Unlisted counts go to one `V + 1`
+//! slot per thread that can hold a chunk at once (the pool's workers and
+//! the coordinator); they are integer sums, so which thread counted a trial
+//! cannot show, and the prefix sum adds the slots up. The table is bitwise
+//! the same on every pool. Every buffer is sized on the coordinator and
+//! kept from step to step. Memory is `O(n)` per thread, never `O(V)`: the
+//! per-voxel mask and count slots exist only when `V ≤ 2n`.
 //!
 //! **What a trial costs.** [`extrav_voxels`] folds the step's RNG key once,
 //! so a trial is two mixes and one widening multiply, then a mask test and a
-//! count or push into local buffers: ≈ 3.5 ns/trial at 160² and 128 k trials
-//! on a 2-vCPU Xeon host, against ≈ 5.3 ns re-folding the whole key.
+//! count or push into the chunk's buffers. Read from the `trial-table` span
+//! of traced `cpu_arc`-shaped runs (160², 518 steps, 48.6 M trials, 0.9 %
+//! listed) on a shared 2-vCPU Xeon host, the whole table costs 5.4–8.6
+//! ns/trial on one thread and 3.7–5.1 ns/trial with one pool worker beside
+//! the coordinator.
+
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+
+use pgas::WorkPool;
 
 use crate::params::SimParams;
 use crate::rules::{extrav_possible, extrav_voxels};
 use crate::soa::VoxelSoA;
+
+/// Trials per chunk of the RNG pass on a pool with workers: `cpu_arc`'s
+/// steady-state table (≈ 128 k trials) splits into eight. Measured there,
+/// 8 k–24 k ran alike; 4 k and 32 k were slower.
+pub const CHUNK_TRIALS: usize = 16_384;
 
 /// One extravasation trial: the global voxel index it lands on and its index
 /// in the step's trial sequence. Ordered by `(voxel, trial)`.
@@ -60,7 +84,7 @@ pub struct Trial {
 /// The extravasation trials of one step, ascending by `(voxel, trial index)`.
 /// Per-voxel trial order is what resolves same-voxel conflicts (first
 /// successful trial claims the voxel).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct TrialTable {
     /// The listed trials.
     entries: Vec<Trial>,
@@ -71,10 +95,36 @@ pub struct TrialTable {
     /// `unlisted[g]` counts the unlisted trials on voxels below `g`; empty
     /// under coarse buckets, which list every trial.
     unlisted: Vec<u32>,
-    /// Rebuild scratch: the listed trials in trial order.
-    listed: Vec<Trial>,
+    /// Rebuild scratch: chunk `c`'s listed trials in trial order.
+    chunks: Vec<Mutex<Vec<Trial>>>,
+    /// Rebuild scratch: per-voxel unlisted counts, one slot per thread that
+    /// can run a chunk at once; slot 0 holds `unlisted` during the pass.
+    slots: Vec<Mutex<Vec<u32>>>,
     /// Rebuild scratch: one bit per voxel, set where trials are listed.
     mask: Vec<u64>,
+}
+
+/// Lock a scratch buffer, ignoring poison: a panicking chunk re-raises on
+/// the coordinator, and the next rebuild clears every buffer it uses.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] for the coordinator, which holds the table exclusively.
+fn get_mut<T>(m: &mut Mutex<T>) -> &mut T {
+    m.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The first free slot from `from` on, cycling. At most `slots.len()`
+/// threads run chunks at once, so one is always free or about to be.
+fn claim<T>(slots: &[Mutex<T>], from: usize) -> MutexGuard<'_, T> {
+    (from..)
+        .find_map(|i| match slots[i % slots.len()].try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        })
+        .expect("an unbounded range")
 }
 
 impl TrialTable {
@@ -88,19 +138,23 @@ impl TrialTable {
     /// Replace the contents with the complete table for `step`, reusing the
     /// buffers: every voxel is listed.
     pub fn rebuild(&mut self, p: &SimParams, step: u64, ntrials: u64) {
-        self.rebuild_listed(p, step, ntrials, |mask| mask.fill(u64::MAX));
+        let inline = WorkPool::new(0);
+        self.rebuild_listed(&inline, p, step, ntrials, |mask| mask.fill(u64::MAX));
     }
 
     /// Replace the contents with the table for `step`, listing only the
     /// trials on voxels whose bit `mark` sets in a zeroed mask (bit `g % 64`
     /// of word `g / 64` for voxel `g`) and counting the rest per voxel.
     /// `mark` runs only under per-voxel buckets; coarse ones list every trial.
+    /// The RNG pass runs as [`CHUNK_TRIALS`]-trial chunks on `pool` (one
+    /// chunk on an inline pool); the table is the same on every pool.
     ///
     /// # Panics
     /// If `ntrials` or the grid's voxel count does not fit the 32-bit entry
     /// fields (`SimParams::validate` rejects such grids up front).
     pub fn rebuild_listed(
         &mut self,
+        pool: &WorkPool,
         p: &SimParams,
         step: u64,
         ntrials: u64,
@@ -126,24 +180,77 @@ impl TrialTable {
         }
         let shift = self.shift;
 
-        // One RNG pass over locals, so the loop keeps its buffers in
-        // registers: a listed trial is kept in trial order; an unlisted one
-        // only counts at slot `voxel + 1`, and the prefix sum turns the
-        // counts into "unlisted below `g`".
-        let draw = extrav_voxels(p, step);
-        let trial = |i: u32| Trial {
-            voxel: draw(u64::from(i)) as u32,
-            trial: i,
-        };
-        let mut listed = std::mem::take(&mut self.listed);
-        listed.clear();
-        if shift == 0 {
+        // Every buffer the pass writes is sized here, on the coordinator, so
+        // a chunk's pushes land in memory the coordinator's allocator arena
+        // owns: a chunk reserves its expected listed share plus a quarter
+        // and 64 (all of it under coarse buckets), and one that outgrows
+        // that grows in place like any `Vec`. Buffers are kept when a step
+        // needs fewer, so steady-state steps allocate nothing.
+        let n = n as usize;
+        let listed_voxels = if shift == 0 {
             self.mask.clear();
             self.mask.resize(nvoxels.div_ceil(64), 0);
             mark(&mut self.mask);
-            self.unlisted.resize(nvoxels + 1, 0);
-            let (mask, unlisted) = (&self.mask[..], &mut self.unlisted[..]);
-            for t in (0..n).map(trial) {
+            self.mask.iter().map(|w| w.count_ones() as u64).sum()
+        } else {
+            nvoxels as u64
+        };
+        let chunk_len = if pool.n_threads() == 0 {
+            n
+        } else {
+            CHUNK_TRIALS
+        };
+        let nchunks = n.div_ceil(chunk_len);
+        if self.chunks.len() < nchunks {
+            self.chunks.resize_with(nchunks, Mutex::default);
+        }
+        for (c, chunk) in self.chunks[..nchunks].iter_mut().enumerate() {
+            let len = chunk_len.min(n - c * chunk_len);
+            let expect = (len as u64 * listed_voxels / nvoxels as u64) as usize;
+            let chunk = get_mut(chunk);
+            chunk.clear();
+            chunk.reserve((expect + expect / 4 + 64).min(len));
+        }
+        let nslots = if shift == 0 {
+            (pool.n_threads() + 1).min(nchunks)
+        } else {
+            0
+        };
+        if self.slots.len() < nslots {
+            self.slots.resize_with(nslots, Mutex::default);
+        }
+        if nslots > 0 {
+            *get_mut(&mut self.slots[0]) = std::mem::take(&mut self.unlisted);
+            for slot in &mut self.slots[..nslots] {
+                let slot = get_mut(slot);
+                slot.clear();
+                slot.resize(nvoxels + 1, 0);
+            }
+        }
+
+        // The RNG pass. A trial's voxel is a pure function of its index, so
+        // each chunk holds its listed trials in trial order and the chunks
+        // in chunk order are the whole sequence. An unlisted trial only
+        // counts at slot `voxel + 1` of the slot its thread holds; the sum
+        // over slots is the same whichever thread counted it.
+        let draw = extrav_voxels(p, step);
+        let (chunks, slots, mask) = (&self.chunks[..], &self.slots[..nslots], &self.mask[..]);
+        pool.run_indexed(nchunks, |c| {
+            let lo = c * chunk_len;
+            let trials = (lo..n.min(lo + chunk_len)).map(|i| Trial {
+                voxel: draw(i as u64) as u32,
+                trial: i as u32,
+            });
+            let mut chunk = lock(&chunks[c]);
+            let listed: &mut Vec<Trial> = &mut chunk;
+            if slots.is_empty() {
+                // Coarse buckets: every trial is listed.
+                listed.extend(trials);
+                return;
+            }
+            let mut slot = claim(slots, c);
+            let unlisted: &mut [u32] = &mut slot;
+            for t in trials {
                 let v = t.voxel as usize;
                 if mask[v / 64] >> (v % 64) & 1 != 0 {
                     listed.push(t);
@@ -151,26 +258,34 @@ impl TrialTable {
                     unlisted[v + 1] += 1;
                 }
             }
+        });
+        if nslots > 0 {
+            let mut slots = self.slots[..nslots].iter_mut().map(get_mut);
+            self.unlisted = slots.next().map(std::mem::take).unwrap_or_default();
+            for slot in slots {
+                for (u, c) in self.unlisted.iter_mut().zip(slot.iter()) {
+                    *u += c;
+                }
+            }
             let mut below = 0;
-            for c in unlisted {
+            for c in &mut self.unlisted {
                 below += *c;
                 *c = below;
             }
-        } else {
-            listed.extend((0..n).map(trial));
         }
 
+        let listed = &mut self.chunks[..nchunks];
         // No clear first: the scatter below overwrites every slot, so
         // entries kept from the last step need no re-zeroing.
-        self.entries
-            .resize(listed.len(), Trial { voxel: 0, trial: 0 });
+        let nlisted = listed.iter_mut().map(|c| get_mut(c).len()).sum();
+        self.entries.resize(nlisted, Trial { voxel: 0, trial: 0 });
         // Count bucket `b` at slot `b + 2`; after the prefix sum slot `b + 1`
         // is bucket `b`'s start, and the scatter advances it to the bucket's
         // end — the next bucket's start. Slots `0..=nbuckets` are then the
         // final offsets and the spare last slot goes.
         let nbuckets = (last_voxel >> shift) + 1;
         self.starts.resize(nbuckets + 2, 0);
-        for t in &listed {
+        for t in listed.iter_mut().flat_map(|c| get_mut(c).iter()) {
             self.starts[(t.voxel >> shift) as usize + 2] += 1;
         }
         let mut end = 0u32;
@@ -178,13 +293,12 @@ impl TrialTable {
             end += *s;
             *s = end;
         }
-        for &t in &listed {
+        for &t in listed.iter_mut().flat_map(|c| get_mut(c).iter()) {
             let cursor = &mut self.starts[(t.voxel >> shift) as usize + 1];
             self.entries[*cursor as usize] = t;
             *cursor += 1;
         }
         self.starts.pop();
-        self.listed = listed;
 
         if shift > 0 {
             for w in self.starts.windows(2) {
@@ -398,17 +512,18 @@ mod tests {
         mask[voxel as usize / 64] >> (voxel % 64) & 1 != 0
     }
 
-    /// Rebuild `t` listing by `mask`; the mask if the table asked for it,
-    /// `None` when coarse buckets listed everything without asking.
+    /// Rebuild `t` on `pool` listing by `mask`; the mask if the table asked
+    /// for it, `None` when coarse buckets listed everything without asking.
     fn rebuild_with<'m>(
         t: &mut TrialTable,
+        pool: &WorkPool,
         p: &SimParams,
         step: u64,
         n: u64,
         mask: &'m [u64],
     ) -> Option<&'m [u64]> {
         let mut asked = false;
-        t.rebuild_listed(p, step, n, |m| {
+        t.rebuild_listed(pool, p, step, n, |m| {
             m.copy_from_slice(mask);
             asked = true;
         });
@@ -455,7 +570,7 @@ mod tests {
             for sparsity in [0, 1, 3, 64] {
                 let mask = seeded_mask(&mut rng, p.dims.nvoxels(), sparsity);
                 let mut t = TrialTable::default();
-                let used = rebuild_with(&mut t, &p, step, n, &mask);
+                let used = rebuild_with(&mut t, &WorkPool::new(0), &p, step, n, &mask);
                 assert_eq!(used.is_some(), complete.shift == 0 && n > 0);
                 if used.is_some() {
                     listed_cases += 1;
@@ -477,7 +592,7 @@ mod tests {
         for (p, step, n) in seeded_shapes(&mut rng) {
             let complete = TrialTable::build(&p, step, n);
             let mut t = TrialTable::default();
-            t.rebuild_listed(&p, step, n, |m| m.fill(u64::MAX));
+            t.rebuild_listed(&WorkPool::new(0), &p, step, n, |m| m.fill(u64::MAX));
             assert_eq!(t.all(), complete.all());
             assert_eq!((&t.starts, t.shift), (&complete.starts, complete.shift));
             assert_eq!(t.unlisted_in(0, p.dims.nvoxels()), 0);
@@ -512,43 +627,91 @@ mod tests {
         assert!(t.in_gid_range(0, 1024).is_empty());
     }
 
+    /// Every field a rebuild writes must be equal, not only the entries.
+    #[track_caller]
+    fn assert_same_table(t: &TrialTable, expect: &TrialTable, what: &str) {
+        assert_eq!(t.entries, expect.entries, "{what}: entries");
+        assert_eq!(t.starts, expect.starts, "{what}: starts");
+        assert_eq!(t.shift, expect.shift, "{what}: shift");
+        assert_eq!(t.unlisted, expect.unlisted, "{what}: unlisted");
+    }
+
+    /// Inline dispatch and pools of one to three workers.
+    fn pools() -> Vec<WorkPool> {
+        (0..=3).map(WorkPool::new).collect()
+    }
+
+    #[test]
+    fn pooled_table_equals_the_inline_one() {
+        let pools = pools();
+        let mut rng = CounterRng::new(13, Stream::ExtravVoxel, 0, 0);
+        let mut cases = seeded_shapes(&mut rng);
+        // Chunk edges: under one chunk, exactly one, and k chunks plus one
+        // trial, under per-voxel buckets (96² ≤ 2n) and coarse ones.
+        let chunk = CHUNK_TRIALS as u64;
+        for dims in [GridDims::new2d(96, 96), GridDims::new2d(2048, 2048)] {
+            for n in [chunk - 1, chunk, 3 * chunk + 1] {
+                cases.push((params_for(dims), 17, n));
+            }
+        }
+        let mut split = 0;
+        for (p, step, n) in cases {
+            split += usize::from(n > chunk);
+            for sparsity in [0, 3] {
+                let mask = seeded_mask(&mut rng, p.dims.nvoxels(), sparsity);
+                let mut inline = TrialTable::default();
+                rebuild_with(&mut inline, &pools[0], &p, step, n, &mask);
+                for pool in &pools[1..] {
+                    let mut t = TrialTable::default();
+                    rebuild_with(&mut t, pool, &p, step, n, &mask);
+                    let what = format!("{} workers, n {n}, dims {:?}", pool.n_threads(), p.dims);
+                    assert_same_table(&t, &inline, &what);
+                }
+            }
+        }
+        assert_eq!(split, 2, "both bucket modes split into chunks");
+    }
+
     #[test]
     fn rebuild_in_place_leaves_no_stale_entry() {
+        let pools = pools();
         let big = params();
         let sparse = params_for(GridDims::new2d(2048, 2048));
         let mut rng = CounterRng::new(5, Stream::ExtravVoxel, 0, 0);
         let mut t = TrialTable::default();
-        // Listed, complete and coarse rebuilds in turn, growing and shrinking.
-        for (p, step, n, sparsity) in [
-            (&big, 1, 50_000, Some(2)),
-            (&big, 2, 40_000, None),
-            (&sparse, 3, 3, Some(0)), // shrinks, and switches to coarse buckets
-            (&big, 4, 60_000, Some(5)),
-            (&big, 5, 0, Some(1)),
-            (&big, 6, 30_000, Some(0)),
-            (&sparse, 7, 9, None),
-            (&big, 8, 45_000, Some(3)),
+        // Listed, complete and coarse rebuilds in turn, growing and shrinking,
+        // on pools that grow and shrink too.
+        for (p, step, n, sparsity, workers) in [
+            (&big, 1, 50_000, Some(2), 2),
+            (&big, 2, 40_000, None, 3),
+            (&sparse, 3, 3, Some(0), 1), // shrinks, and switches to coarse buckets
+            (&sparse, 9, 40_000, Some(0), 3), // coarse, in three chunks
+            (&big, 4, 60_000, Some(5), 0),
+            (&big, 5, 0, Some(1), 2),
+            (&big, 6, 30_000, Some(0), 1),
+            (&sparse, 7, 9, None, 2),
+            (&big, 8, 45_000, Some(3), 3),
+            (&big, 10, 16_385, Some(1), 1),
         ] {
+            let pool = &pools[workers];
             let complete = TrialTable::build(p, step, n);
             let mut fresh = TrialTable::default();
-            let mask = sparsity.map(|s| seeded_mask(&mut rng, p.dims.nvoxels(), s));
-            let used = match &mask {
-                Some(mask) => {
-                    let used = rebuild_with(&mut t, p, step, n, mask);
-                    assert_eq!(used, rebuild_with(&mut fresh, p, step, n, mask));
-                    used
+            let used = match sparsity {
+                Some(s) => {
+                    let mask = seeded_mask(&mut rng, p.dims.nvoxels(), s);
+                    let used = rebuild_with(&mut t, pool, p, step, n, &mask).is_some();
+                    rebuild_with(&mut fresh, &pools[0], p, step, n, &mask);
+                    used.then_some(mask)
                 }
                 None => {
-                    t.rebuild(p, step, n);
+                    t.rebuild_listed(pool, p, step, n, |m| m.fill(u64::MAX));
                     fresh.rebuild(p, step, n);
                     assert_matches_oracle(&t, p, step, n);
                     None
                 }
             };
-            assert_listing(&t, &complete, p, used, &mut rng);
-            assert_eq!(t.all(), fresh.all());
-            assert_eq!((&t.starts, t.shift), (&fresh.starts, fresh.shift));
-            assert_eq!(t.unlisted, fresh.unlisted);
+            assert_listing(&t, &complete, p, used.as_deref(), &mut rng);
+            assert_same_table(&t, &fresh, &format!("step {step} on {workers} workers"));
         }
     }
 

@@ -238,13 +238,25 @@ impl<U: Unit> BspSim<U> {
     /// statistics allreduce (the per-step UPC++ reduction of §3.3). Exact
     /// summation makes the result independent of the unit count.
     fn compute_step(&mut self, t: u64) -> Result<StatsPartial, SuperstepError> {
-        let (params, units) = (&self.core.params, &self.units);
+        let (params, units, tel) = (&self.core.params, &self.units, &self.core.telemetry);
+        let ntrials = self.core.vascular.circulating();
+        let table_open = tel.open();
         self.trials
-            .rebuild_listed(params, t, self.core.vascular.circulating(), |mask| {
+            .rebuild_listed(&self.core.pool, params, t, ntrials, |mask| {
                 for u in units {
                     u.mark_listed(params, mask);
                 }
             });
+        let listed = self.trials.len() as u64;
+        tel.close(
+            0,
+            "trial-table",
+            SpanKind::Superstep,
+            tel.step_parent(),
+            table_open,
+            ntrials,
+            listed,
+        );
         let partials = U::step(
             &mut self.bsp,
             &self.core.pool,

@@ -38,7 +38,8 @@ use std::sync::Arc;
 pub enum SpanKind {
     /// One driver step (track 0).
     Step,
-    /// One BSP superstep (track 0).
+    /// One BSP superstep, or a driver phase beside them such as the trial
+    /// table (track 0).
     Superstep,
     /// Per-rank compute or exchange phase.
     RankPhase,

@@ -250,17 +250,18 @@ print("BENCH_perf_smoke.json OK:",
       ", ".join(f"{k} {v:.2f}x" for k, v in doc["speedups"].items()))
 EOF
 
-# SIMD-differential and concurrent-rank suites under a --test-threads
-# matrix: the harness's own parallelism must not perturb the bitwise
-# checks (the suites spawn their own WorkPool workers; running them from 1
-# and from 4 harness threads shakes out any hidden global state).
-echo "== simd/parallel-rank differential matrix (test-threads 1 and 4) =="
+# SIMD-differential, concurrent-rank and trial-table suites under a
+# --test-threads matrix: the harness's own parallelism must not perturb the
+# bitwise checks or the trial table's allocation count (the suites spawn
+# their own WorkPool workers; running them from 1 and from 4 harness
+# threads shakes out any hidden global state).
+echo "== simd/parallel-rank/trial-table matrix (test-threads 1 and 4) =="
 for tt in 1 4; do
     echo "-- test-threads $tt --"
-    cargo test -q --release --test simd_differential -- --test-threads "$tt" \
-        | grep "^test result"
-    cargo test -q --release --test parallel_ranks -- --test-threads "$tt" \
-        | grep "^test result"
+    for suite in simd_differential parallel_ranks trial_listing trial_table_allocations; do
+        cargo test -q --release --test "$suite" -- --test-threads "$tt" \
+            | grep "^test result"
+    done
 done
 
 # Sweep-server gate: a small RunSpec sweep through the job server's full

@@ -1,7 +1,10 @@
 //! Integration tests for the observability layer: per-step [`StepRecord`]s
 //! emitted through a `MetricsSink` must agree across executors, and the
 //! telemetry stream's per-superstep spans must reconcile exactly with the
-//! BSP communication counters.
+//! BSP communication counters, and its per-step trial-table spans with the
+//! circulating pool.
+
+use std::collections::HashMap;
 
 use simcov_repro::gpusim::SharedSink;
 use simcov_repro::simcov_core::grid::GridDims;
@@ -80,6 +83,7 @@ fn step_record_comm_deltas_sum_to_counters() {
 /// The telemetry stream's superstep spans must reconcile exactly with the
 /// BSP counters: one `superstep` span per counted superstep, and the
 /// `exchange` span volumes sum to the cumulative totals — on both executors.
+/// Each step's `trial-table` span counts the trials it drew.
 #[test]
 fn trace_comm_totals_equal_bsp_counters() {
     let mut cpu = CpuSim::new(CpuSimConfig::new(params(11), 4)).expect("valid config");
@@ -122,6 +126,28 @@ fn check_trace_matches_counters(sim: &dyn Simulation, who: &str) {
     for e in labelled("superstep").chain(labelled("exchange")) {
         assert!(e.dur_ns > 0, "{who}: every {} span measured time", e.label);
     }
+    // One `trial-table` span under each step's span, carrying the trials
+    // drawn: the pool circulating when the step starts.
+    let step_of: HashMap<u64, u64> = labelled("step").map(|e| (e.id, e.a)).collect();
+    let history = &sim.history().steps;
+    let mut tabled: Vec<u64> = labelled("trial-table")
+        .map(|e| {
+            let t = step_of[&e.parent];
+            let pool = t
+                .checked_sub(1)
+                .map_or(0, |i| history[i as usize].tcells_vasculature);
+            assert_eq!(e.a, pool, "{who}: trials drawn at step {t}");
+            assert!(e.b <= e.a, "{who}: more listed than drawn at step {t}");
+            t
+        })
+        .collect();
+    assert!(
+        labelled("trial-table").any(|e| e.a > 0),
+        "{who}: no step drew a trial"
+    );
+    tabled.sort_unstable();
+    let steps: Vec<u64> = (0..history.len() as u64).collect();
+    assert_eq!(tabled, steps, "{who}: one trial-table span per step");
 }
 
 /// Metrics must be pure observation: installing a sink must not change the

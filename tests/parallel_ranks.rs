@@ -11,6 +11,7 @@
 //! stalls *while ranks are running concurrently*.
 
 use simcov_repro::pgas::{FaultEvent, FaultKind, FaultPlan};
+use simcov_repro::simcov_core::extrav::CHUNK_TRIALS;
 use simcov_repro::simcov_core::grid::GridDims;
 use simcov_repro::simcov_core::lanes::KernelMode;
 use simcov_repro::simcov_core::params::SimParams;
@@ -26,15 +27,16 @@ fn params(seed: u64) -> SimParams {
 /// workers, and more workers than ranks (oversubscribed).
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-#[test]
-fn cpu_thread_sweep_is_bitwise_identical() {
+/// Run `p` on four CPU ranks inline and on each of `threads` workers, assert
+/// every threaded run matches the inline one bitwise, and return that one.
+fn assert_cpu_threads_match_inline(p: &SimParams, threads: &[usize]) -> CpuSim {
     let mut reference =
-        CpuSim::new(CpuSimConfig::new(params(21), 4).with_threads(0)).expect("valid config");
+        CpuSim::new(CpuSimConfig::new(p.clone(), 4).with_threads(0)).expect("valid config");
     reference.run().expect("healthy run");
     let ref_world = reference.gather_world();
 
-    for threads in THREAD_SWEEP {
-        let cfg = CpuSimConfig::new(params(21), 4).with_threads(threads);
+    for &threads in threads {
+        let cfg = CpuSimConfig::new(p.clone(), 4).with_threads(threads);
         let mut sim = CpuSim::new(cfg).expect("valid config");
         sim.run().expect("healthy run");
         assert_eq!(
@@ -46,6 +48,12 @@ fn cpu_thread_sweep_is_bitwise_identical() {
             panic!("{threads} threads: world diverged at voxel {idx}: {why}");
         }
     }
+    reference
+}
+
+#[test]
+fn cpu_thread_sweep_is_bitwise_identical() {
+    assert_cpu_threads_match_inline(&params(21), &THREAD_SWEEP);
 }
 
 #[test]
@@ -68,6 +76,26 @@ fn gpu_thread_sweep_is_bitwise_identical() {
             panic!("{threads} threads: world diverged at voxel {idx}: {why}");
         }
     }
+}
+
+#[test]
+fn split_trial_tables_are_bitwise_identical_across_threads() {
+    // An arc whose circulating pool outgrows one trial chunk while T cells
+    // still land, so the trial table's RNG pass runs on the pool's threads
+    // in pieces whose order decides which trial claims a voxel.
+    let p = SimParams::scaled_to(GridDims::new2d(96, 96), 400, 8, 31);
+    let reference = assert_cpu_threads_match_inline(&p, &[1, 2, 3]);
+    // A step's table draws one trial per T cell circulating when it starts.
+    let split_landings = reference
+        .history()
+        .steps
+        .windows(2)
+        .filter(|w| w[0].tcells_vasculature > CHUNK_TRIALS as u64 && w[1].extravasated > 0)
+        .count();
+    assert!(
+        split_landings > 0,
+        "no step splits its trial table and lands a T cell"
+    );
 }
 
 #[test]
