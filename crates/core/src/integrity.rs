@@ -27,7 +27,7 @@
 
 use crate::checkpoint::write_state;
 use crate::epithelial::EpiState;
-use crate::exact::ExactSum;
+use crate::exact::BinnedSum;
 use crate::tcell::VascularPool;
 use crate::world::World;
 use pgas::Crc64;
@@ -180,8 +180,8 @@ impl IntegrityMonitor {
         pool: &VascularPool,
     ) -> Result<AuditReport, IntegrityViolation> {
         self.audits_run += 1;
-        let mut virions = ExactSum::zero();
-        let mut chemokine = ExactSum::zero();
+        let mut virions = BinnedSum::new();
+        let mut chemokine = BinnedSum::new();
         let mut tcells_tissue = 0u64;
         for i in 0..world.nvoxels() {
             let v = world.virions.get(i);
@@ -223,8 +223,8 @@ impl IntegrityMonitor {
                 self.violations += 1;
                 return Err(IntegrityViolation::BadEpiState { index: i, byte: b });
             }
-            virions.add_f32(v);
-            chemokine.add_f32(c);
+            virions.add(v);
+            chemokine.add(c);
             if world.tcells[i].occupied() {
                 tcells_tissue += 1;
             }
@@ -247,8 +247,8 @@ impl IntegrityMonitor {
             return Err(IntegrityViolation::CohortSumMismatch { claimed, total });
         }
         Ok(AuditReport {
-            virions: virions.to_f64(),
-            chemokine: chemokine.to_f64(),
+            virions: virions.sum().to_f64(),
+            chemokine: chemokine.sum().to_f64(),
             tcells_tissue,
             circulating: total,
         })

@@ -202,6 +202,7 @@ pub fn apoptosis_timer(p: &SimParams, step: u64, gid: u64) -> u32 {
 /// virions)`). Runs *after* binding has been applied, so a cell bound this
 /// step enters here as `Apoptotic` with a fresh timer (which then decrements
 /// once this step — consistent in every executor).
+#[inline]
 pub fn epi_update(
     state: EpiState,
     timer: u32,

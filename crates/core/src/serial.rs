@@ -13,6 +13,7 @@
 
 use crate::diffusion::{produce_chemokine, produce_virions, DiffuseCoeffs};
 use crate::epithelial::EpiState;
+use crate::exact::BinnedSum;
 use crate::fields::Field;
 use crate::foi::FoiPattern;
 use crate::grid::GridDims;
@@ -332,7 +333,7 @@ impl SerialSim {
             p.tcell_vascular_period,
             extravasated,
         );
-        // Exact accumulation (see `exact::ExactSum`) so the serial totals
+        // Exact accumulation (see `exact::BinnedSum`) so the serial totals
         // are bit-identical to any partitioned executor's reduction.
         let mut stats = StatsPartial {
             step: t,
@@ -340,9 +341,10 @@ impl SerialSim {
             tcells_vasculature: self.pool.circulating(),
             ..Default::default()
         };
+        let (mut virions, mut chemokine) = (BinnedSum::new(), BinnedSum::new());
         for v in 0..n {
-            stats.add_virions(self.world.virions.get(v));
-            stats.add_chemokine(self.world.chemokine.get(v));
+            virions.add(self.world.virions.get(v));
+            chemokine.add(self.world.chemokine.get(v));
             if self.world.tcells[v].occupied() {
                 stats.tcells_tissue += 1;
             }
@@ -355,6 +357,8 @@ impl SerialSim {
                 EpiState::Airway => {}
             }
         }
+        stats.virions = virions.sum();
+        stats.chemokine = chemokine.sum();
         self.history.push(stats.finalize());
         self.step += 1;
     }

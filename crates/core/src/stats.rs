@@ -113,18 +113,6 @@ impl AddAssign for StatsPartial {
 }
 
 impl StatsPartial {
-    /// Accumulate one voxel's virion concentration exactly.
-    #[inline]
-    pub fn add_virions(&mut self, v: f32) {
-        self.virions.add_f32(v);
-    }
-
-    /// Accumulate one voxel's chemokine concentration exactly.
-    #[inline]
-    pub fn add_chemokine(&mut self, c: f32) {
-        self.chemokine.add_f32(c);
-    }
-
     /// Round the exact totals into the reporting form. Deterministic for a
     /// given exact value, so the resulting [`StepStats`] carries the
     /// partition invariance through.

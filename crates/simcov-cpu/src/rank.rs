@@ -7,7 +7,7 @@ use pgas::fault::SplitMix64;
 use pgas::Outbox;
 use simcov_core::decomp::{Partition, Subdomain};
 use simcov_core::epithelial::EpiState;
-use simcov_core::exact::ExactSum;
+use simcov_core::exact::BinnedSum;
 use simcov_core::extrav::{self, Trial, TrialTable};
 use simcov_core::grid::{Coord, GridDims};
 use simcov_core::halo::HaloBox;
@@ -597,9 +597,12 @@ impl CpuRank {
     /// Superstep 3: apply cross-boundary results, diffuse, produce the
     /// statistics partial, and push end-of-step boundary state.
     ///
-    /// Concentration sums are accumulated into [`ExactSum`]s so the global
-    /// reduction is independent of the partition — a recovery that shrinks
-    /// the rank count reproduces the failure-free statistics bitwise.
+    /// Concentration sums are accumulated exactly ([`BinnedSum`]s folded
+    /// into [`ExactSum`]s) so the global reduction is independent of the
+    /// partition — a recovery that shrinks the rank count reproduces the
+    /// failure-free statistics bitwise.
+    ///
+    /// [`ExactSum`]: simcov_core::exact::ExactSum
     pub fn finish(
         &mut self,
         p: &SimParams,
@@ -665,8 +668,8 @@ impl CpuRank {
         let mut processed_set = std::mem::take(&mut self.processed);
         let processed = processed_set.sorted();
         self.diffuse_out.clear();
-        let mut virions_sum = ExactSum::zero();
-        let mut chem_sum = ExactSum::zero();
+        let mut virions_sum = BinnedSum::new();
+        let mut chem_sum = BinnedSum::new();
         let vc = p.virion_coeffs();
         let cc = p.chemokine_coeffs();
         // Interior voxels (full Moore neighborhood inside the global grid)
@@ -728,8 +731,8 @@ impl CpuRank {
         for &(li, nv, nc) in &diffused {
             self.soa.virions.set(li as usize, nv);
             self.soa.chem.set(li as usize, nc);
-            virions_sum.add_f32(nv);
-            chem_sum.add_f32(nc);
+            virions_sum.add(nv);
+            chem_sum.add(nc);
             if nv > 0.0 || nc > 0.0 {
                 self.mark(li as usize);
             }
@@ -798,8 +801,8 @@ impl CpuRank {
 
         StatsPartial {
             step: t,
-            virions: virions_sum,
-            chemokine: chem_sum,
+            virions: virions_sum.sum(),
+            chemokine: chem_sum.sum(),
             tcells_vasculature: 0, // filled by the driver from the pool
             tcells_tissue: self.stat_tcells,
             epi_healthy: self.stat_healthy,

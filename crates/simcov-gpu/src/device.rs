@@ -25,6 +25,7 @@ use pgas::Outbox;
 use simcov_core::decomp::{Partition, Subdomain};
 use simcov_core::diffusion::{produce_chemokine, produce_virions};
 use simcov_core::epithelial::EpiState;
+use simcov_core::exact::BinnedSum;
 use simcov_core::extrav::{self, Trial, TrialTable};
 use simcov_core::fields::Field;
 use simcov_core::grid::{Coord, GridDims};
@@ -482,10 +483,10 @@ impl GpuDevice {
     /// (including ghost recomputation), diffusion, statistics reduction,
     /// boundary push. Returns this device's statistics partial.
     ///
-    /// The reduction accumulates concentrations into [`ExactSum`]
-    /// superaccumulators ([`StatsPartial`]), so the global result is
-    /// independent of device count and reduction shape — recovery can
-    /// re-partition without perturbing the trajectory's statistics.
+    /// The reduction accumulates concentrations exactly ([`BinnedSum`]s
+    /// folded into the [`ExactSum`]s of a [`StatsPartial`]), so the global
+    /// result is independent of device count and reduction shape — recovery
+    /// can re-partition without perturbing the trajectory's statistics.
     ///
     /// [`ExactSum`]: simcov_core::exact::ExactSum
     pub fn resolve_and_update(
@@ -773,9 +774,9 @@ impl GpuDevice {
         // Statistics reduction over every owned voxel (§3.3): the sweep
         // covers the full core regardless of tiling (dead/healthy counts
         // live in inactive regions too); tiling only improves its locality.
-        // The host accumulates field-wise into one partial — `ExactSum` is
-        // exactly associative and the counts are integers, so any order is
-        // bitwise the same — while the modelled kernel (tree or per-element
+        // The host accumulates field-wise — exponent-binned exact sums folded
+        // once into the partial's `ExactSum`s, integer counts — so any order
+        // is bitwise the same, while the modelled kernel (tree or per-element
         // atomics) is metered by the variant's strategy.
         let sp = self.tel.open();
         let n = hb.core.nvoxels();
@@ -784,6 +785,7 @@ impl GpuDevice {
         } else {
             REDUCE_BYTES_UNTILED
         };
+        let (mut virions, mut chem) = (BinnedSum::new(), BinnedSum::new());
         let mut stats = StatsPartial::default();
         let mut epi_counts = [0u64; 6];
         for tile in 0..self.layout.n_tiles() {
@@ -792,13 +794,15 @@ impl GpuDevice {
             let len = cb.nx();
             for (_, _, row) in span.rows(cb) {
                 for li in row..row + len {
-                    stats.add_virions(self.soa.virions.data[li]);
-                    stats.add_chemokine(self.soa.chem.data[li]);
+                    virions.add(self.soa.virions.data[li]);
+                    chem.add(self.soa.chem.data[li]);
                     stats.tcells_tissue += u64::from(self.soa.tcells[li].occupied());
                     epi_counts[self.soa.epi.state[li] as usize] += 1;
                 }
             }
         }
+        stats.virions = virions.sum();
+        stats.chemokine = chem.sum();
         stats.epi_healthy = epi_counts[EpiState::Healthy as usize];
         stats.epi_incubating = epi_counts[EpiState::Incubating as usize];
         stats.epi_expressing = epi_counts[EpiState::Expressing as usize];

@@ -1,8 +1,9 @@
 //! Integration tests for the unified telemetry subsystem: the span hierarchy
-//! must nest across all layers, the online health monitor must flag seeded
-//! stragglers promptly, and instrumentation must be pure observation — a
-//! telemetry-on run's trajectory must be bitwise identical to telemetry-off
-//! on both executors.
+//! must nest across all layers, the online health monitor must flag a slow
+//! rank promptly (judged on synthetic walls) and must receive a real run's
+//! stall, and instrumentation must be pure observation — a telemetry-on
+//! run's trajectory must be bitwise identical to telemetry-off on both
+//! executors.
 
 use simcov_repro::pgas::{FaultEvent, FaultKind, FaultPlan};
 use simcov_repro::simcov_core::grid::GridDims;
@@ -10,21 +11,69 @@ use simcov_repro::simcov_core::params::SimParams;
 use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
 use simcov_repro::simcov_driver::Simulation;
 use simcov_repro::simcov_gpu::{GpuSim, GpuSimConfig};
-use simcov_repro::simcov_telemetry::{HealthConfig, HealthKind, SpanKind, Telemetry};
+use simcov_repro::simcov_telemetry::{
+    HealthConfig, HealthKind, HealthMonitor, SpanKind, Telemetry,
+};
 use std::collections::HashMap;
 
 fn params(steps: u64, seed: u64) -> SimParams {
     SimParams::test_config(GridDims::new2d(32, 32), steps, 6, seed)
 }
 
-/// A seeded slow-rank fault must surface as a straggler health record within
-/// three supersteps of injection, attributed to the right rank.
+/// A slow rank must surface as a straggler health record within three
+/// supersteps, attributed to the right rank and no other. The walls are
+/// synthetic, so the claim holds whatever the host's load: four ranks whose
+/// supersteps take 20–80 µs of seeded jitter, and rank 1 stalled 50 ms at
+/// superstep 3, the stall `FaultKind::SlowRank` injects in the run below.
 #[test]
 fn seeded_slow_rank_is_flagged_within_three_supersteps() {
-    let inject_at = 3u64;
+    let (inject_at, stall_ns) = (3u64, 50_000_000u64);
+    let mut mon = HealthMonitor::with_config(HealthConfig::default());
+    let mut state = 0x5EED_u64;
+    for superstep in 0..24u64 {
+        let walls: Vec<u64> = (0..4u64)
+            .map(|rank| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let wall = 20_000 + (state >> 33) % 60_000;
+                wall + if rank == 1 && superstep == inject_at {
+                    stall_ns
+                } else {
+                    0
+                }
+            })
+            .collect();
+        mon.observe_superstep(superstep / 3, superstep, superstep * 1_000, &walls);
+    }
+    let stragglers: Vec<_> = mon
+        .records()
+        .iter()
+        .filter_map(|r| match &r.kind {
+            HealthKind::Straggler { rank, z, .. } => Some((r.superstep, *rank, *z)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        stragglers
+            .iter()
+            .any(|&(ss, _, _)| (inject_at..=inject_at + 3).contains(&ss)),
+        "stall not flagged within three supersteps of {inject_at}: {stragglers:?}"
+    );
+    for &(ss, rank, z) in &stragglers {
+        assert_eq!(rank, 1, "wrong rank blamed at superstep {ss}");
+        assert!(z >= 4.0, "z = {z} at superstep {ss}");
+    }
+}
+
+/// Wiring: a `SlowRank` fault in a real run reaches the health monitor as a
+/// straggler record. The run reads wall clocks, so it makes no timing claim;
+/// the detection bound is the test above.
+#[test]
+fn slow_rank_run_records_a_straggler() {
     let mut cfg = CpuSimConfig::new(params(20, 5), 4);
     cfg.fault_plan = FaultPlan::from_events(vec![FaultEvent {
-        superstep: inject_at,
+        superstep: 3,
         rank: 1,
         kind: FaultKind::SlowRank {
             stall_ns: 50_000_000, // 50 ms against ~µs-scale peers
@@ -34,31 +83,13 @@ fn seeded_slow_rank_is_flagged_within_three_supersteps() {
     sim.enable_telemetry(Telemetry::enabled(5, 1 << 14));
     sim.enable_health(HealthConfig::default());
     sim.run().expect("a stall is not a failure");
-
-    // Wall clocks on a loaded host can show a genuine straggler elsewhere in
-    // the run; only the records inside the detection window are about the
-    // injected stall.
-    let in_window: Vec<_> = sim
-        .health_records()
-        .iter()
-        .filter_map(|r| match &r.kind {
-            HealthKind::Straggler { rank, z, .. }
-                if (inject_at..=inject_at + 3).contains(&r.superstep) =>
-            {
-                Some((r.superstep, *rank, *z))
-            }
-            _ => None,
-        })
-        .collect();
     assert!(
-        !in_window.is_empty(),
-        "injected stall not flagged within three supersteps of {inject_at}: {:?}",
+        sim.health_records()
+            .iter()
+            .any(|r| matches!(r.kind, HealthKind::Straggler { .. })),
+        "no straggler record: {:?}",
         sim.health_records()
     );
-    for &(ss, rank, z) in &in_window {
-        assert_eq!(rank, 1, "wrong rank blamed at superstep {ss}");
-        assert!(z >= 4.0, "z = {z} at superstep {ss}");
-    }
 }
 
 /// Telemetry and health monitoring are pure observation: the instrumented
