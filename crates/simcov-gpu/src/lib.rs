@@ -10,7 +10,8 @@
 //!   second communication wave.
 //! * **Memory tiling** (§3.2, Fig. 3): tile-major storage with active-tile
 //!   tracking, a periodic sweep (period ≤ tile side) and a one-tile
-//!   activation buffer; tiles containing ghost voxels are always active.
+//!   activation buffer; tiles holding in-grid ghost voxels, and the buffer
+//!   around them, are always active.
 //! * **Fast reduction** (§3.3): per-step statistics via a shared-memory
 //!   tree reduction with one global atomic per block per lane, replacing
 //!   per-element atomics.

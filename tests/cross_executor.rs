@@ -238,3 +238,20 @@ fn corrupted_concentration_beside_the_global_surface_matches_the_checked_gather(
         assert_gpu_step_locked(&mut serial, &mut gpu, 3, what);
     }
 }
+
+#[test]
+fn activity_entering_a_device_boundary_tile_reaches_its_buffer() {
+    // Two linear strips of a 16x64 grid: the tiles along y = 31/32 hold
+    // device-boundary ghosts, and their core part is thin enough that
+    // virions spreading from (10, 33) cross into the next tile row between
+    // two tile checks. That row must already be active.
+    let dims = GridDims::new2d(16, 64);
+    let params = SimParams::test_config(dims, 12, 0, 7);
+    let mut world = World::healthy(dims);
+    world.virions.set(dims.index(Coord::new(10, 33, 0)), 1000.0);
+    let mut serial =
+        SerialSim::from_world(params.clone(), world.clone()).with_kernel(KernelMode::Scalar);
+    let cfg = GpuSimConfig::new(params, 2).with_strategy(Strategy::Linear);
+    let mut gpu = GpuSim::from_world(cfg, world).expect("valid config");
+    assert_gpu_step_locked(&mut serial, &mut gpu, 12, "ghost-tile buffer");
+}

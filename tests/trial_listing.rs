@@ -163,8 +163,8 @@ fn gpu_2d_arc_is_pinned() {
     check(
         &mut sim,
         Pins {
-            update_elements: 4_251_978,
-            counters: 0x99a1_71bd_b4fc_008d,
+            update_elements: 4_530_298,
+            counters: 0x5303_dc66_7a88_0b84,
             comm: 0x44a1_fd1c_12cd_e5db,
             run: 0xffd6_1181_a14c_8f7c,
             blob: 0xfae8_0e9f_c9ae_179f,
