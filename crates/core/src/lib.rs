@@ -54,6 +54,7 @@ pub mod serial;
 pub mod soa;
 pub mod stats;
 pub mod tcell;
+pub mod unit_grid;
 pub mod world;
 
 pub use checkpoint::{CheckpointError, CheckpointStore, RunCheckpoint};
@@ -71,4 +72,5 @@ pub use serial::SerialSim;
 pub use soa::{StencilDeltas, VoxelSoA};
 pub use stats::{StatsPartial, StepStats, TimeSeries};
 pub use tcell::{TCellSlot, VascularPool};
+pub use unit_grid::{Layout, UnitGrid};
 pub use world::World;

@@ -95,6 +95,18 @@ pub enum TCellAction {
     TryMove { target: Coord, bid: Bid },
 }
 
+impl TCellAction {
+    /// The target and bid of an action that bids, and whether it binds.
+    #[inline]
+    pub fn bid(self) -> Option<(Coord, Bid, bool)> {
+        match self {
+            TCellAction::TryBind { target, bid } => Some((target, bid, true)),
+            TCellAction::TryMove { target, bid } => Some((target, bid, false)),
+            _ => None,
+        }
+    }
+}
+
 /// The bid value a T cell at global voxel `gid` generates this step.
 #[inline]
 pub fn tcell_bid_value(seed: u64, step: u64, gid: u64) -> u64 {

@@ -64,7 +64,7 @@ impl Unit for CpuRank {
     }
 
     fn mark_listed(&self, params: &SimParams, mask: &mut [u64]) {
-        CpuRank::mark_listed(self, params, mask)
+        self.grid.mark_listed(params, mask)
     }
 
     fn n_active(&self) -> usize {
@@ -76,7 +76,7 @@ impl Unit for CpuRank {
     }
 
     fn corrupt_bit(&mut self, seed: u64) {
-        CpuRank::corrupt_bit(self, seed)
+        self.grid.corrupt_bit(seed)
     }
 
     fn write_into(&self, world: &mut World) {

@@ -147,7 +147,7 @@ impl Unit for GpuDevice {
     }
 
     fn mark_listed(&self, params: &SimParams, mask: &mut [u64]) {
-        GpuDevice::mark_listed(self, params, mask)
+        self.grid.mark_listed(params, mask)
     }
 
     fn n_active(&self) -> usize {

@@ -338,6 +338,25 @@ echo "== benchmark package (offline build + --quick run) =="
 benchmark/run.sh --quick >/dev/null
 echo "benchmark/run.sh --quick OK"
 
+# Output check over seeds: the benchmark's own check (every step's counts
+# and the final world against the serial oracle) on forty GPU and twenty
+# CPU arc seeds. One seed is not enough: a schedule-dependent fault can
+# stay silent on most seeds (the ghost-tile activation hole showed on 3 of
+# the 40 gpu_arc seeds here and nowhere else).
+echo "== output check over seeds (gpu_arc 100-139, cpu_arc 100-119) =="
+for sweep in gpu_arc:100:139 cpu_arc:100:119; do
+    IFS=: read -r workload first last <<<"$sweep"
+    for seed in $(seq "$first" "$last"); do
+        result=$(benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 0.3 \
+            --trace 0 | tail -1)
+        if [[ "$result" != *'"correct":true'* ]]; then
+            echo "$workload seed $seed failed its output check: ${result:0:120}"
+            exit 1
+        fi
+    done
+    echo "$workload seeds $first-$last: output check OK"
+done
+
 echo "== size =="
 echo "crates/**/*.rs lines: $(git ls-files 'crates/**/*.rs' | xargs cat | wc -l)"
 
