@@ -385,12 +385,16 @@ fn run_benches(smoke: bool, tel: &Telemetry) -> Vec<BenchResult> {
         || sum_binned(&field),
     );
 
-    // --- Dense GPU device step vs the bare stencil on the same grid: the
-    // `gpu_dense` benchmark workload's focus density (one per 1024 voxels)
-    // warmed up until every tile is active, and kept before T cells enter (no
-    // trials, no bids), so the step is diffusion, FSM, reduction and their
-    // sweep overhead — the part that should cost a small multiple of the
-    // stencil, which covers the interior (98.4 % of the voxels). ---
+    // --- Dense GPU device step vs the bare stencil on the same grid: one
+    // focus per 256 voxels, warmed up until every tile is active, and kept
+    // before T cells enter (no trials, no bids), so the step is diffusion,
+    // FSM, reduction and their sweep overhead — the part that should cost a
+    // small multiple of the stencil, which covers the interior (98.4 % of
+    // the voxels). At the `gpu_dense` workload's density (one focus per 1024
+    // voxels) the tiles along the grid edge, whose ghosts lie outside the
+    // grid and are not forced active, only all become active at step 152 of
+    // the 158 before T cells enter; at one per 256 every tile is active from
+    // step 0. ---
     //
     // This ceiling and the next sit within 1.5x of what they measure, and a
     // co-running memory-bound process slows the device step more than the
@@ -398,7 +402,7 @@ fn run_benches(smoke: bool, tel: &Telemetry) -> Vec<BenchResult> {
     // converged: 20 pairs here (the run must end before T cells enter).
     b = b.with_samples(20);
     let gpu_dims = GridDims::new2d(256, 256);
-    let gpu_p = SimParams::scaled_to(gpu_dims, 518, 64, 2024);
+    let gpu_p = SimParams::scaled_to(gpu_dims, 518, 256, 2024);
     let mut dev = GpuDevice::new(
         0,
         &Partition::new(gpu_dims, 1, Strategy::Blocks),
