@@ -1,21 +1,19 @@
 //! Kernel-level microbenchmarks: the building blocks whose costs the paper
 //! reasons about — diffusion stencils, T-cell planning, reduction
-//! strategies, tiled-layout indexing, counter-RNG draws.
+//! strategies, counter-RNG draws.
 
 use gpusim::kernel::LaunchConfig;
 use gpusim::reduce::{atomic_reduce, tree_reduce};
 use gpusim::DeviceCounters;
 use simcov_bench::microbench::Bench;
 use simcov_core::diffusion::diffuse_voxel;
-use simcov_core::grid::{Coord, GridDims};
-use simcov_core::halo::HaloBox;
+use simcov_core::grid::GridDims;
 use simcov_core::params::SimParams;
 use simcov_core::rng::{CounterRng, Stream};
 use simcov_core::rules::{plan_tcell, RuleView};
 use simcov_core::serial::SerialSim;
 use simcov_core::tcell::TCellSlot;
 use simcov_core::world::World;
-use simcov_gpu::tiles::TileLayout;
 
 fn bench_rng(b: &mut Bench) {
     let mut i = 0u64;
@@ -98,31 +96,6 @@ fn bench_reductions(b: &mut Bench) {
     });
 }
 
-fn bench_tile_layout(b: &mut Bench) {
-    let dims = GridDims::new2d(256, 256);
-    let p = simcov_core::decomp::Partition::new(dims, 4, simcov_core::decomp::Strategy::Blocks);
-    let layout = TileLayout::new(HaloBox::new(dims, *p.sub(0)), 8);
-    b.bench("layout_indexing/tiled_local", || {
-        let mut acc = 0usize;
-        for y in 0..120i64 {
-            for x in 0..120i64 {
-                acc = acc.wrapping_add(layout.local(Coord::new(x, y, 0)));
-            }
-        }
-        acc
-    });
-    let hb = HaloBox::new(dims, *p.sub(0));
-    b.bench("layout_indexing/rowmajor_local", || {
-        let mut acc = 0usize;
-        for y in 0..120i64 {
-            for x in 0..120i64 {
-                acc = acc.wrapping_add(hb.local(Coord::new(x, y, 0)));
-            }
-        }
-        acc
-    });
-}
-
 fn bench_serial_step(b: &mut Bench) {
     for side in [32u32, 64] {
         let p = SimParams::test_config(GridDims::new2d(side, side), 1000, 4, 7);
@@ -144,7 +117,6 @@ fn main() {
     bench_diffusion(&mut b);
     bench_tcell_plan(&mut b);
     bench_reductions(&mut b);
-    bench_tile_layout(&mut b);
     bench_serial_step(&mut b);
     b.finish();
 }

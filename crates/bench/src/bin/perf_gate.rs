@@ -87,14 +87,18 @@ const CHECKS: [Check; 6] = [
     },
     // A dense `GpuDevice` step (every tile active: plan, FSM, diffusion,
     // reduction, halo pack) over the bare `diffuse_interior_run` stencil on the
-    // same grid. Measured 3.8–5.9x (median 5.0x), the ceiling 30 % over that
-    // median; it was ~17x while the step staged tuples and tested geometry per
-    // voxel.
+    // same grid. Measured 3.6–5.5x (median 4.1x, 20 runs); 30 % over that
+    // median (5.4x) would already have failed one of them, so the ceiling is
+    // 30 % over the 4.4x median of 28 runs (3.4–5.7x) taken with 64-voxel
+    // lane blocks. The device step walks row-major runs and got ~1.5x faster,
+    // but the stencil got ~1.7x faster with it (the block-wise lane kernel),
+    // so the ratio fell only from a median of 5.0x; it was ~17x while the
+    // step staged tuples and tested geometry per voxel.
     Check {
         name: "gpu_step_over_stencil",
         reference: "gpu_step/stencil_256sq",
         subject: "gpu_step/device_256sq",
-        bound: Bound::CostAtMost(6.5),
+        bound: Bound::CostAtMost(5.7),
     },
     // The instrumentation budget. Near 1.05x on an idle machine; the band
     // leaves headroom for cache/bandwidth contention (which taxes the
@@ -399,25 +403,36 @@ fn run_benches(smoke: bool, tel: &Telemetry) -> Vec<BenchResult> {
     // This ceiling and the next sit within 1.5x of what they measure, and a
     // co-running memory-bound process slows the device step more than the
     // stencil, so in either mode they sample until the subject's min has
-    // converged: 20 pairs here (the run must end before T cells enter).
+    // converged: 20 pairs here. The batch is sized on the stencil, so the
+    // pair can outlast the steps before T cells enter; the device then
+    // starts over from step 0, and the one sample that pays for the rebuild
+    // is not the min the ratio reads.
     b = b.with_samples(20);
     let gpu_dims = GridDims::new2d(256, 256);
     let gpu_p = SimParams::scaled_to(gpu_dims, 518, 256, 2024);
-    let mut dev = GpuDevice::new(
-        0,
-        &Partition::new(gpu_dims, 1, Strategy::Blocks),
-        &World::seeded(&gpu_p, FoiPattern::UniformLattice),
-        GpuVariant::Combined,
-        8,
-        8,
-        4,
-        KernelMode::Wide,
-    );
+    let gpu_partition = Partition::new(gpu_dims, 1, Strategy::Blocks);
+    let gpu_world = World::seeded(&gpu_p, FoiPattern::UniformLattice);
+    let fresh_device = || {
+        GpuDevice::new(
+            0,
+            &gpu_partition,
+            &gpu_world,
+            GpuVariant::Combined,
+            8,
+            8,
+            4,
+            KernelMode::Wide,
+        )
+    };
+    let mut dev = fresh_device();
     let no_trials = TrialTable::default();
     let mut gpu_out: Outbox<GpuMsg> = Outbox::for_ranks(1);
     let mut gpu_t = 0u64;
     let mut gpu_step = |dev: &mut GpuDevice| {
-        assert!(gpu_t < gpu_p.tcell_initial_delay, "T cells would enter");
+        if gpu_t == gpu_p.tcell_initial_delay {
+            *dev = fresh_device();
+            gpu_t = 0;
+        }
         dev.plan_and_bid(&gpu_p, gpu_t, &no_trials, &[], &mut gpu_out);
         let stats = dev.resolve_and_update(&gpu_p, gpu_t, &[], &mut gpu_out);
         gpu_t += 1;

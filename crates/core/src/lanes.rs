@@ -2,24 +2,30 @@
 //!
 //! The diffusion inner loop is the hottest kernel in every executor. The SoA
 //! layout ([`crate::soa`]) makes it vectorization-ready; this module supplies
-//! the fixed-width chunked form: [`LANES`] consecutive voxels are processed
-//! per chunk with one accumulator per lane, the neighbor-delta loop on the
-//! *outside* and the lane loop on the *inside* — the shape LLVM
+//! the fixed-width chunked form. A run's full chunks are diffused in blocks
+//! of [`BLOCK`] voxels, one field at a time: [`LANES`] consecutive voxels
+//! are gathered per chunk with one accumulator per lane, the neighbor-delta
+//! loop on the *outside* and the lane loop on the *inside* — the shape LLVM
 //! autovectorizes into packed loads/adds today and `std::simd` can replace
-//! verbatim once it stabilizes. A scalar tail (the existing
-//! [`StencilDeltas::sum2`] path) covers run remainders shorter than a chunk.
+//! verbatim once it stabilizes. The per-voxel update then runs as one loop
+//! over the block's sums, so its flush-to-zero select stays a packed
+//! compare-and-mask instead of a branch per lane, and only then are the
+//! results handed out voxel by voxel. A scalar tail (the existing
+//! [`StencilDeltas::sum2`] path) covers the run's remainder shorter than a
+//! chunk, so a short run pays for no block.
 //!
 //! ## Bitwise reproducibility
 //!
 //! Lane `l` of a chunk based at voxel `i` accumulates `field[i + l + d]` for
-//! each delta `d` in [`StencilDeltas::deltas`] order — exactly the additions,
-//! in exactly the order, that the scalar `sum2(i + l, ..)` performs. Lanes
-//! never mix: there is no horizontal reduction, so widening the chunk cannot
-//! reassociate any f32 sum. The per-lane diffusion update then calls the same
-//! [`diffuse_voxel`] scalar function. The wide path is therefore *structurally*
-//! bit-identical to the scalar oracle — a property the differential suite
-//! (`tests/simd_differential.rs`) enforces over adversarial shapes, and the
-//! unit tests below enforce per-chunk.
+//! each delta `d` in [`StencilDeltas::deltas`] order, starting from +0.0 —
+//! exactly the additions, in exactly the order, that the scalar
+//! `sum2(i + l, ..)` performs for that field.
+//! Lanes never mix: there is no horizontal reduction, so widening the chunk
+//! cannot reassociate any f32 sum. The per-voxel diffusion update then calls
+//! the same [`diffuse_voxel`] scalar function. The wide path is therefore
+//! *structurally* bit-identical to the scalar oracle — a property the
+//! differential suite (`tests/simd_differential.rs`) enforces over
+//! adversarial shapes, and the unit tests below enforce per-chunk.
 //!
 //! [`StencilDeltas::sum2`]: crate::soa::StencilDeltas::sum2
 //! [`StencilDeltas::deltas`]: crate::soa::StencilDeltas::deltas
@@ -32,6 +38,12 @@ use crate::soa::StencilDeltas;
 /// AVX2 register (256 bit) and two NEON registers; the chunked loop shape
 /// vectorizes on narrower ISAs too (the compiler splits the lane loop).
 pub const LANES: usize = 8;
+
+/// Voxels [`diffuse_interior_run`] diffuses per block. A block's sums, then
+/// its results, live in two stack buffers that every run with a full chunk
+/// zeroes once: 32 keeps that cheap for runs of one or two chunks, and a
+/// long run pays the block loop once per 32 voxels.
+pub const BLOCK: usize = 4 * LANES;
 
 /// Which diffusion kernel an executor runs. The trajectories are bitwise
 /// identical by construction; `Scalar` is kept alive as the differential
@@ -56,37 +68,39 @@ impl KernelMode {
     }
 }
 
-/// Gather-sum two fields over the Moore neighborhoods of [`LANES`]
-/// consecutive voxels starting at `base`, one accumulator pair per lane.
+/// Gather-sum one field over the Moore neighborhoods of [`LANES`]
+/// consecutive voxels starting at `base`, one accumulator per lane.
 ///
 /// The caller guarantees every voxel `base..base + LANES` is interior (its
 /// whole neighborhood resolves by constant deltas within the box). Deltas
 /// iterate on the outside so each lane receives its additions in
 /// offset-table order — the canonical rounding order of the scalar path.
 #[inline]
-pub fn gather2_lanes(
-    st: &StencilDeltas,
-    base: usize,
-    a: &Field,
-    b: &Field,
-    sa: &mut [f32; LANES],
-    sb: &mut [f32; LANES],
-) {
-    *sa = [0.0; LANES];
-    *sb = [0.0; LANES];
+pub fn gather_lanes(st: &StencilDeltas, base: usize, f: &[f32]) -> [f32; LANES] {
+    let mut s = [0.0f32; LANES];
     for &d in st.deltas() {
         let u = (base as isize + d) as usize;
-        let ra = &a.data[u..u + LANES];
-        let rb = &b.data[u..u + LANES];
+        let r: &[f32; LANES] = f[u..u + LANES].try_into().expect("LANES cells");
         for l in 0..LANES {
-            sa[l] += ra[l];
-            sb[l] += rb[l];
+            s[l] += r[l];
         }
+    }
+    s
+}
+
+/// Neighborhood sums of the `sums.len()` interior voxels from `base`, a
+/// multiple of [`LANES`], by [`gather_lanes`] chunks.
+#[inline]
+fn gather_block(st: &StencilDeltas, base: usize, f: &[f32], sums: &mut [f32]) {
+    for (k, out) in sums.chunks_exact_mut(LANES).enumerate() {
+        out.copy_from_slice(&gather_lanes(st, base + k * LANES, f));
     }
 }
 
 /// Diffuse a run of `len` consecutive *interior* voxels starting at linear
-/// index `base`: full-width chunks via [`gather2_lanes`], then a scalar tail.
+/// index `base`: the full [`LANES`] chunks [`BLOCK`] voxels at a time (each
+/// field's sums via [`gather_lanes`], then the update over the block), and
+/// the `< LANES` remainder through the scalar [`StencilDeltas::sum2`] path.
 /// `emit(i, new_virions, new_chem)` is called once per voxel in ascending
 /// index order, so staged write-back buffers keep their scalar-path order.
 #[inline]
@@ -102,25 +116,33 @@ pub fn diffuse_interior_run(
     mut emit: impl FnMut(usize, f32, f32),
 ) {
     let n_valid = st.len();
-    let end = base + len;
+    let chunked = base + len - len % LANES;
     let mut i = base;
-    let mut sv = [0.0f32; LANES];
-    let mut sc = [0.0f32; LANES];
-    while i + LANES <= end {
-        gather2_lanes(st, i, virions, chem, &mut sv, &mut sc);
-        for l in 0..LANES {
-            let nv = diffuse_voxel(virions.data[i + l], sv[l], n_valid, vc.d, vc.decay, vc.min);
-            let nc = diffuse_voxel(chem.data[i + l], sc[l], n_valid, cc.d, cc.decay, cc.min);
-            emit(i + l, nv, nc);
+    if i < chunked {
+        let update = |own: &[f32], sums: &mut [f32], k: DiffuseCoeffs| {
+            for (s, &v) in sums.iter_mut().zip(own) {
+                *s = diffuse_voxel(v, *s, n_valid, k.d, k.decay, k.min);
+            }
+        };
+        let (mut nv, mut nc) = ([0.0f32; BLOCK], [0.0f32; BLOCK]);
+        while i < chunked {
+            let n = BLOCK.min(chunked - i);
+            let (nv, nc) = (&mut nv[..n], &mut nc[..n]);
+            gather_block(st, i, &virions.data, nv);
+            gather_block(st, i, &chem.data, nc);
+            update(&virions.data[i..i + n], nv, vc);
+            update(&chem.data[i..i + n], nc, cc);
+            for (k, (&v, &c)) in nv.iter().zip(nc.iter()).enumerate() {
+                emit(i + k, v, c);
+            }
+            i += n;
         }
-        i += LANES;
     }
-    while i < end {
+    for i in i..base + len {
         let (vs, cs) = st.sum2(i, virions, chem);
         let nv = diffuse_voxel(virions.data[i], vs, n_valid, vc.d, vc.decay, vc.min);
         let nc = diffuse_voxel(chem.data[i], cs, n_valid, cc.d, cc.decay, cc.min);
         emit(i, nv, nc);
-        i += 1;
     }
 }
 
@@ -173,9 +195,8 @@ mod tests {
                 {
                     continue;
                 }
-                let mut sa = [0.0f32; LANES];
-                let mut sb = [0.0f32; LANES];
-                gather2_lanes(&st, v, &a, &b, &mut sa, &mut sb);
+                let sa = gather_lanes(&st, v, &a.data);
+                let sb = gather_lanes(&st, v, &b.data);
                 for l in 0..LANES {
                     let (ea, eb) = st.sum2(v + l, &a, &b);
                     assert_eq!(sa[l].to_bits(), ea.to_bits(), "lane {l} at {v}");
@@ -187,15 +208,27 @@ mod tests {
 
     #[test]
     fn interior_run_matches_scalar_for_every_length() {
-        // Lengths straddling the chunk width: 0, 1, LANES-1, LANES, LANES+1,
-        // 2*LANES+3 — the tail and chunk boundaries must all agree.
-        let dims = GridDims::new2d(64, 5);
+        // Lengths straddling the chunk width and the block: 0, 1, LANES-1,
+        // LANES, LANES+1, 2*LANES+3, BLOCK-1, BLOCK, BLOCK+LANES+3,
+        // 2*BLOCK+5 — the tail, chunk and block boundaries must all agree.
+        let dims = GridDims::new2d(2 * BLOCK as u32 + 32, 5);
         let st = StencilDeltas::for_grid(dims);
         let (a, b) = adversarial_fields(dims.nvoxels(), 3);
         let vc = coeffs(0.15, 0.004, 1.0e-10);
         let cc = coeffs(0.6, 0.02, 1.0e-6);
         let row = dims.x as usize; // y = 1 row start
-        for len in [0usize, 1, LANES - 1, LANES, LANES + 1, 2 * LANES + 3] {
+        for len in [
+            0usize,
+            1,
+            LANES - 1,
+            LANES,
+            LANES + 1,
+            2 * LANES + 3,
+            BLOCK - 1,
+            BLOCK,
+            BLOCK + LANES + 3,
+            2 * BLOCK + 5,
+        ] {
             let base = row + 1;
             let mut got: Vec<(usize, u32, u32)> = Vec::new();
             diffuse_interior_run(&st, base, len, &a, &b, vc, cc, |i, nv, nc| {

@@ -72,5 +72,5 @@ pub use serial::SerialSim;
 pub use soa::{StencilDeltas, VoxelSoA};
 pub use stats::{StatsPartial, StepStats, TimeSeries};
 pub use tcell::{TCellSlot, VascularPool};
-pub use unit_grid::{Layout, UnitGrid};
+pub use unit_grid::UnitGrid;
 pub use world::World;

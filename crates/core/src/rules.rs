@@ -213,7 +213,9 @@ pub fn apoptosis_timer(p: &SimParams, step: u64, gid: u64) -> u32 {
 /// concentration at the voxel (infection probability `min(1, infectivity ·
 /// virions)`). Runs *after* binding has been applied, so a cell bound this
 /// step enters here as `Apoptotic` with a fresh timer (which then decrements
-/// once this step — consistent in every executor).
+/// once this step — consistent in every executor). `infection` is the
+/// step's infection key, `StepKey::new(p.seed, Stream::Infection, step)`,
+/// which a sweep folds once rather than once per voxel.
 #[inline]
 pub fn epi_update(
     state: EpiState,
@@ -221,6 +223,7 @@ pub fn epi_update(
     virions: f32,
     p: &SimParams,
     step: u64,
+    infection: StepKey,
     gid: u64,
 ) -> EpiUpdate {
     match state {
@@ -232,7 +235,7 @@ pub fn epi_update(
         EpiState::Healthy => {
             if virions > 0.0 {
                 let prob = (p.infectivity * virions as f64).min(1.0);
-                let mut rng = CounterRng::new(p.seed, Stream::Infection, step, gid);
+                let mut rng = infection.rng(gid);
                 if rng.chance(prob) {
                     return EpiUpdate {
                         state: EpiState::Incubating,
@@ -521,37 +524,41 @@ mod tests {
     fn epi_fsm_progression() {
         let dims = GridDims::new2d(3, 3);
         let p = params(dims);
+        let fsm = |s, timer, virions, step| {
+            let key = StepKey::new(p.seed, Stream::Infection, step);
+            epi_update(s, timer, virions, &p, step, key, 0)
+        };
         // Healthy with no virions: no-op.
-        let u = epi_update(EpiState::Healthy, 0, 0.0, &p, 0, 0);
+        let u = fsm(EpiState::Healthy, 0, 0.0, 0);
         assert_eq!(u.state, EpiState::Healthy);
         assert_eq!(u.transition, EpiTransition::None);
 
         // Healthy with overwhelming virions: infects (prob 1).
-        let u = epi_update(EpiState::Healthy, 0, 1e9, &p, 0, 0);
+        let u = fsm(EpiState::Healthy, 0, 1e9, 0);
         assert_eq!(u.state, EpiState::Incubating);
         assert_eq!(u.transition, EpiTransition::Infected);
         assert!(u.timer >= 1);
 
         // Incubating counts down then expresses.
-        let u = epi_update(EpiState::Incubating, 2, 0.0, &p, 1, 0);
+        let u = fsm(EpiState::Incubating, 2, 0.0, 1);
         assert_eq!(u.state, EpiState::Incubating);
         assert_eq!(u.timer, 1);
-        let u = epi_update(EpiState::Incubating, 1, 0.0, &p, 2, 0);
+        let u = fsm(EpiState::Incubating, 1, 0.0, 2);
         assert_eq!(u.state, EpiState::Expressing);
         assert_eq!(u.transition, EpiTransition::StartedExpressing);
 
         // Expressing dies at timer exhaustion.
-        let u = epi_update(EpiState::Expressing, 1, 0.0, &p, 3, 0);
+        let u = fsm(EpiState::Expressing, 1, 0.0, 3);
         assert_eq!(u.state, EpiState::Dead);
         assert_eq!(u.transition, EpiTransition::Died);
 
         // Apoptotic dies at timer exhaustion.
-        let u = epi_update(EpiState::Apoptotic, 1, 0.0, &p, 3, 0);
+        let u = fsm(EpiState::Apoptotic, 1, 0.0, 3);
         assert_eq!(u.state, EpiState::Dead);
 
         // Dead and airway are inert.
         for s in [EpiState::Dead, EpiState::Airway] {
-            let u = epi_update(s, 0, 1e9, &p, 5, 0);
+            let u = fsm(s, 0, 1e9, 5);
             assert_eq!(u.state, s);
             assert_eq!(u.transition, EpiTransition::None);
         }

@@ -19,6 +19,7 @@ use crate::foi::FoiPattern;
 use crate::grid::GridDims;
 use crate::lanes::{self, KernelMode};
 use crate::params::SimParams;
+use crate::rng::{StepKey, Stream};
 use crate::rules::{
     self, epi_update, extrav_lifetime, extrav_possible, extrav_succeeds, extrav_voxels, plan_tcell,
     Bid, TCellAction,
@@ -198,6 +199,7 @@ impl SerialSim {
         }
 
         // --- Phase 5: epithelial FSM (post-binding state) --------------
+        let infection = StepKey::new(p.seed, Stream::Infection, t);
         for v in 0..n {
             let s = self.world.epi.get(v);
             if s == EpiState::Airway || s == EpiState::Dead {
@@ -209,6 +211,7 @@ impl SerialSim {
                 self.world.virions.get(v),
                 &p,
                 t,
+                infection,
                 v as u64,
             );
             self.world.epi.set(v, u.state, u.timer);

@@ -24,8 +24,8 @@ use crate::grid::{Coord, GridDims};
 use crate::tcell::TCellSlot;
 
 /// Unified SoA voxel state over an executor-local index space (the full
-/// grid for the serial executor, a halo box for `simcov-cpu`, tile-major
-/// padded storage for `simcov-gpu`).
+/// grid for the serial executor, a row-major halo box for `simcov-cpu` and
+/// `simcov-gpu`).
 #[derive(Debug, Clone)]
 pub struct VoxelSoA {
     pub epi: EpiCells,

@@ -1,11 +1,10 @@
 //! The voxel substrate every distributed unit stands on: one subdomain's
-//! halo box of state, stored in the unit's own layout.
+//! halo box of state, stored row-major ([`HaloBox::local`]).
 //!
-//! SIMCoV-CPU ranks store the halo box row-major ([`HaloBox`]); SIMCoV-GPU
-//! devices store it tile-major (`simcov_gpu::TileLayout`, §3.2). A
-//! [`Layout`] says where a covered voxel lives and walks the x-rows of a
-//! global box in storage order. Over either, [`UnitGrid`] does once what
-//! both executors do alike: load a [`World`], answer the rules through
+//! SIMCoV-CPU ranks and SIMCoV-GPU devices keep the same storage; a device's
+//! memory tiles (§3.2) are a logical index over it (`simcov_gpu::TileLayout`),
+//! not a second storage order. Over that storage, [`UnitGrid`] does once
+//! what both executors do alike: load a [`World`], answer the rules through
 //! [`RuleView`], run extravasation over the halo reach, flip a seeded SDC
 //! bit, mark the trial table's listed voxels, write the owned region back
 //! and bucket traffic by the neighbours that hold a voxel. The three ways
@@ -21,6 +20,7 @@ use crate::extrav::{self, Trial, TrialTable};
 use crate::grid::{Coord, GridDims};
 use crate::halo::HaloBox;
 use crate::params::SimParams;
+use crate::rng::StepKey;
 use crate::rules::{
     apoptosis_timer, epi_update, extrav_lifetime, extrav_succeeds, EpiUpdate, RuleView, TCellAction,
 };
@@ -41,56 +41,27 @@ pub fn grid_box(dims: GridDims) -> GridBox {
     )
 }
 
-/// Where a unit keeps the voxels of its halo box.
-pub trait Layout {
-    /// The halo box the storage covers.
-    fn halo(&self) -> &HaloBox;
-
-    /// Storage cells, padding included.
-    fn storage_len(&self) -> usize;
-
-    /// Storage index of a covered global coordinate.
-    fn local(&self, c: Coord) -> usize;
-
-    /// Call `row(start, index, len)` for every x-row segment of the part of
-    /// `b` inside the halo box, in storage order: `len` contiguous storage
-    /// cells from `index`, holding the voxels from global `start` along x.
-    fn rows(&self, b: GridBox, row: impl FnMut(Coord, usize, usize));
-}
-
-impl Layout for HaloBox {
-    fn halo(&self) -> &HaloBox {
-        self
+/// Call `row(start, index, len)` for every x-row segment of the part of `b`
+/// inside the halo box, in storage order: `len` contiguous row-major cells
+/// from `index`, holding the voxels from global `start` along x.
+fn box_rows(hb: &HaloBox, (lo, hi): GridBox, mut row: impl FnMut(Coord, usize, usize)) {
+    let (x0, x1) = (lo.x.max(hb.lo.x), hi.x.min(hb.hi.x));
+    if x0 >= x1 {
+        return;
     }
-
-    fn storage_len(&self) -> usize {
-        self.len()
-    }
-
-    #[inline]
-    fn local(&self, c: Coord) -> usize {
-        HaloBox::local(self, c)
-    }
-
-    fn rows(&self, (lo, hi): GridBox, mut row: impl FnMut(Coord, usize, usize)) {
-        let (x0, x1) = (lo.x.max(self.lo.x), hi.x.min(self.hi.x));
-        if x0 >= x1 {
-            return;
-        }
-        for z in lo.z.max(self.lo.z)..hi.z.min(self.hi.z) {
-            for y in lo.y.max(self.lo.y)..hi.y.min(self.hi.y) {
-                let start = Coord::new(x0, y, z);
-                row(start, HaloBox::local(self, start), (x1 - x0) as usize);
-            }
+    for z in lo.z.max(hb.lo.z)..hi.z.min(hb.hi.z) {
+        for y in lo.y.max(hb.lo.y)..hi.y.min(hb.hi.y) {
+            let start = Coord::new(x0, y, z);
+            row(start, hb.local(start), (x1 - x0) as usize);
         }
     }
 }
 
-/// One unit's voxel state over its halo box, in layout `L`.
+/// One unit's voxel state over its halo box, stored row-major.
 #[derive(Debug, Clone)]
-pub struct UnitGrid<L> {
+pub struct UnitGrid {
     pub dims: GridDims,
-    pub layout: L,
+    pub hb: HaloBox,
     pub soa: VoxelSoA,
     /// Neighbouring units and their subdomains; bit `i` of a
     /// [`UnitGrid::reach_mask`] stands for `neighbors[i]`.
@@ -99,13 +70,14 @@ pub struct UnitGrid<L> {
     pub fresh: Vec<u32>,
 }
 
-impl<L: Layout> UnitGrid<L> {
+impl UnitGrid {
     /// Unit `unit` of `partition`, its halo box loaded from `world` (cells
-    /// outside the grid and padding stay inert airway).
-    pub fn new(partition: &Partition, unit: usize, layout: L, world: &World) -> Self {
+    /// outside the grid stay inert airway, their concentrations +0.0).
+    pub fn new(partition: &Partition, unit: usize, world: &World) -> Self {
         let dims = partition.dims;
-        let mut soa = VoxelSoA::airway(layout.storage_len());
-        layout.rows(grid_box(dims), |start, li, len| {
+        let hb = HaloBox::new(dims, *partition.sub(unit));
+        let mut soa = VoxelSoA::airway(hb.len());
+        box_rows(&hb, grid_box(dims), |start, li, len| {
             let gi = dims.index(start);
             soa.epi.state[li..li + len].copy_from_slice(&world.epi.state[gi..gi + len]);
             soa.epi.timer[li..li + len].copy_from_slice(&world.epi.timer[gi..gi + len]);
@@ -121,30 +93,24 @@ impl<L: Layout> UnitGrid<L> {
         assert!(neighbors.len() <= 32, "neighbour mask is 32 bits");
         UnitGrid {
             dims,
-            layout,
+            hb,
             soa,
             neighbors,
             fresh: Vec::new(),
         }
     }
 
-    /// The halo box.
-    #[inline]
-    pub fn hb(&self) -> &HaloBox {
-        self.layout.halo()
-    }
-
     /// The owned region as a box.
     #[inline]
     pub fn core_box(&self) -> GridBox {
-        let core = self.hb().core;
+        let core = self.hb.core;
         (core.lo, core.hi)
     }
 
     /// Storage index of a covered global voxel id.
     #[inline]
     pub fn local_gid(&self, gid: u64) -> usize {
-        self.layout.local(self.dims.coord(gid as usize))
+        self.hb.local(self.dims.coord(gid as usize))
     }
 
     /// Bit `i` set iff `neighbors[i]` holds `c` in its halo reach.
@@ -165,7 +131,7 @@ impl<L: Layout> UnitGrid<L> {
     /// included (they fail without a draw).
     pub fn extravasate(&mut self, p: &SimParams, t: u64, trials: &TrialTable) -> u64 {
         self.fresh.clear();
-        let (dims, hb) = (self.dims, *self.hb());
+        let (dims, hb) = (self.dims, self.hb);
         let (lo, hi) = grid_box(dims);
         let (x0, x1) = (hb.lo.x.max(lo.x), hb.hi.x.min(hi.x));
         if x0 >= x1 {
@@ -181,7 +147,7 @@ impl<L: Layout> UnitGrid<L> {
                 evaluated += trials.unlisted_in(g0, g1);
                 for &Trial { voxel, trial } in trials.in_gid_range(g0, g1) {
                     let c = row.offset((voxel as usize - g0) as i64, 0, 0);
-                    let li = self.layout.local(c);
+                    let li = self.hb.local(c);
                     if self.soa.tcells[li].occupied() {
                         continue;
                     }
@@ -221,8 +187,8 @@ impl<L: Layout> UnitGrid<L> {
                 TCellSlot::established(ts - 1, p.tcell_binding_period)
             }
             TCellAction::TryMove { target, .. } if won => {
-                if self.hb().is_core(target) {
-                    let tl = self.layout.local(target);
+                if self.hb.is_core(target) {
+                    let tl = self.hb.local(target);
                     self.soa.tcells[tl] = TCellSlot::established(ts - 1, 0);
                 }
                 TCellSlot::EMPTY
@@ -236,7 +202,7 @@ impl<L: Layout> UnitGrid<L> {
     /// A won bind: the expressing cell at `c` turns apoptotic. Returns its
     /// storage index.
     pub fn bind(&mut self, p: &SimParams, t: u64, c: Coord) -> usize {
-        let li = self.layout.local(c);
+        let li = self.hb.local(c);
         debug_assert_eq!(self.soa.epi.get(li), EpiState::Expressing);
         let timer = apoptosis_timer(p, t, self.dims.index(c) as u64);
         self.soa.epi.set(li, EpiState::Apoptotic, timer);
@@ -252,16 +218,31 @@ impl<L: Layout> UnitGrid<L> {
     }
 
     /// One voxel's epithelial FSM step and production at storage index `li`
-    /// (global id `gid`); `None` for airway and dead cells, which never
-    /// change.
+    /// (global id `gid`; `infection` as in [`epi_update`]); `None` for airway
+    /// and dead cells, which never change.
     #[inline]
-    pub fn epi_step(&mut self, li: usize, p: &SimParams, t: u64, gid: u64) -> Option<EpiUpdate> {
+    pub fn epi_step(
+        &mut self,
+        li: usize,
+        p: &SimParams,
+        t: u64,
+        infection: StepKey,
+        gid: u64,
+    ) -> Option<EpiUpdate> {
         let soa = &mut self.soa;
         let s = soa.epi.get(li);
         if s == EpiState::Airway || s == EpiState::Dead {
             return None;
         }
-        let u = epi_update(s, soa.epi.timer[li], soa.virions.get(li), p, t, gid);
+        let u = epi_update(
+            s,
+            soa.epi.timer[li],
+            soa.virions.get(li),
+            p,
+            t,
+            infection,
+            gid,
+        );
         soa.epi.set(li, u.state, u.timer);
         if u.state.produces_virions() {
             let v = &mut soa.virions.data[li];
@@ -278,10 +259,10 @@ impl<L: Layout> UnitGrid<L> {
     /// outside the grid included), touching only the ring: a row inside the
     /// core's y and z range clears its two ends, any other row all of it.
     pub fn clear_ghost_concentrations(&mut self) {
-        let hb = *self.hb();
+        let hb = self.hb;
         let core = hb.core;
         let soa = &mut self.soa;
-        self.layout.rows((hb.lo, hb.hi), |s, li, len| {
+        box_rows(&hb, (hb.lo, hb.hi), |s, li, len| {
             let core_row =
                 (core.lo.y..core.hi.y).contains(&s.y) && (core.lo.z..core.hi.z).contains(&s.z);
             let at = |x: i64| li + (x - s.x).clamp(0, len as i64) as usize;
@@ -304,7 +285,7 @@ impl<L: Layout> UnitGrid<L> {
         let (mut virions, mut chem) = (BinnedSum::new(), BinnedSum::new());
         let (mut tcells, mut epi) = (0u64, [0u64; 6]);
         let soa = &self.soa;
-        self.layout.rows(self.core_box(), |_, row, len| {
+        box_rows(&self.hb, self.core_box(), |_, row, len| {
             for li in row..row + len {
                 virions.add(soa.virions.data[li]);
                 chem.add(soa.chem.data[li]);
@@ -334,14 +315,14 @@ impl<L: Layout> UnitGrid<L> {
     /// same seed applied twice restores the original state.
     pub fn corrupt_bit(&mut self, seed: u64) {
         let mut rng = SplitMix64::new(seed);
-        let core = self.hb().core;
+        let core = self.hb.core;
         let n = core.nvoxels() as u64;
         if n == 0 {
             return;
         }
         let pick = (rng.next_u64() % n) as usize;
         let c = core.iter_coords().nth(pick).expect("pick < nvoxels");
-        let li = self.layout.local(c);
+        let li = self.hb.local(c);
         match rng.next_u64() % 3 {
             0 => {
                 let bit = 1u32 << (rng.next_u64() % 32);
@@ -361,7 +342,7 @@ impl<L: Layout> UnitGrid<L> {
 
     /// Set the trial-table mask bit of every owned voxel a trial can change.
     pub fn mark_listed(&self, p: &SimParams, mask: &mut [u64]) {
-        self.layout.rows(self.core_box(), |start, li, len| {
+        box_rows(&self.hb, self.core_box(), |start, li, len| {
             extrav::mark_listed(p, mask, self.dims.index(start), &self.soa, li, len);
         });
     }
@@ -369,7 +350,7 @@ impl<L: Layout> UnitGrid<L> {
     /// Copy the owned region into a global world.
     pub fn write_into(&self, world: &mut World) {
         let soa = &self.soa;
-        self.layout.rows(self.core_box(), |start, li, len| {
+        box_rows(&self.hb, self.core_box(), |start, li, len| {
             let gi = self.dims.index(start);
             world.epi.state[gi..gi + len].copy_from_slice(&soa.epi.state[li..li + len]);
             world.epi.timer[gi..gi + len].copy_from_slice(&soa.epi.timer[li..li + len]);
@@ -390,26 +371,26 @@ pub fn bucket<T: Copy>(mask: u32, item: T, buckets: &mut [Vec<T>]) {
     }
 }
 
-impl<L: Layout> RuleView for UnitGrid<L> {
+impl RuleView for UnitGrid {
     #[inline]
     fn dims(&self) -> GridDims {
         self.dims
     }
     #[inline]
     fn epi_state(&self, c: Coord) -> EpiState {
-        self.soa.epi.get(self.layout.local(c))
+        self.soa.epi.get(self.hb.local(c))
     }
     #[inline]
     fn tcell(&self, c: Coord) -> TCellSlot {
-        self.soa.tcells[self.layout.local(c)]
+        self.soa.tcells[self.hb.local(c)]
     }
     #[inline]
     fn virions(&self, c: Coord) -> f32 {
-        self.soa.virions.get(self.layout.local(c))
+        self.soa.virions.get(self.hb.local(c))
     }
     #[inline]
     fn chemokine(&self, c: Coord) -> f32 {
-        self.soa.chem.get(self.layout.local(c))
+        self.soa.chem.get(self.hb.local(c))
     }
 }
 
@@ -438,8 +419,8 @@ mod tests {
         for (_, partition) in cases() {
             let hb = HaloBox::new(partition.dims, *partition.sub(0));
             let mut next = 0;
-            hb.rows((hb.lo, hb.hi), |start, li, len| {
-                assert_eq!((li, HaloBox::local(&hb, start)), (next, next));
+            box_rows(&hb, (hb.lo, hb.hi), |start, li, len| {
+                assert_eq!((li, hb.local(start)), (next, next));
                 next += len;
             });
             assert_eq!(next, hb.len());
@@ -452,9 +433,8 @@ mod tests {
             let world = World::seeded(&p, FoiPattern::UniformLattice);
             let mut back = World::healthy(p.dims);
             for unit in 0..partition.n_ranks() {
-                let hb = HaloBox::new(p.dims, *partition.sub(unit));
-                let grid = UnitGrid::new(&partition, unit, hb, &world);
-                for c in hb.core.iter_coords() {
+                let grid = UnitGrid::new(&partition, unit, &world);
+                for c in grid.hb.core.iter_coords() {
                     assert_eq!(grid.virions(c), world.virions.get(p.dims.index(c)));
                 }
                 grid.write_into(&mut back);
@@ -468,8 +448,8 @@ mod tests {
         for (p, partition) in cases() {
             let world = World::healthy(p.dims);
             for unit in 0..partition.n_ranks() {
-                let hb = HaloBox::new(p.dims, *partition.sub(unit));
-                let mut grid = UnitGrid::new(&partition, unit, hb, &world);
+                let mut grid = UnitGrid::new(&partition, unit, &world);
+                let hb = grid.hb;
                 grid.soa.virions.data.fill(1.0);
                 grid.soa.chem.data.fill(2.0);
                 grid.clear_ghost_concentrations();
@@ -486,9 +466,8 @@ mod tests {
     fn reach_mask_names_the_neighbours_holding_a_voxel() {
         for (p, partition) in cases() {
             let world = World::healthy(p.dims);
-            let hb = HaloBox::new(p.dims, *partition.sub(0));
-            let grid = UnitGrid::new(&partition, 0, hb, &world);
-            for c in hb.core.iter_coords() {
+            let grid = UnitGrid::new(&partition, 0, &world);
+            for c in grid.hb.core.iter_coords() {
                 let mask = grid.reach_mask(c);
                 for (i, (_, sub)) in grid.neighbors.iter().enumerate() {
                     assert_eq!(mask >> i & 1 == 1, sub.in_halo_reach(c));

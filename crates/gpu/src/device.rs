@@ -1,6 +1,4 @@
-//! A simulated device: identity, work counters and link-traffic accounting.
-
-use crate::counters::DeviceCounters;
+//! A simulated device's link-traffic accounting.
 
 /// Halo traffic of one device split by link locality (NVLink within a node,
 /// NIC across nodes) — the distinction behind the paper's weak-scaling
@@ -45,24 +43,6 @@ impl LinkTraffic {
     }
 }
 
-/// A simulated device owned by one logical rank.
-#[derive(Debug, Clone, Default)]
-pub struct Device {
-    pub id: usize,
-    pub counters: DeviceCounters,
-    pub link: LinkTraffic,
-}
-
-impl Device {
-    pub fn new(id: usize) -> Self {
-        Device {
-            id,
-            counters: DeviceCounters::new(),
-            link: LinkTraffic::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,12 +74,5 @@ mod tests {
         assert_eq!(e.intra_bytes, 180);
         assert_eq!(e.inter_msgs, 12);
         assert_eq!(e.inter_bytes, 360);
-    }
-
-    #[test]
-    fn device_new() {
-        let d = Device::new(3);
-        assert_eq!(d.id, 3);
-        assert_eq!(d.counters, DeviceCounters::new());
     }
 }

@@ -1,14 +1,4 @@
-//! Kernel launch structure.
-//!
-//! A simulated kernel executes over a grid of blocks, like a CUDA launch.
-//! Blocks run sequentially on the calling thread — the logical *ranks*
-//! already provide host parallelism, and block order never affects results
-//! (kernels follow the owner-writes discipline). What the launch machinery
-//! provides is the faithful cost structure: one launch-overhead charge per
-//! kernel, per-block work metering, and per-block shared-memory scratch for
-//! reduction kernels.
-
-use crate::counters::{DeviceCounters, KernelCategory};
+//! Kernel launch shape: the grid of blocks a metered kernel is charged as.
 
 /// Grid/block shape of a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,42 +22,6 @@ impl LaunchConfig {
     }
 }
 
-/// Per-block work tally, merged into the device counters after the launch.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BlockTally {
-    pub elements: u64,
-    pub bytes: u64,
-    pub atomics: u64,
-    pub smem_ops: u64,
-}
-
-/// Launch a kernel: `f(block_index, &mut BlockTally)` runs once per block.
-/// Records one launch plus the accumulated block tallies under `category`.
-pub fn launch<F>(
-    counters: &mut DeviceCounters,
-    category: KernelCategory,
-    cfg: LaunchConfig,
-    mut f: F,
-) where
-    F: FnMut(usize, &mut BlockTally),
-{
-    let mut total = BlockTally::default();
-    for b in 0..cfg.n_blocks {
-        let mut tally = BlockTally::default();
-        f(b, &mut tally);
-        total.elements += tally.elements;
-        total.bytes += tally.bytes;
-        total.atomics += tally.atomics;
-        total.smem_ops += tally.smem_ops;
-    }
-    let cat = counters.category_mut(category);
-    cat.launches += 1;
-    cat.elements += total.elements;
-    cat.bytes += total.bytes;
-    cat.atomics += total.atomics;
-    cat.smem_ops += total.smem_ops;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,43 +35,5 @@ mod tests {
         assert_eq!(cfg.n_blocks, 4);
         let cfg = LaunchConfig::cover(0, 256);
         assert_eq!(cfg.n_blocks, 0);
-    }
-
-    #[test]
-    fn launch_runs_every_block_and_meters() {
-        let mut c = DeviceCounters::new();
-        let mut seen = Vec::new();
-        launch(
-            &mut c,
-            KernelCategory::UpdateAgents,
-            LaunchConfig::cover(10, 4),
-            |b, t| {
-                seen.push(b);
-                t.elements += 4;
-                t.bytes += 16;
-                t.atomics += 1;
-            },
-        );
-        assert_eq!(seen, vec![0, 1, 2]);
-        assert_eq!(c.update.launches, 1);
-        assert_eq!(c.update.elements, 12);
-        assert_eq!(c.update.bytes, 48);
-        assert_eq!(c.update.atomics, 3);
-    }
-
-    #[test]
-    fn zero_block_launch_still_counts_launch() {
-        let mut c = DeviceCounters::new();
-        launch(
-            &mut c,
-            KernelCategory::ReduceStats,
-            LaunchConfig {
-                n_blocks: 0,
-                block_size: 256,
-            },
-            |_b, _t| panic!("no blocks should run"),
-        );
-        assert_eq!(c.reduce.launches, 1);
-        assert_eq!(c.reduce.elements, 0);
     }
 }

@@ -31,6 +31,5 @@ pub use cost::{
     CostBreakdown, CostModel, HwProfile, NetProfile, CPU_CORE, GPU_A100, NIC_SLINGSHOT,
 };
 pub use counters::{DeviceCounters, KernelCategory};
-pub use device::Device;
-pub use kernel::{launch, LaunchConfig};
+pub use kernel::LaunchConfig;
 pub use metrics::{PhaseSnapshot, SharedSink, SnapshotTaker, StepRecord};

@@ -7,8 +7,8 @@ use pgas::Outbox;
 use simcov_core::decomp::Partition;
 use simcov_core::exact::BinnedSum;
 use simcov_core::extrav::TrialTable;
-use simcov_core::halo::HaloBox;
 use simcov_core::lanes::{self, KernelMode};
+use simcov_core::rng::{StepKey, Stream};
 use simcov_core::rules::{plan_tcell, voxel_active, Bid, EpiTransition, TCellAction};
 use simcov_core::unit_grid::bucket;
 use simcov_core::{Coord, EpiState, SimParams, StatsPartial, StencilDeltas, TCellSlot};
@@ -22,7 +22,7 @@ use crate::msg::{AgentCell, ConcCell, CpuMsg};
 pub struct CpuRank {
     pub rank: usize,
     /// Voxel state over the halo box, row-major.
-    pub grid: UnitGrid<HaloBox>,
+    pub grid: UnitGrid,
     /// Constant stencil deltas for the halo box's row-major strides.
     stencil: StencilDeltas,
     /// Which diffusion kernel this rank runs (bitwise identical either way).
@@ -52,8 +52,8 @@ impl CpuRank {
     /// Build rank-local state from the initial world.
     pub fn new(rank: usize, partition: &Partition, world: &World, kernel: KernelMode) -> Self {
         let dims = partition.dims;
-        let hb = HaloBox::new(dims, *partition.sub(rank));
-        let grid = UnitGrid::new(partition, rank, hb, world);
+        let grid = UnitGrid::new(partition, rank, world);
+        let hb = grid.hb;
         let n = hb.len();
         let (sx, sy, _) = hb.size();
         let stencil = StencilDeltas::for_strides(dims, sx, sy);
@@ -117,14 +117,14 @@ impl CpuRank {
 
     /// Insert a core voxel and its in-core neighbors into the processed set.
     fn dilate_into_processed(&mut self, c: Coord) {
-        if self.grid.layout.is_core(c) {
-            let li = self.grid.layout.local(c) as u32;
+        if self.grid.hb.is_core(c) {
+            let li = self.grid.hb.local(c) as u32;
             self.processed.insert(li);
         }
         for &(dx, dy, dz) in self.grid.dims.neighbor_offsets() {
             let q = c.offset(dx, dy, dz);
-            if self.grid.dims.in_bounds(q) && self.grid.layout.is_core(q) {
-                self.processed.insert(self.grid.layout.local(q) as u32);
+            if self.grid.dims.in_bounds(q) && self.grid.hb.is_core(q) {
+                self.processed.insert(self.grid.hb.local(q) as u32);
             }
         }
     }
@@ -148,7 +148,7 @@ impl CpuRank {
         self.processed.clear();
         let mut marks = std::mem::take(&mut self.marks);
         for &m in marks.sorted() {
-            let c = self.grid.layout.global(m as usize);
+            let c = self.grid.hb.global(m as usize);
             self.dilate_into_processed(c);
         }
         marks.clear();
@@ -158,8 +158,8 @@ impl CpuRank {
             if let CpuMsg::GhostState { agents, conc } = msg {
                 for cell in agents {
                     let c = self.grid.dims.coord(cell.gid as usize);
-                    debug_assert!(self.grid.layout.covers(c) && !self.grid.layout.is_core(c));
-                    let li = self.grid.layout.local(c);
+                    debug_assert!(self.grid.hb.covers(c) && !self.grid.hb.is_core(c));
+                    let li = self.grid.hb.local(c);
                     self.grid.soa.epi.state[li] = cell.epi_state;
                     self.grid.soa.tcells[li] = cell.tcell;
                     if cell.active {
@@ -196,10 +196,10 @@ impl CpuRank {
             if !slot.occupied() || slot.is_fresh() {
                 continue;
             }
-            let c = self.grid.layout.global(li as usize);
+            let c = self.grid.hb.global(li as usize);
             let action = plan_tcell(&self.grid, p, t, c);
             match action.bid() {
-                Some((target, bid, is_bind)) if !self.grid.layout.is_core(target) => {
+                Some((target, bid, is_bind)) if !self.grid.hb.is_core(target) => {
                     let src = self.grid.dims.index(c) as u64;
                     let tgt = self.grid.dims.index(target) as u64;
                     let msg = if is_bind {
@@ -220,7 +220,7 @@ impl CpuRank {
                 }
                 bidding => {
                     if let Some((target, bid, is_bind)) = bidding {
-                        let tl = self.grid.layout.local(target) as u32;
+                        let tl = self.grid.hb.local(target) as u32;
                         let map = if is_bind {
                             &mut self.bind_bids
                         } else {
@@ -269,15 +269,13 @@ impl CpuRank {
                 } else {
                     &self.move_bids
                 };
-                bids[&(self.grid.layout.local(target) as u32)] == bid
+                bids[&(self.grid.hb.local(target) as u32)] == bid
             });
             let next = self.grid.apply_action(p, li as usize, action, won);
             match action {
                 TCellAction::Die => self.stats.tcells_tissue -= 1,
                 TCellAction::TryBind { target, .. } if won => self.apply_bind(p, t, target),
-                TCellAction::TryMove { target, .. } if won => {
-                    self.mark(self.grid.layout.local(target))
-                }
+                TCellAction::TryMove { target, .. } if won => self.mark(self.grid.hb.local(target)),
                 _ => {}
             }
             if next.occupied() {
@@ -309,7 +307,7 @@ impl CpuRank {
                 }
                 CpuMsg::BindIntent { src, target, bid } => {
                     let c = self.grid.dims.coord(target as usize);
-                    let tl = self.grid.layout.local(c);
+                    let tl = self.grid.hb.local(c);
                     let won = self.bind_bids[&(tl as u32)] == Bid(bid);
                     if won {
                         self.apply_bind(p, t, c);
@@ -322,13 +320,14 @@ impl CpuRank {
         }
 
         // Epithelial FSM + production over the processed set.
+        let infection = StepKey::new(p.seed, Stream::Infection, t);
         let mut processed_set = std::mem::take(&mut self.processed);
         let processed = processed_set.sorted();
         for &li in processed {
             let li = li as usize;
             let s = self.grid.soa.epi.get(li);
-            let gid = self.grid.dims.index(self.grid.layout.global(li)) as u64;
-            let Some(u) = self.grid.epi_step(li, p, t, gid) else {
+            let gid = self.grid.dims.index(self.grid.hb.global(li)) as u64;
+            let Some(u) = self.grid.epi_step(li, p, t, infection, gid) else {
                 continue;
             };
             match u.transition {
@@ -360,8 +359,8 @@ impl CpuRank {
         // neighbor).
         let mut per_neighbor: Vec<Vec<ConcCell>> = vec![Vec::new(); self.grid.neighbors.len()];
         for &li in processed {
-            let c = self.grid.layout.global(li as usize);
-            if self.grid.layout.is_boundary(c) {
+            let c = self.grid.hb.global(li as usize);
+            if self.grid.hb.is_boundary(c) {
                 let cell = self.conc_cell(self.grid.dims.index(c) as u64, li as usize);
                 bucket(self.grid.reach_mask(c), cell, &mut per_neighbor);
             }
@@ -478,13 +477,13 @@ impl CpuRank {
         let mut j = 0usize;
         while j < processed.len() {
             let li = processed[j] as usize;
-            let c = self.grid.layout.global(li);
+            let c = self.grid.hb.global(li);
             if self.stencil.is_interior(c) {
                 let mut len = 1usize;
                 if self.kernel == KernelMode::Wide {
                     while j + len < processed.len()
                         && processed[j + len] as usize == li + len
-                        && self.stencil.is_interior(self.grid.layout.global(li + len))
+                        && self.stencil.is_interior(self.grid.hb.global(li + len))
                     {
                         len += 1;
                     }
@@ -508,7 +507,7 @@ impl CpuRank {
                 for &(dx, dy, dz) in self.grid.dims.neighbor_offsets() {
                     let q = c.offset(dx, dy, dz);
                     if self.grid.dims.in_bounds(q) {
-                        let ql = self.grid.layout.local(q);
+                        let ql = self.grid.hb.local(q);
                         vs += self.grid.soa.virions.get(ql);
                         cs += self.grid.soa.chem.get(ql);
                         nv += 1;
@@ -550,8 +549,8 @@ impl CpuRank {
         let mut agent_batches: Vec<Vec<AgentCell>> = vec![Vec::new(); self.grid.neighbors.len()];
         let mut conc_batches: Vec<Vec<ConcCell>> = vec![Vec::new(); self.grid.neighbors.len()];
         for &li in processed {
-            let c = self.grid.layout.global(li as usize);
-            if self.grid.layout.is_boundary(c) {
+            let c = self.grid.hb.global(li as usize);
+            if self.grid.hb.is_boundary(c) {
                 let (li, soa) = (li as usize, &self.grid.soa);
                 let gid = self.grid.dims.index(c) as u64;
                 let agent = AgentCell {

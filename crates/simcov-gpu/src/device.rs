@@ -23,17 +23,17 @@ use pgas::counters::WireSize;
 use pgas::Outbox;
 use simcov_core::decomp::Partition;
 use simcov_core::extrav::TrialTable;
-use simcov_core::halo::HaloBox;
 use simcov_core::lanes::{self, KernelMode};
+use simcov_core::rng::{StepKey, Stream};
 use simcov_core::rules::{plan_tcell, voxel_active, Bid, TCellAction};
 use simcov_core::unit_grid::bucket;
-use simcov_core::{EpiState, Field, SimParams, StatsPartial, StencilDeltas, TCellSlot};
+use simcov_core::{EpiState, SimParams, StatsPartial, StencilDeltas, TCellSlot};
 use simcov_core::{UnitGrid, VoxelSoA, World};
 
 use simcov_telemetry::{OpenSpan, Telemetry};
 
 use crate::msg::{BidCell, GpuMsg, HaloCell};
-use crate::tiles::{SweepBoxes, TileLayout, TileSpan, TileTracker};
+use crate::tiles::{SweepBoxes, TileLayout, TileTracker};
 use crate::variants::GpuVariant;
 
 /// Statistic lanes reduced per step (virions, chemokine, tissue T cells,
@@ -49,32 +49,31 @@ const REDUCE_BYTES_UNTILED: u64 = 28;
 const UPDATE_BYTES_TILED: u64 = 32;
 const UPDATE_BYTES_UNTILED: u64 = 52;
 
-/// One simulated device and its subdomain state (tile-ordered storage).
+/// One simulated device and its subdomain state.
 pub struct GpuDevice {
     pub id: usize,
-    /// Voxel state over the halo box, in tile-major padded storage.
-    pub grid: UnitGrid<TileLayout>,
+    /// Voxel state over the halo box, row-major.
+    pub grid: UnitGrid,
+    /// The memory tiles (§3.2): a logical index over `grid`'s storage.
+    layout: TileLayout,
     pub variant: GpuVariant,
     devices_per_node: usize,
 
     boxes: SweepBoxes,
     /// Core cells on the core's faces with the neighbors that hold a ghost
-    /// copy of each, in tile-major order — the halo wave's pack list.
+    /// copy of each, tile by tile — the halo wave's pack list.
     boundary: Vec<BoundaryCell>,
     /// Boundary cells per neighbor (the halo wave's bucket sizes).
     halo_caps: Vec<usize>,
 
-    /// Constant stencil deltas over the apron scratch block (side `tile + 2`).
+    /// Constant stencil deltas for the halo box's row-major strides.
     stencil: StencilDeltas,
-    /// Apron scratch block: one tile's core cells plus a one-voxel apron of
-    /// each concentration field, row-major — the diffusion kernel's
-    /// shared-memory stage.
-    block_v: Field,
-    block_c: Field,
     /// Diffusion destination fields (same indexing as `soa`), copied back
-    /// per tile row once every work tile has gathered its apron.
+    /// run by run once no later run reads the old values.
     next_v: Vec<f32>,
     next_c: Vec<f32>,
+    /// Diffusion runs `(z, y, (index, len))` not yet copied back.
+    pending: Vec<(i64, i64, (usize, usize))>,
     /// Which diffusion kernel this device runs (bitwise identical either
     /// way; `Scalar` is the differential oracle).
     kernel: KernelMode,
@@ -113,20 +112,20 @@ impl GpuDevice {
         kernel: KernelMode,
     ) -> Self {
         let dims = partition.dims;
-        let hb = HaloBox::new(dims, *partition.sub(id));
-        let grid = UnitGrid::new(partition, id, TileLayout::new(hb, tile_side), world);
-        let layout = &grid.layout;
-        let n = layout.len();
-        let stencil = StencilDeltas::for_strides(dims, tile_side + 2, tile_side + 2);
-        let boxes = SweepBoxes::new(dims, layout);
-        let mut tracker = TileTracker::new(layout, boxes.grid, check_period);
+        let grid = UnitGrid::new(partition, id, world);
+        let layout = TileLayout::new(grid.hb, tile_side);
+        let n = grid.hb.len();
+        let (sx, sy, _) = grid.hb.size();
+        let stencil = StencilDeltas::for_strides(dims, sx, sy);
+        let boxes = SweepBoxes::new(dims, &layout);
+        let mut tracker = TileTracker::new(&layout, boxes.grid, check_period);
         if variant.tiling() {
             // Seed the active set from the actual state instead of waiting
             // for the next phase-aligned check: a device built mid-run (a
             // rollback or durable resume landing between checks) must not
             // freeze interior tiles until the schedule comes around.
-            let found = scan_tile_activity(layout, &grid.soa);
-            tracker.apply_check(layout, &found);
+            let found = scan_tile_activity(&layout, &grid.soa);
+            tracker.apply_check(&layout, &found);
         }
         let boundary: Vec<BoundaryCell> = layout
             .boundary_cells()
@@ -148,10 +147,9 @@ impl GpuDevice {
             boundary,
             halo_caps,
             stencil,
-            block_v: Field::zeros(layout.block_len()),
-            block_c: Field::zeros(layout.block_len()),
             next_v: vec![0.0; n],
             next_c: vec![0.0; n],
+            pending: Vec::new(),
             kernel,
             move_bid: vec![Bid::EMPTY; n],
             bind_bid: vec![Bid::EMPTY; n],
@@ -162,6 +160,7 @@ impl GpuDevice {
             link: LinkTraffic::default(),
             tel: Telemetry::disabled(),
             grid,
+            layout,
         }
     }
 
@@ -170,14 +169,6 @@ impl GpuDevice {
     /// changes the trajectory.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
-    }
-
-    /// The valid extent of `tile` if the update kernels visit it this step
-    /// (every tile when tiling is disabled).
-    #[inline]
-    fn work_span(&self, tile: usize) -> Option<TileSpan> {
-        (!self.variant.tiling() || self.tracker.active[tile])
-            .then(|| self.grid.layout.tile_span(tile))
     }
 
     fn same_node(&self, peer: usize) -> bool {
@@ -253,15 +244,15 @@ impl GpuDevice {
         // Periodic tile-activity check (§3.2).
         if self.variant.tiling() && self.tracker.check_due(t) {
             let sp = self.tel.open();
-            let found = scan_tile_activity(&self.grid.layout, &self.grid.soa);
+            let found = scan_tile_activity(&self.layout, &self.grid.soa);
             // The real kernel cannot early-exit a warp-parallel scan; charge
-            // the full sweep.
+            // the full sweep, edge tiles at full tile volume.
+            let n = (self.layout.n_tiles() * self.layout.tile_volume()) as u64;
             let tc = self.counters.category_mut(KernelCategory::TileCheck);
             tc.launches += 1;
-            tc.elements += self.grid.layout.len() as u64;
-            tc.bytes += self.grid.layout.len() as u64 * 13;
-            self.tracker.apply_check(&self.grid.layout, &found);
-            let n = self.grid.layout.len() as u64;
+            tc.elements += n;
+            tc.bytes += n * 13;
+            self.tracker.apply_check(&self.layout, &found);
             self.tel
                 .kernel_span(self.id + 1, "kernel:tile-check", sp, n, n * 13);
         }
@@ -282,26 +273,24 @@ impl GpuDevice {
         let sp = self.tel.open();
         self.actions.clear();
         debug_assert!(self.touched_bids.is_empty());
-        let mut scanned = 0u64;
+        let work = self.tracker.work(self.variant.tiling());
+        // The kernel scans whole work tiles; only core cells plan.
+        let scanned: u64 = (0..self.layout.n_tiles())
+            .filter(|&tile| work(tile))
+            .map(|tile| self.layout.tile_span(tile).volume() as u64)
+            .sum();
         let mut bids_written = 0u64;
-        for tile in 0..self.grid.layout.n_tiles() {
-            let Some(span) = self.work_span(tile) else {
-                continue;
-            };
-            // The kernel scans the whole tile; only core cells plan.
-            scanned += span.volume() as u64;
-            let cb = span.clip(self.boxes.core);
-            for (oy, oz, row) in span.rows(cb) {
-                for ox in cb.x0..cb.x1 {
-                    let li = row + ox - cb.x0;
+        self.layout
+            .work_rows(&work, self.boxes.core, |start, row, len| {
+                for k in 0..len {
+                    let li = row + k;
                     let slot = self.grid.soa.tcells[li];
                     if !slot.occupied() || slot.is_fresh() {
                         continue;
                     }
-                    let c = span.origin.offset(ox as i64, oy as i64, oz as i64);
-                    let action = plan_tcell(&self.grid, p, t, c);
+                    let action = plan_tcell(&self.grid, p, t, start.offset(k as i64, 0, 0));
                     if let Some((target, bid, is_bind)) = action.bid() {
-                        let tl = self.grid.layout.local(target);
+                        let tl = self.grid.hb.local(target);
                         let bids = if is_bind {
                             &mut self.bind_bid
                         } else {
@@ -313,8 +302,8 @@ impl GpuDevice {
                     }
                     self.actions.push((li as u32, action));
                 }
-            }
-        }
+            });
+        drop(work);
         {
             let u = self.counters.category_mut(KernelCategory::UpdateAgents);
             u.launches += 1;
@@ -340,7 +329,7 @@ impl GpuDevice {
             .map(|&cap| Vec::with_capacity(cap.min(self.touched_bids.len())))
             .collect();
         for &tl in &self.touched_bids {
-            let c = self.grid.layout.coord_of(tl as usize);
+            let c = self.grid.hb.global(tl as usize);
             let cell = BidCell {
                 gid: self.grid.dims.index(c) as u64,
                 move_bid: self.move_bid[tl as usize].0,
@@ -372,7 +361,7 @@ impl GpuDevice {
         inbox: &[GpuMsg],
         out: &mut Outbox<GpuMsg>,
     ) -> StatsPartial {
-        let hb = self.grid.layout.hb;
+        let hb = self.grid.hb;
 
         // Merge incoming bid contributions (commutative max — order-free).
         let sp = self.tel.open();
@@ -413,7 +402,7 @@ impl GpuDevice {
                 } else {
                     &self.move_bid
                 };
-                bids[self.grid.layout.local(target)] == bid
+                bids[hb.local(target)] == bid
             });
             self.grid.apply_action(p, li as usize, action, won);
         }
@@ -426,7 +415,7 @@ impl GpuDevice {
         let touched = std::mem::take(&mut self.touched_bids);
         for &tl in &touched {
             let tl = tl as usize;
-            let c = self.grid.layout.coord_of(tl);
+            let c = hb.global(tl);
             let mb = self.move_bid[tl];
             if !mb.is_empty() && hb.is_core(c) {
                 let src = self.grid.dims.coord(mb.src() as usize);
@@ -437,7 +426,7 @@ impl GpuDevice {
                     // GPU can safely be instantiated without fear of
                     // duplication", §3.1). Local winners were materialized
                     // in the action loop above.
-                    let slot = self.grid.soa.tcells[self.grid.layout.local(src)];
+                    let slot = self.grid.soa.tcells[hb.local(src)];
                     debug_assert!(slot.occupied() && !slot.is_fresh());
                     self.grid.soa.tcells[tl] = TCellSlot::established(slot.tissue_steps() - 1, 0);
                 }
@@ -457,27 +446,19 @@ impl GpuDevice {
             .kernel_span(self.id + 1, "kernel:resolve", sp, n_actions, n_fresh);
 
         // FSM + production over core AND ghost voxels of the work tiles:
-        // the in-bounds box of each tile, global index running along x.
+        // their in-bounds runs, global index running along x.
         let sp = self.tel.open();
+        let work = self.tracker.work(self.variant.tiling());
         let mut fsm_elems = 0u64;
-        for tile in 0..self.grid.layout.n_tiles() {
-            let Some(span) = self.work_span(tile) else {
-                continue;
-            };
-            let gb = span.clip(self.boxes.grid);
-            let len = gb.nx();
-            fsm_elems += gb.volume() as u64;
-            for (oy, oz, row) in span.rows(gb) {
-                let row_gid =
-                    self.grid
-                        .dims
-                        .index(span.origin.offset(gb.x0 as i64, oy as i64, oz as i64))
-                        as u64;
+        let infection = StepKey::new(p.seed, Stream::Infection, t);
+        self.layout
+            .work_rows(&work, self.boxes.grid, |start, row, len| {
+                fsm_elems += len as u64;
+                let gid = self.grid.dims.index(start) as u64;
                 for k in 0..len {
-                    self.grid.epi_step(row + k, p, t, row_gid + k as u64);
+                    self.grid.epi_step(row + k, p, t, infection, gid + k as u64);
                 }
-            }
-        }
+            });
         {
             let ub = if self.variant.tiling() {
                 UPDATE_BYTES_TILED
@@ -492,15 +473,14 @@ impl GpuDevice {
         self.tel
             .kernel_span(self.id + 1, "kernel:fsm", sp, fsm_elems, 0);
 
-        // Diffusion over core voxels of the work tiles, one tile + apron
-        // block at a time: stage the tile's core cells and their one-voxel
-        // apron into the scratch block, then run the stencil over resident
-        // data. Apron cells outside the grid are +0.0, which leaves a sum
-        // that started from +0.0 bitwise unchanged, so a surface voxel adds
-        // the same values in the same offset order as a bounds-checked
-        // gather and divides by its geometric in-bounds neighbor count.
-        // Tiles clear of the global surface run whole rows through the lane
-        // kernel in `Wide` mode; `Scalar` keeps every voxel on `sum2`.
+        // Diffusion over the core runs of the work tiles, straight from the
+        // fields: the part of a run inside the global interior goes through
+        // the lane kernel in `Wide` mode, every other voxel (all of them in
+        // `Scalar` mode) through `sum2`. Halo cells outside the grid hold
+        // +0.0, which leaves a sum that started from +0.0 bitwise unchanged,
+        // so a surface voxel adds the same values in the same offset order
+        // as a bounds-checked gather and divides by its geometric in-bounds
+        // neighbor count.
         let sp = self.tel.open();
         let mut diff_elems = 0u64;
         let vc = p.virion_coeffs();
@@ -512,82 +492,57 @@ impl GpuDevice {
         );
         // In-bounds cells among `g - 1, g, g + 1` along an axis of extent `d`.
         let in_axis = |g: i64, d: i64| 1 + usize::from(g > 0) + usize::from(g + 1 < d);
-        for tile in 0..self.grid.layout.n_tiles() {
-            let Some(span) = self.work_span(tile) else {
-                continue;
-            };
-            let cb = span.clip(self.boxes.core);
-            if cb.volume() == 0 {
-                continue;
-            }
-            let len = cb.nx();
-            diff_elems += cb.volume() as u64;
-            let (virions, chem) = (&self.grid.soa.virions.data, &self.grid.soa.chem.data);
-            let (bv, bc) = (&mut self.block_v.data, &mut self.block_c.data);
-            self.grid
-                .layout
-                .apron_segments(tile, cb, self.grid.dims, |dst, src, n| match src {
-                    Some(src) if n == 1 => {
-                        bv[dst] = virions[src];
-                        bc[dst] = chem[src];
-                    }
-                    Some(src) => {
-                        bv[dst..dst + n].copy_from_slice(&virions[src..src + n]);
-                        bc[dst..dst + n].copy_from_slice(&chem[src..src + n]);
-                    }
-                    None => {
-                        bv[dst..dst + n].fill(0.0);
-                        bc[dst..dst + n].fill(0.0);
-                    }
-                });
-            let wide =
-                self.kernel == KernelMode::Wide && span.clip(self.boxes.interior).contains(cb);
-            let (next_v, next_c) = (&mut self.next_v, &mut self.next_c);
-            for (oy, oz, row) in span.rows(cb) {
-                let brow = self
-                    .grid
-                    .layout
-                    .block_index(cb.x0 as i64, oy as i64, oz as i64);
-                if wide {
-                    lanes::diffuse_interior_run(
-                        &self.stencil,
-                        brow,
-                        len,
-                        &self.block_v,
-                        &self.block_c,
-                        vc,
-                        cc,
-                        |i, nv, nc| {
-                            next_v[row + i - brow] = nv;
-                            next_c[row + i - brow] = nc;
-                        },
-                    );
+        let (ilo, ihi) = self.boxes.interior;
+        let wide = self.kernel == KernelMode::Wide;
+        // A row's old values are read by the rows up to one after it along y
+        // and, in 3D, one plane after it along z: once the walk is past
+        // those, the row's new values are copied back while still in cache.
+        let dz = i64::from(gz > 1);
+        let (soa, st) = (&mut self.grid.soa, &self.stencil);
+        let (next_v, next_c) = (&mut self.next_v, &mut self.next_c);
+        let pending = &mut self.pending;
+        pending.clear();
+        let mut written = 0;
+        self.layout
+            .work_rows(&work, self.boxes.core, |start, row, len| {
+                diff_elems += len as u64;
+                // The run's interior part `a..b`, empty off the interior rows.
+                let (a, b) = if wide
+                    && (ilo.y..ihi.y).contains(&start.y)
+                    && (ilo.z..ihi.z).contains(&start.z)
+                {
+                    let a = (ilo.x - start.x).clamp(0, len as i64);
+                    (a as usize, (ihi.x - start.x).clamp(a, len as i64) as usize)
                 } else {
-                    let c = span.origin.offset(cb.x0 as i64, oy as i64, oz as i64);
-                    let n_yz = in_axis(c.y, gy) * if gz == 1 { 1 } else { in_axis(c.z, gz) };
-                    for k in 0..len {
-                        let n_valid = in_axis(c.x + k as i64, gx) * n_yz - 1;
-                        let (vs, cs) = self.stencil.sum2(brow + k, &self.block_v, &self.block_c);
-                        next_v[row + k] = vc.apply(self.block_v.get(brow + k), vs, n_valid);
-                        next_c[row + k] = cc.apply(self.block_c.get(brow + k), cs, n_valid);
-                    }
+                    (len, len)
+                };
+                let n_yz = in_axis(start.y, gy) * if gz == 1 { 1 } else { in_axis(start.z, gz) };
+                let (v, c) = (&soa.virions, &soa.chem);
+                for k in (0..a).chain(b..len) {
+                    let li = row + k;
+                    let n_valid = in_axis(start.x + k as i64, gx) * n_yz - 1;
+                    let (vs, cs) = st.sum2(li, v, c);
+                    next_v[li] = vc.apply(v.get(li), vs, n_valid);
+                    next_c[li] = cc.apply(c.get(li), cs, n_valid);
                 }
-            }
+                let emit = |i: usize, nv: f32, nc: f32| {
+                    next_v[i] = nv;
+                    next_c[i] = nc;
+                };
+                lanes::diffuse_interior_run(st, row + a, b - a, v, c, vc, cc, emit);
+                while let Some(&(z, y, run)) = pending.get(written) {
+                    if (z + dz, y + 1) >= (start.z, start.y) {
+                        break;
+                    }
+                    write_back(soa, next_v, next_c, run);
+                    written += 1;
+                }
+                pending.push((start.z, start.y, (row, len)));
+            });
+        for &(_, _, run) in &pending[written..] {
+            write_back(soa, next_v, next_c, run);
         }
-        // Write-back once every work tile has gathered the old values.
-        for tile in 0..self.grid.layout.n_tiles() {
-            let Some(span) = self.work_span(tile) else {
-                continue;
-            };
-            let cb = span.clip(self.boxes.core);
-            let len = cb.nx();
-            for (_, _, row) in span.rows(cb) {
-                self.grid.soa.virions.data[row..row + len]
-                    .copy_from_slice(&self.next_v[row..row + len]);
-                self.grid.soa.chem.data[row..row + len]
-                    .copy_from_slice(&self.next_c[row..row + len]);
-            }
-        }
+        drop(work);
         {
             let db = if self.variant.tiling() { 24 } else { 36 };
             let u = self.counters.category_mut(KernelCategory::UpdateAgents);
@@ -683,8 +638,14 @@ impl GpuDevice {
 
     /// Fraction of tiles currently active (diagnostics / tests).
     pub fn active_tile_fraction(&self) -> f64 {
-        self.tracker.n_active() as f64 / self.grid.layout.n_tiles().max(1) as f64
+        self.tracker.n_active() as f64 / self.layout.n_tiles().max(1) as f64
     }
+}
+
+/// Copy the diffused run `row..row + len` back into the fields.
+fn write_back(soa: &mut VoxelSoA, next_v: &[f32], next_c: &[f32], (row, len): (usize, usize)) {
+    soa.virions.data[row..row + len].copy_from_slice(&next_v[row..row + len]);
+    soa.chem.data[row..row + len].copy_from_slice(&next_c[row..row + len]);
 }
 
 /// Per-tile activity scan: `found[t]` iff tile `t` holds an active voxel.

@@ -8,10 +8,10 @@
 //!   one halo wave max-merges the contributions of all devices holding the
 //!   voxel, and every device independently resolves the same winner — no
 //!   second communication wave.
-//! * **Memory tiling** (§3.2, Fig. 3): tile-major storage with active-tile
-//!   tracking, a periodic sweep (period ≤ tile side) and a one-tile
-//!   activation buffer; tiles holding in-grid ghost voxels, and the buffer
-//!   around them, are always active.
+//! * **Memory tiling** (§3.2, Fig. 3): a tiling of the device's row-major
+//!   halo box with active-tile tracking, a periodic sweep (period ≤ tile
+//!   side) and a one-tile activation buffer; tiles holding in-grid ghost
+//!   voxels, and the buffer around them, are always active.
 //! * **Fast reduction** (§3.3): per-step statistics via a shared-memory
 //!   tree reduction with one global atomic per block per lane, replacing
 //!   per-element atomics.

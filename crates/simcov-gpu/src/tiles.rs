@@ -1,26 +1,29 @@
 //! Memory tiling (§3.2, Fig. 3).
 //!
-//! A device's halo box is carved into fixed-size tiles; each tile's voxels
-//! are stored contiguously (the zig-zag order of Fig. 3), which gives the
-//! data locality the paper credits for faster updates *and* faster
-//! reductions. Tiles are tracked active/inactive; kernels visit only active
-//! tiles. A periodic check kernel (period ≤ tile side) sweeps the space,
-//! reactivates tiles containing activity, and activates a one-tile-thick
-//! buffer around them — safe because nothing in SIMCoV moves faster than
-//! one voxel per step. Tiles holding an in-grid ghost voxel (halo data lands
-//! there every step, whatever the check found) are always active, and so is
-//! the one-tile buffer around each of them: a ghost tile's core part can be
-//! one voxel thick, so activity arriving through the halo can cross it in
-//! two steps, long before the next check. Ghosts outside the grid receive
-//! nothing and force nothing.
+//! A device's halo box is carved into fixed-size tiles. The tiling is a
+//! logical index over the box's row-major storage (the same storage a CPU
+//! rank keeps): a tile is a span of rows with the halo box's strides, and
+//! its coalesced access is what the device's counters charge, not an order
+//! the host keeps. Tiles are tracked active/inactive; kernels visit only
+//! active tiles, walking maximal x-runs of consecutive work tiles
+//! ([`TileLayout::work_rows`]). A periodic check kernel (period ≤ tile side)
+//! sweeps the space, reactivates tiles containing activity, and activates a
+//! one-tile-thick buffer around them — safe because nothing in SIMCoV moves
+//! faster than one voxel per step. Tiles holding an in-grid ghost voxel
+//! (halo data lands there every step, whatever the check found) are always
+//! active, and so is the one-tile buffer around each of them: a ghost
+//! tile's core part can be one voxel thick, so activity arriving through
+//! the halo can cross it in two steps, long before the next check. Ghosts
+//! outside the grid receive nothing and force nothing.
 
 use simcov_core::grid::{Coord, GridDims};
 use simcov_core::halo::HaloBox;
-use simcov_core::unit_grid::{grid_box, GridBox, Layout};
+use simcov_core::unit_grid::{grid_box, GridBox};
 
 /// The three global boxes every sweep of a device step is clipped against
-/// ([`TileSpan::clip`]): core, in-bounds and global-interior cells of a tile
-/// are each one box, so no inner loop tests a coordinate.
+/// ([`TileLayout::work_rows`], [`TileSpan::clip`]): core, in-bounds and
+/// global-interior cells are each one box, so no inner loop tests a
+/// coordinate.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepBoxes {
     /// The owned region.
@@ -43,7 +46,7 @@ impl SweepBoxes {
     }
 }
 
-/// Tile-major storage layout over a halo box.
+/// The tiling of a row-major halo box.
 #[derive(Debug, Clone)]
 pub struct TileLayout {
     pub hb: HaloBox,
@@ -52,7 +55,6 @@ pub struct TileLayout {
     tiles_x: usize,
     tiles_y: usize,
     tiles_z: usize,
-    tile_volume: usize,
 }
 
 impl TileLayout {
@@ -66,7 +68,6 @@ impl TileLayout {
             tiles_x: sx.div_ceil(tile),
             tiles_y: sy.div_ceil(tile),
             tiles_z: sz.div_ceil(tz),
-            tile_volume: tile * tile * tz,
         }
     }
 
@@ -76,15 +77,10 @@ impl TileLayout {
         (self.hb.core.lo, self.hb.core.hi)
     }
 
-    /// A flat box (2D grid): one z layer, no z ghost, no z apron.
-    #[inline]
-    fn flat(&self) -> bool {
-        self.hb.size().2 == 1
-    }
-
+    /// Tile side along z: 1 for a flat box (2D grid), else the tile side.
     #[inline]
     fn tz(&self) -> usize {
-        if self.flat() {
+        if self.hb.size().2 == 1 {
             1
         } else {
             self.tile
@@ -97,79 +93,73 @@ impl TileLayout {
         self.tiles_x * self.tiles_y * self.tiles_z
     }
 
-    /// Padded storage length (tiles × tile volume).
+    /// Cells of a full tile: what a device kernel launched per tile covers,
+    /// edge tiles included.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.n_tiles() * self.tile_volume
+    pub fn tile_volume(&self) -> usize {
+        self.tile * self.tile * self.tz()
     }
 
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Storage index of a covered global coordinate: tile-major, row-major
-    /// within the tile (the zig-zag order of Fig. 3).
-    #[inline]
-    pub fn local(&self, c: Coord) -> usize {
-        debug_assert!(self.hb.covers(c), "{c:?} outside {:?}", self.hb);
-        let x = (c.x - self.hb.lo.x) as usize;
-        let y = (c.y - self.hb.lo.y) as usize;
-        let z = (c.z - self.hb.lo.z) as usize;
-        let tz = self.tz();
-        let (tx, ox) = (x / self.tile, x % self.tile);
-        let (ty, oy) = (y / self.tile, y % self.tile);
-        let (tzi, oz) = (z / tz, z % tz);
-        let tile_idx = (tzi * self.tiles_y + ty) * self.tiles_x + tx;
-        tile_idx * self.tile_volume + (oz * self.tile + oy) * self.tile + ox
-    }
-
-    /// Global coordinate of a storage index (inverse of [`TileLayout::local`]).
-    /// Must only be called for indices of real (non-padding) cells.
-    #[inline]
-    pub fn coord_of(&self, idx: usize) -> Coord {
-        debug_assert!(idx < self.len());
-        let tz = self.tz();
-        let tile_idx = idx / self.tile_volume;
-        let off = idx % self.tile_volume;
-        let ox = off % self.tile;
-        let oy = (off / self.tile) % self.tile;
-        let oz = off / (self.tile * self.tile);
-        let tx = tile_idx % self.tiles_x;
-        let ty = (tile_idx / self.tiles_x) % self.tiles_y;
-        let tzi = tile_idx / (self.tiles_x * self.tiles_y);
-        Coord::new(
-            self.hb.lo.x + (tx * self.tile + ox) as i64,
-            self.hb.lo.y + (ty * self.tile + oy) as i64,
-            self.hb.lo.z + (tzi * tz + oz) as i64,
-        )
-    }
-
-    /// The valid (non-padded) extent of a tile: storage base, global
-    /// origin, per-axis voxel counts and within-tile strides. Nested loops
-    /// over a span visit the tile's cells in storage order without per-cell
-    /// division — the blocked form the update kernels use.
+    /// The valid extent of a tile: storage index of its first cell, global
+    /// origin, per-axis voxel counts and the halo box's row-major strides.
+    /// Nested loops over a span visit the tile's cells in storage order
+    /// without per-cell division.
     pub fn tile_span(&self, tile_idx: usize) -> TileSpan {
         let tx = tile_idx % self.tiles_x;
         let ty = (tile_idx / self.tiles_x) % self.tiles_y;
         let tzi = tile_idx / (self.tiles_x * self.tiles_y);
-        let tz = self.tz();
         let (sx, sy, sz) = self.hb.size();
-        let x0 = tx * self.tile;
-        let y0 = ty * self.tile;
-        let z0 = tzi * tz;
+        let (x0, y0, z0) = (tx * self.tile, ty * self.tile, tzi * self.tz());
         TileSpan {
-            base: tile_idx * self.tile_volume,
-            origin: Coord::new(
-                self.hb.lo.x + x0 as i64,
-                self.hb.lo.y + y0 as i64,
-                self.hb.lo.z + z0 as i64,
-            ),
+            base: (z0 * sy + y0) * sx + x0,
+            origin: self.hb.lo.offset(x0 as i64, y0 as i64, z0 as i64),
             nx: self.tile.min(sx - x0),
             ny: self.tile.min(sy - y0),
-            nz: tz.min(sz - z0),
-            sy_stride: self.tile,
-            sz_stride: self.tile * self.tile,
+            nz: self.tz().min(sz - z0),
+            sy_stride: sx,
+            sz_stride: sx * sy,
+        }
+    }
+
+    /// Call `row(start, index, len)` for every x-row segment of the work
+    /// tiles (`work(tile)`) inside the global box `b`, in ascending storage
+    /// order: `len` contiguous cells from storage `index`, holding the
+    /// voxels from global `start` along x. Consecutive work tiles of a tile
+    /// row merge into one run, so a segment ends only where the box or the
+    /// work set does.
+    pub fn work_rows(
+        &self,
+        work: impl Fn(usize) -> bool,
+        (lo, hi): GridBox,
+        mut row: impl FnMut(Coord, usize, usize),
+    ) {
+        let hb = &self.hb;
+        let (x0, x1) = (lo.x.max(hb.lo.x) - hb.lo.x, hi.x.min(hb.hi.x) - hb.lo.x);
+        if x0 >= x1 {
+            return;
+        }
+        let (x0, x1) = (x0 as usize, x1 as usize);
+        let (t0, t1) = (x0 / self.tile, (x1 - 1) / self.tile + 1);
+        let tz = self.tz();
+        for z in lo.z.max(hb.lo.z)..hi.z.min(hb.hi.z) {
+            for y in lo.y.max(hb.lo.y)..hi.y.min(hb.hi.y) {
+                let (ly, lz) = ((y - hb.lo.y) as usize, (z - hb.lo.z) as usize);
+                let first = (lz / tz * self.tiles_y + ly / self.tile) * self.tiles_x;
+                let base = hb.local(Coord::new(hb.lo.x, y, z));
+                let mut t = t0;
+                while t < t1 {
+                    if !work(first + t) {
+                        t += 1;
+                        continue;
+                    }
+                    let a = (t * self.tile).max(x0);
+                    while t < t1 && work(first + t) {
+                        t += 1;
+                    }
+                    let b = (t * self.tile).min(x1);
+                    row(Coord::new(hb.lo.x + a as i64, y, z), base + a, b - a);
+                }
+            }
         }
     }
 
@@ -212,12 +202,12 @@ impl TileLayout {
     }
 
     /// Core cells on a face of the core box (the cells a neighbor holds as
-    /// ghosts) as `(storage index, coordinate)`, in tile-major storage order.
-    /// Built from the faces: a tile whose core cells all lie inside the core
-    /// shrunk by one voxel is skipped whole.
+    /// ghosts) as `(storage index, coordinate)`, tile by tile. Built from
+    /// the faces: a tile whose core cells all lie inside the core shrunk by
+    /// one voxel is skipped whole.
     pub fn boundary_cells(&self) -> Vec<(usize, Coord)> {
         let core = self.core_box();
-        let gz = i64::from(!self.flat());
+        let gz = i64::from(self.hb.size().2 > 1);
         let inner = (core.0.offset(1, 1, gz), core.1.offset(-1, -1, -gz));
         let mut out = Vec::new();
         for t in 0..self.n_tiles() {
@@ -236,120 +226,6 @@ impl TileLayout {
             }
         }
         out
-    }
-
-    /// Cells of the apron scratch block: side `tile + 2` along x and y, and
-    /// along z too unless the box is flat (2D grids have no z apron).
-    pub fn block_len(&self) -> usize {
-        let b = self.tile + 2;
-        let bz = if self.flat() { 1 } else { self.tile + 2 };
-        b * b * bz
-    }
-
-    /// Block index of the cell at tile offsets `(ox, oy, oz)`, each in
-    /// `-1..=tile`: the block is row-major with side `tile + 2` and offset
-    /// `-1` (the low apron) at block coordinate 0.
-    #[inline]
-    pub fn block_index(&self, ox: i64, oy: i64, oz: i64) -> usize {
-        let b = self.tile as i64 + 2;
-        let bz = if self.flat() { 0 } else { oz + 1 };
-        ((bz * b + oy + 1) * b + ox + 1) as usize
-    }
-
-    /// Enumerate the row segments that stage the core sub-box `cb` of a tile
-    /// plus its one-voxel apron into the scratch block — the shared-memory
-    /// idiom: gather a tile with its halo once, then run the stencil over
-    /// resident data. `put(dst, src, len)` is called per segment: block cells
-    /// `dst..dst + len` take storage cells `src..src + len`, or `+0.0` when
-    /// `src` is `None` (apron cells outside the global grid).
-    ///
-    /// `cb` must lie inside the core box, so every cell of `cb` ± 1 is
-    /// covered by the halo box (storage exists) and `cb` itself is in bounds.
-    /// Only apron offsets `-1` and `tile` leave the tile, and they land on
-    /// the last / first row of the adjacent tile — no division per cell.
-    pub fn apron_segments(
-        &self,
-        tile_idx: usize,
-        cb: TileBox,
-        dims: GridDims,
-        mut put: impl FnMut(usize, Option<usize>, usize),
-    ) {
-        if cb.volume() == 0 {
-            return;
-        }
-        let origin = self.tile_span(tile_idx).origin;
-        // (tile step, in-tile offset) of apron offset `a` in `-1..=side`.
-        let split = |a: i64, side: usize| -> (isize, usize) {
-            if a < 0 {
-                (-1, side - 1)
-            } else if a as usize == side {
-                (1, 0)
-            } else {
-                (0, a as usize)
-            }
-        };
-        let (tile, tz) = (self.tile, self.tz());
-        let cell = |ax: i64, row_tile: isize, row_off: usize| -> usize {
-            let (dtx, ox) = split(ax, tile);
-            (row_tile + dtx) as usize * self.tile_volume + row_off + ox
-        };
-        let n = cb.nx();
-        let (az0, az1) = if self.flat() {
-            (0, 1)
-        } else {
-            (cb.z0 as i64 - 1, cb.z1 as i64 + 1)
-        };
-        for az in az0..az1 {
-            for ay in cb.y0 as i64 - 1..cb.y1 as i64 + 1 {
-                let dst = self.block_index(cb.x0 as i64 - 1, ay, az);
-                let row = Coord::new(origin.x + cb.x0 as i64, origin.y + ay, origin.z + az);
-                if !dims.in_bounds(row) {
-                    put(dst, None, n + 2);
-                    continue;
-                }
-                let (dty, oy) = split(ay, tile);
-                let (dtz, oz) = split(az, tz);
-                let row_tile =
-                    tile_idx as isize + (dtz * self.tiles_y as isize + dty) * self.tiles_x as isize;
-                let row_off = (oz * tile + oy) * tile;
-                let left = (row.x > 0).then(|| cell(cb.x0 as i64 - 1, row_tile, row_off));
-                let right = (row.x + (n as i64) < dims.x as i64)
-                    .then(|| cell(cb.x1 as i64, row_tile, row_off));
-                put(dst, left, 1);
-                put(dst + 1, Some(cell(cb.x0 as i64, row_tile, row_off)), n);
-                put(dst + 1 + n, right, 1);
-            }
-        }
-    }
-}
-
-impl Layout for TileLayout {
-    fn halo(&self) -> &HaloBox {
-        &self.hb
-    }
-
-    fn storage_len(&self) -> usize {
-        self.len()
-    }
-
-    #[inline]
-    fn local(&self, c: Coord) -> usize {
-        TileLayout::local(self, c)
-    }
-
-    /// Tile by tile, each tile's rows clipped to `b`.
-    fn rows(&self, b: GridBox, mut row: impl FnMut(Coord, usize, usize)) {
-        for t in 0..self.n_tiles() {
-            let span = self.tile_span(t);
-            let cb = span.clip(b);
-            for (oy, oz, li) in span.rows(cb) {
-                row(
-                    span.origin.offset(cb.x0 as i64, oy as i64, oz as i64),
-                    li,
-                    cb.nx(),
-                );
-            }
-        }
     }
 }
 
@@ -377,21 +253,9 @@ impl TileBox {
     pub fn volume(&self) -> usize {
         self.nx() * (self.y1 - self.y0) * (self.z1 - self.z0)
     }
-
-    /// Is every cell of `other` a cell of this box?
-    #[inline]
-    pub fn contains(&self, other: TileBox) -> bool {
-        other.volume() == 0
-            || (self.x0 <= other.x0
-                && other.x1 <= self.x1
-                && self.y0 <= other.y0
-                && other.y1 <= self.y1
-                && self.z0 <= other.z0
-                && other.z1 <= self.z1)
-    }
 }
 
-/// The valid (non-padded) extent of one tile (see [`TileLayout::tile_span`]).
+/// The valid extent of one tile (see [`TileLayout::tile_span`]).
 ///
 /// The cell at tile offsets `(ox, oy, oz)` has storage index
 /// `base + oz * sz_stride + oy * sy_stride + ox` and global coordinate
@@ -417,7 +281,7 @@ impl TileSpan {
 
     /// The part of this tile inside the global box `[lo, hi)`, in tile
     /// offsets. Core, in-bounds and global-interior cells of a tile are all
-    /// such boxes, so a sweep clips once per tile and then walks row
+    /// such boxes, so a per-tile sweep clips once and then walks row
     /// segments instead of testing every voxel.
     pub fn clip(&self, (lo, hi): GridBox) -> TileBox {
         let axis = |o: i64, n: usize, lo: i64, hi: i64| {
@@ -520,6 +384,12 @@ impl TileTracker {
         }
     }
 
+    /// The update kernels' work set: the active tiles, or every tile when
+    /// `tiling` is off.
+    pub fn work(&self, tiling: bool) -> impl Fn(usize) -> bool + '_ {
+        move |t| !tiling || self.active[t]
+    }
+
     pub fn n_active(&self) -> usize {
         self.active.iter().filter(|&&a| a).count()
     }
@@ -528,55 +398,32 @@ impl TileTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgas::SplitMix64;
     use simcov_core::decomp::{Partition, Strategy};
     use simcov_core::grid::GridDims;
 
-    /// Per-cell reference forms of the tile geometry.
-    impl TileLayout {
-        /// Tile index containing a covered global coordinate.
-        #[inline]
-        fn tile_of(&self, c: Coord) -> usize {
-            debug_assert!(self.hb.covers(c));
-            let lx = (c.x - self.hb.lo.x) as usize / self.tile;
-            let ly = (c.y - self.hb.lo.y) as usize / self.tile;
-            let lz = (c.z - self.hb.lo.z) as usize / self.tz();
-            (lz * self.tiles_y + ly) * self.tiles_x + lx
-        }
+    /// Per-cell reference form of the tile geometry: the tile containing a
+    /// covered global coordinate.
+    fn tile_of(l: &TileLayout, c: Coord) -> usize {
+        assert!(l.hb.covers(c));
+        let lx = (c.x - l.hb.lo.x) as usize / l.tile;
+        let ly = (c.y - l.hb.lo.y) as usize / l.tile;
+        let lz = (c.z - l.hb.lo.z) as usize / l.tz();
+        (lz * l.tiles_y + ly) * l.tiles_x + lx
+    }
 
-        /// Iterate the in-box global coordinates of a tile together with their
-        /// storage indices, in storage order. Padded cells are skipped. This is
-        /// the per-cell reference enumeration the blocked forms (`tile_span`,
-        /// `TileSpan::clip` + `TileSpan::rows`, `apron_segments`) are tested
-        /// against.
-        fn tile_coords(&self, tile_idx: usize) -> impl Iterator<Item = (usize, Coord)> + '_ {
-            let tx = tile_idx % self.tiles_x;
-            let ty = (tile_idx / self.tiles_x) % self.tiles_y;
-            let tzi = tile_idx / (self.tiles_x * self.tiles_y);
-            let tz = self.tz();
-            let base = tile_idx * self.tile_volume;
-            let (sx, sy, sz) = self.hb.size();
-            (0..tz).flat_map(move |oz| {
-                (0..self.tile).flat_map(move |oy| {
-                    (0..self.tile).filter_map(move |ox| {
-                        let x = tx * self.tile + ox;
-                        let y = ty * self.tile + oy;
-                        let z = tzi * tz + oz;
-                        if x < sx && y < sy && z < sz {
-                            Some((
-                                base + (oz * self.tile + oy) * self.tile + ox,
-                                Coord::new(
-                                    self.hb.lo.x + x as i64,
-                                    self.hb.lo.y + y as i64,
-                                    self.hb.lo.z + z as i64,
-                                ),
-                            ))
-                        } else {
-                            None
-                        }
-                    })
-                })
-            })
-        }
+    /// The halo box's cells `(storage index, coordinate)` that `keep`
+    /// admits, in storage order: the reference the blocked forms are
+    /// tested against.
+    fn cells_where(l: &TileLayout, keep: impl Fn(Coord) -> bool) -> Vec<(usize, Coord)> {
+        (0..l.hb.len())
+            .map(|li| (li, l.hb.global(li)))
+            .filter(|&(_, c)| keep(c))
+            .collect()
+    }
+
+    fn contains((lo, hi): GridBox, c: Coord) -> bool {
+        (lo.x..hi.x).contains(&c.x) && (lo.y..hi.y).contains(&c.y) && (lo.z..hi.z).contains(&c.z)
     }
 
     fn layout_2d(grid: u32, ranks: usize, rank: usize, tile: usize) -> TileLayout {
@@ -588,6 +435,42 @@ mod tests {
     /// The global box of a `side`² grid.
     fn square(side: i64) -> GridBox {
         (Coord::new(0, 0, 0), Coord::new(side, side, 1))
+    }
+
+    /// 2D and 3D layouts whose subdomain sides are not multiples of the tile
+    /// side, for tile sides 1, 3, 8 and 16 (larger than the subdomain), on
+    /// every rank (corner, edge and interior subdomains).
+    fn ragged_layouts() -> Vec<(GridDims, TileLayout)> {
+        let mut out = Vec::new();
+        for (dims, ranks) in [
+            (GridDims::new2d(13, 11), 4),
+            (GridDims::new2d(29, 31), 9),
+            (GridDims::new3d(7, 9, 5), 2),
+            (GridDims::new3d(11, 10, 13), 8),
+        ] {
+            let p = Partition::new(dims, ranks, Strategy::Blocks);
+            for rank in 0..ranks {
+                for tile in [1usize, 3, 8, 16] {
+                    let hb = HaloBox::new(dims, *p.sub(rank));
+                    out.push((dims, TileLayout::new(hb, tile)));
+                }
+            }
+        }
+        out
+    }
+
+    /// The cells of sub-box `b` of a tile span, in the span's row order.
+    fn span_cells(span: TileSpan, b: TileBox) -> Vec<(usize, Coord)> {
+        span.rows(b)
+            .flat_map(|(oy, oz, row)| {
+                (b.x0..b.x1).map(move |ox| {
+                    (
+                        row + ox - b.x0,
+                        span.origin.offset(ox as i64, oy as i64, oz as i64),
+                    )
+                })
+            })
+            .collect()
     }
 
     /// Tracker invariant: every tile within one tile of a tile holding an
@@ -605,50 +488,73 @@ mod tests {
     }
 
     #[test]
-    fn local_indices_unique_and_in_range() {
-        let l = layout_2d(16, 4, 0, 3);
-        let mut seen = std::collections::HashSet::new();
-        let (sx, sy, _) = l.hb.size();
-        for y in 0..sy {
-            for x in 0..sx {
-                let c = Coord::new(l.hb.lo.x + x as i64, l.hb.lo.y + y as i64, 0);
-                let idx = l.local(c);
-                assert!(idx < l.len());
-                assert!(seen.insert(idx), "duplicate index {idx} for {c:?}");
+    fn tile_spans_partition_the_halo_box() {
+        for (_, l) in ragged_layouts() {
+            let mut seen = vec![false; l.hb.len()];
+            for t in 0..l.n_tiles() {
+                let span = l.tile_span(t);
+                let all = span.clip((l.hb.lo, l.hb.hi));
+                assert_eq!(all.volume(), span.volume());
+                let cells = span_cells(span, all);
+                let want = cells_where(&l, |c| tile_of(&l, c) == t);
+                assert_eq!(cells, want, "tile {t} in {l:?}");
+                for (li, _) in cells {
+                    assert!(!std::mem::replace(&mut seen[li], true));
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "{l:?}");
+        }
+    }
+
+    #[test]
+    fn clipped_boxes_enumerate_core_and_in_bounds_cells() {
+        for (dims, l) in ragged_layouts() {
+            let grid = grid_box(dims);
+            for t in 0..l.n_tiles() {
+                let span = l.tile_span(t);
+                let in_tile = |c: Coord| tile_of(&l, c) == t;
+                let core = cells_where(&l, |c| in_tile(c) && l.hb.is_core(c));
+                assert_eq!(span_cells(span, span.clip(l.core_box())), core);
+                let inb = cells_where(&l, |c| in_tile(c) && dims.in_bounds(c));
+                assert_eq!(span_cells(span, span.clip(grid)), inb);
+                assert_eq!(l.contains_ghost(t, grid), core.len() != inb.len());
             }
         }
     }
 
     #[test]
-    fn tile_coords_cover_box_exactly_once() {
-        let l = layout_2d(16, 4, 1, 3);
-        let mut seen = std::collections::HashSet::new();
-        for t in 0..l.n_tiles() {
-            for (idx, c) in l.tile_coords(t) {
-                assert!(l.hb.covers(c));
-                assert_eq!(l.local(c), idx);
-                assert_eq!(l.tile_of(c), t);
-                assert!(seen.insert(idx));
+    fn work_rows_enumerate_the_work_cells_of_each_box_once_in_order() {
+        let mut rng = SplitMix64::new(2024);
+        for (dims, l) in ragged_layouts() {
+            let boxes = SweepBoxes::new(dims, &l);
+            let mut sets = vec![vec![true; l.n_tiles()], vec![false; l.n_tiles()]];
+            for density in [0.2, 0.5, 0.8] {
+                sets.push((0..l.n_tiles()).map(|_| rng.next_f64() < density).collect());
             }
-        }
-        let (sx, sy, sz) = l.hb.size();
-        assert_eq!(seen.len(), sx * sy * sz);
-    }
-
-    #[test]
-    fn tile_contiguity() {
-        // Voxels of one tile occupy a contiguous index range (the locality
-        // property the paper exploits).
-        let l = layout_2d(32, 4, 0, 4);
-        for t in 0..l.n_tiles() {
-            let idxs: Vec<usize> = l.tile_coords(t).map(|(i, _)| i).collect();
-            if idxs.is_empty() {
-                continue;
+            for work in &sets {
+                for b in [boxes.core, boxes.grid, boxes.interior] {
+                    let mut got = Vec::new();
+                    let mut last: Option<(Coord, usize)> = None;
+                    l.work_rows(
+                        |t| work[t],
+                        b,
+                        |start, li, len| {
+                            assert!(len > 0);
+                            assert_eq!(l.hb.local(start), li);
+                            // Runs are maximal: two on one row never touch.
+                            if let Some((end, _)) =
+                                last.filter(|(e, _)| (e.y, e.z) == (start.y, start.z))
+                            {
+                                assert!(end.x < start.x, "{end:?} touches {start:?} in {l:?}");
+                            }
+                            last = Some((start.offset(len as i64, 0, 0), li + len));
+                            got.extend((0..len).map(|k| (li + k, start.offset(k as i64, 0, 0))));
+                        },
+                    );
+                    let want = cells_where(&l, |c| contains(b, c) && work[tile_of(&l, c)]);
+                    assert_eq!(got, want, "box {b:?} in {l:?}");
+                }
             }
-            let min = *idxs.iter().min().unwrap();
-            let max = *idxs.iter().max().unwrap();
-            assert!(min >= t * l.tile_volume);
-            assert!(max < (t + 1) * l.tile_volume);
         }
     }
 
@@ -679,10 +585,7 @@ mod tests {
     #[test]
     fn ghost_buffers_stay_active_after_every_check() {
         for (dims, l) in ragged_layouts() {
-            let grid = (
-                Coord::new(0, 0, 0),
-                Coord::new(dims.x as i64, dims.y as i64, dims.z as i64),
-            );
+            let grid = grid_box(dims);
             let mut tracker = TileTracker::new(&l, grid, 1);
             assert_ghost_buffers_active(&l, grid, &tracker);
             for pattern in 0..3 {
@@ -719,175 +622,6 @@ mod tests {
     fn check_period_cannot_exceed_tile_side() {
         let l = layout_2d(16, 1, 0, 4);
         TileTracker::new(&l, square(16), 5);
-    }
-
-    #[test]
-    fn layout_3d() {
-        let dims = GridDims::new3d(12, 12, 12);
-        let p = Partition::new(dims, 8, Strategy::Blocks);
-        let l = TileLayout::new(HaloBox::new(dims, *p.sub(0)), 4);
-        let mut seen = std::collections::HashSet::new();
-        for t in 0..l.n_tiles() {
-            for (idx, c) in l.tile_coords(t) {
-                assert_eq!(l.local(c), idx);
-                assert!(seen.insert(idx));
-            }
-        }
-        let (sx, sy, sz) = l.hb.size();
-        assert_eq!(seen.len(), sx * sy * sz);
-        assert_eq!((sx, sy, sz), (8, 8, 8));
-    }
-
-    #[test]
-    fn coord_of_inverts_local() {
-        for (grid, ranks, rank, tile) in [(16u32, 4usize, 0usize, 3usize), (33, 1, 0, 5)] {
-            let l = layout_2d(grid, ranks, rank, tile);
-            for t in 0..l.n_tiles() {
-                for (idx, c) in l.tile_coords(t) {
-                    assert_eq!(l.coord_of(idx), c);
-                }
-            }
-        }
-        // 3D.
-        let dims = GridDims::new3d(10, 10, 10);
-        let p = Partition::new(dims, 2, Strategy::Blocks);
-        let l = TileLayout::new(HaloBox::new(dims, *p.sub(0)), 3);
-        for t in 0..l.n_tiles() {
-            for (idx, c) in l.tile_coords(t) {
-                assert_eq!(l.coord_of(idx), c);
-            }
-        }
-    }
-
-    #[test]
-    fn tile_span_matches_tile_coords() {
-        // The blocked loop form must visit exactly the same (index, coord)
-        // sequence as the iterator form, including on edge tiles with
-        // padding and in 3D.
-        let mut layouts = vec![layout_2d(16, 4, 0, 3), layout_2d(33, 1, 0, 5)];
-        let dims = GridDims::new3d(10, 10, 10);
-        let p = Partition::new(dims, 2, Strategy::Blocks);
-        layouts.push(TileLayout::new(HaloBox::new(dims, *p.sub(0)), 3));
-        for l in &layouts {
-            for t in 0..l.n_tiles() {
-                let span = l.tile_span(t);
-                let mut from_span = Vec::new();
-                for oz in 0..span.nz {
-                    for oy in 0..span.ny {
-                        let row = span.base + oz * span.sz_stride + oy * span.sy_stride;
-                        for ox in 0..span.nx {
-                            from_span.push((
-                                row + ox,
-                                span.origin.offset(ox as i64, oy as i64, oz as i64),
-                            ));
-                        }
-                    }
-                }
-                let from_iter: Vec<_> = l.tile_coords(t).collect();
-                assert_eq!(from_span, from_iter, "tile {t}");
-            }
-        }
-    }
-
-    /// 2D and 3D layouts whose subdomain sides are not multiples of the tile
-    /// side, for tile sides 1, 3, 8 and 16 (larger than the subdomain), on
-    /// every rank (corner, edge and interior subdomains).
-    fn ragged_layouts() -> Vec<(GridDims, TileLayout)> {
-        let mut out = Vec::new();
-        for (dims, ranks) in [
-            (GridDims::new2d(13, 11), 4),
-            (GridDims::new2d(29, 31), 9),
-            (GridDims::new3d(7, 9, 5), 2),
-            (GridDims::new3d(11, 10, 13), 8),
-        ] {
-            let p = Partition::new(dims, ranks, Strategy::Blocks);
-            for rank in 0..ranks {
-                for tile in [1usize, 3, 8, 16] {
-                    let hb = HaloBox::new(dims, *p.sub(rank));
-                    out.push((dims, TileLayout::new(hb, tile)));
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn clipped_boxes_enumerate_core_and_in_bounds_cells() {
-        for (dims, l) in ragged_layouts() {
-            let grid_hi = Coord::new(dims.x as i64, dims.y as i64, dims.z as i64);
-            for t in 0..l.n_tiles() {
-                let span = l.tile_span(t);
-                let cells = |b: TileBox| -> Vec<(usize, Coord)> {
-                    span.rows(b)
-                        .flat_map(|(oy, oz, row)| {
-                            (b.x0..b.x1).map(move |ox| {
-                                (
-                                    row + ox - b.x0,
-                                    span.origin.offset(ox as i64, oy as i64, oz as i64),
-                                )
-                            })
-                        })
-                        .collect()
-                };
-                let cb = span.clip(l.core_box());
-                let core: Vec<_> = l.tile_coords(t).filter(|(_, c)| l.hb.is_core(*c)).collect();
-                assert_eq!(cells(cb), core, "core box of tile {t} in {l:?}");
-                assert_eq!(cb.volume(), core.len());
-                let grid = (Coord::new(0, 0, 0), grid_hi);
-                let gb = span.clip(grid);
-                let inb: Vec<_> = l
-                    .tile_coords(t)
-                    .filter(|(_, c)| dims.in_bounds(*c))
-                    .collect();
-                assert_eq!(l.contains_ghost(t, grid), core.len() != inb.len());
-                assert_eq!(cells(gb), inb, "in-bounds box of tile {t} in {l:?}");
-                assert!(gb.contains(cb), "core cells are in bounds");
-            }
-        }
-    }
-
-    #[test]
-    fn apron_gather_is_the_checked_gather() {
-        for (dims, l) in ragged_layouts() {
-            // Every storage cell distinct and non-zero — including padding
-            // and ghost cells outside the grid, which the gather must not
-            // read.
-            let src: Vec<f32> = (0..l.len()).map(|i| i as f32 + 1.0).collect();
-            for t in 0..l.n_tiles() {
-                let span = l.tile_span(t);
-                let cb = span.clip(l.core_box());
-                let mut block = vec![f32::NAN; l.block_len()];
-                l.apron_segments(t, cb, dims, |dst, s, n| match s {
-                    Some(s) => block[dst..dst + n].copy_from_slice(&src[s..s + n]),
-                    None => block[dst..dst + n].fill(0.0),
-                });
-                let dz = if dims.is_2d() { 0 } else { 1 };
-                for (oy, oz, _) in span.rows(cb) {
-                    for ox in cb.x0..cb.x1 {
-                        let (ox, oy, oz) = (ox as i64, oy as i64, oz as i64);
-                        let c = span.origin.offset(ox, oy, oz);
-                        for z in -dz..=dz {
-                            for y in -1..=1 {
-                                for x in -1..=1 {
-                                    let q = c.offset(x, y, z);
-                                    let want = if dims.in_bounds(q) {
-                                        src[l.local(q)]
-                                    } else {
-                                        0.0
-                                    };
-                                    let got = block[l.block_index(ox + x, oy + y, oz + z)];
-                                    assert_eq!(
-                                        got.to_bits(),
-                                        want.to_bits(),
-                                        "tile {t} cell {c:?} neighbor {q:?} in {l:?}"
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

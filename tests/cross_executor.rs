@@ -183,8 +183,8 @@ fn tile_side_does_not_change_results() {
 
 #[test]
 fn corrupted_concentration_beside_the_global_surface_matches_the_checked_gather() {
-    // The block kernel adds the +0.0 of out-of-grid apron cells where the
-    // checked gather skips them. That is only an identity because a sum that
+    // The device's surface voxels add the +0.0 of out-of-grid halo cells
+    // where the checked gather skips them. That is only an identity because a sum that
     // starts at +0.0 never becomes -0.0; pin it with a sign-flipped and a
     // huge (top exponent bit flipped) concentration next to the surface,
     // placed by `corrupt_bit` and mirrored into the oracle.
