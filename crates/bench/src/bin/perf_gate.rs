@@ -53,7 +53,7 @@ struct Check {
     bound: Bound,
 }
 
-const CHECKS: [Check; 6] = [
+const CHECKS: [Check; 7] = [
     // The chunked wide-lane kernel measures well above the 1.5x the scalar
     // stencil path cleared.
     Check {
@@ -68,6 +68,16 @@ const CHECKS: [Check; 6] = [
         reference: "halo_exchange/per_message",
         subject: "halo_exchange/coalesced",
         bound: Bound::SpeedupAtLeast(2.0),
+    },
+    // One message per rank at 16x the ranks: linear work reads ~16x, and
+    // an exchange that visited every (src, dst) pair read 454x. Measured
+    // 16.3–22.5x (median 20.6x in smoke mode, 20.1x in full, 20 runs each);
+    // the ceiling is 36 % over the larger median.
+    Check {
+        name: "exchange_ranks",
+        reference: "exchange/128_ranks",
+        subject: "exchange/2048_ranks",
+        bound: Bound::CostAtMost(28.0),
     },
     // Bucket placement over the comparison sort it replaced, at `cpu_arc`'s
     // steady-state size (measured ~3.6x).
@@ -93,7 +103,9 @@ const CHECKS: [Check; 6] = [
     // lane blocks. The device step walks row-major runs and got ~1.5x faster,
     // but the stencil got ~1.7x faster with it (the block-wise lane kernel),
     // so the ratio fell only from a median of 5.0x; it was ~17x while the
-    // step staged tuples and tested geometry per voxel.
+    // step staged tuples and tested geometry per voxel. At 40 pairs a run,
+    // smoke and full mode read medians of 4.25x and 4.17x (20 runs each,
+    // 3.5–5.7x).
     Check {
         name: "gpu_step_over_stencil",
         reference: "gpu_step/stencil_256sq",
@@ -265,6 +277,20 @@ fn halo_per_message() -> Vec<Vec<HaloMsg>> {
     inboxes
 }
 
+/// One superstep over `n` ranks in a ring, each rank sending one message to
+/// the next: the exchange's fixed per-rank cost with no payload to speak of.
+fn ring_exchange(pool: &WorkPool, n: usize) -> impl FnMut() -> u64 + '_ {
+    let mut mail: Mailboxes<u64> = Mailboxes::new(n);
+    let mut obs: Vec<Outbox<u64>> = (0..n).map(|_| Outbox::for_ranks(n)).collect();
+    move || {
+        for (src, ob) in obs.iter_mut().enumerate() {
+            ob.clear();
+            ob.send((src + 1) % n, src as u64);
+        }
+        mail.exchange(pool, &mut obs, &[], &[]).batches
+    }
+}
+
 /// One deterministic 8-step CPU-executor run, the telemetry-overhead
 /// workload. The sim is rebuilt from scratch each call so both sides of the
 /// comparison run the identical stationary workload; `tel` is attached when
@@ -389,6 +415,17 @@ fn run_benches(smoke: bool, tel: &Telemetry) -> Vec<BenchResult> {
         || sum_binned(&field),
     );
 
+    // The three ceilings sit within 1.5x of what they measure, so in either
+    // mode they sample until the subject's min has converged: 40 pairs
+    // here, 200 for the telemetry pair.
+    b = b.with_samples(40);
+
+    // --- One superstep's exchange at 2,048 ranks vs 128, one message per
+    // rank: linear work, plus the cache misses of 16x the state. ---
+    let (mut ring_128, mut ring_2048) = (ring_exchange(&pool, 128), ring_exchange(&pool, 2048));
+    assert_eq!((ring_128(), ring_2048()), (128, 2048), "one batch per rank");
+    pair(&mut b, "exchange_ranks", ring_128, ring_2048);
+
     // --- Dense GPU device step vs the bare stencil on the same grid: one
     // focus per 256 voxels, warmed up until every tile is active, and kept
     // before T cells enter (no trials, no bids), so the step is diffusion,
@@ -400,14 +437,11 @@ fn run_benches(smoke: bool, tel: &Telemetry) -> Vec<BenchResult> {
     // the 158 before T cells enter; at one per 256 every tile is active from
     // step 0. ---
     //
-    // This ceiling and the next sit within 1.5x of what they measure, and a
-    // co-running memory-bound process slows the device step more than the
-    // stencil, so in either mode they sample until the subject's min has
-    // converged: 20 pairs here. The batch is sized on the stencil, so the
-    // pair can outlast the steps before T cells enter; the device then
-    // starts over from step 0, and the one sample that pays for the rebuild
-    // is not the min the ratio reads.
-    b = b.with_samples(20);
+    // A co-running memory-bound process slows the device step more than the
+    // stencil. The batch is sized on the stencil, so the pair can outlast
+    // the steps before T cells enter; the device then starts over from step
+    // 0, and the one sample that pays for the rebuild is not the min the
+    // ratio reads.
     let gpu_dims = GridDims::new2d(256, 256);
     let gpu_p = SimParams::scaled_to(gpu_dims, 518, 256, 2024);
     let gpu_partition = Partition::new(gpu_dims, 1, Strategy::Blocks);

@@ -141,11 +141,6 @@ impl IntegrityMonitor {
         self.seal
     }
 
-    /// Drop the seal (after a rollback replaces the state wholesale).
-    pub fn clear_seal(&mut self) {
-        self.seal = None;
-    }
-
     /// Take a fresh seal over the state as it stands.
     pub fn reseal(&mut self, world: &World, pool: &VascularPool) {
         self.seal = Some(crc_state(world, pool));

@@ -12,9 +12,9 @@
 //! counter-based model RNG this makes multi-rank execution bit-reproducible.
 //!
 //! The exchange itself runs on the double-buffered lock-free mailbox layer
-//! (see [`crate::mailbox`]): outboxes are bucketed by destination, each
-//! (src, dst) pair coalesces into one length-prefixed batch at the barrier,
-//! and the per-rank inbox buffers swap front/back so allocations are reused.
+//! (see [`crate::mailbox`]): an outbox holds one batch per destination it
+//! wrote, each batch ships as one length-prefixed frame at the barrier, and
+//! the per-rank inbox buffers swap front/back so allocations are reused.
 
 use crate::counters::{CommCounters, WireSize};
 use crate::crc::Payload;
@@ -42,7 +42,7 @@ pub struct Bsp<M> {
     /// Double-buffered inboxes (front read during compute, back assembled at
     /// the barrier).
     mail: Mailboxes<M>,
-    /// Per-rank bucketed outboxes, reused superstep over superstep.
+    /// Per-rank sparse outboxes, reused superstep over superstep.
     outboxes: Vec<Outbox<M>>,
     pub counters: CommCounters,
     /// Scheduled fault injections (empty by default; see
@@ -70,7 +70,7 @@ pub struct Bsp<M> {
     /// Reusable per-rank wall scratch (one slot per rank, unique writer).
     wall_scratch: Vec<u64>,
     /// Optional process transport (see [`crate::transport`]): when attached,
-    /// every barrier exchange round-trips the staged buckets through
+    /// every barrier exchange round-trips the staged batches through
     /// per-rank worker processes before logical delivery.
     transport: Option<Box<dyn ExchangeTransport<M>>>,
     /// Last wire-counter snapshot from the transport; survives graceful
@@ -453,11 +453,11 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
             }
         }
         let exchange = tel.open();
-        // With a process transport attached the staged buckets round-trip
+        // With a process transport attached the staged batches round-trip
         // through the worker processes first: what the logical exchange
         // below delivers is exactly what came back over the wire, so a
         // frame lost or garbled past the retry budget has real effect.
-        // Buckets bound for a dead peer keep their staged originals, which
+        // Batches bound for a dead peer keep their staged originals, which
         // keeps the volume metering transport-invariant. A scheduled rank
         // death is a *real* crash there: the transport SIGKILLs the rank's
         // worker, so the wire discovers the same dead set the heartbeat

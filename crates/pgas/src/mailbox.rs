@@ -1,40 +1,35 @@
-//! Double-buffered mailboxes and coalesced exchange batches.
+//! Double-buffered mailboxes and coalesced exchange batches — the exchange
+//! layer the paper's UPC++ runtime models:
 //!
-//! The superstep barrier used to deliver every logical message individually
-//! into freshly allocated per-rank inboxes, on a single thread. This module
-//! replaces that path with the exchange layer the paper's UPC++ runtime
-//! actually models:
-//!
-//! - **Bucketed outboxes** — [`Outbox::send`] stages each message directly
-//!   into its per-destination bucket, so everything one rank sends to another
-//!   within a superstep is one contiguous run by the time the barrier runs.
-//! - **Coalesced batches** — each non-empty (src, dst) bucket ships as one
+//! - **Sparse outboxes** — an [`Outbox`] holds one `(dst, batch)` pair per
+//!   destination it wrote this superstep, in ascending `dst` order;
+//!   [`Outbox::send`] appends to its destination's batch, so everything one
+//!   rank sends to another is one contiguous run by the barrier.
+//! - **Coalesced batches** — each non-empty batch ships as one
 //!   length-prefixed buffer: [`BATCH_HEADER_BYTES`] of framing per batch plus
 //!   every payload counted exactly once. [`ExchangeVolume`] reports both the
 //!   legacy per-logical-message totals and the coalesced batch totals.
-//! - **Double-buffered inboxes** — ranks read the *front* buffers during
-//!   compute while the barrier assembles the next superstep's traffic into
-//!   the *back* buffers, then the two sets swap in O(1). Buffer allocations
-//!   are reused superstep over superstep.
-//! - **Lock-free assembly** — destination `d`'s back buffer is written by
-//!   exactly one pool worker, and bucket (src, d) is drained by exactly that
-//!   worker, so the whole delivery fan-in runs in parallel without a single
-//!   lock or atomic on the data path.
+//! - **Route lists drive delivery** — one serial pass over the sources, in
+//!   ascending order, meters every batch and appends `(src, batch, CRC)` to
+//!   its destination's route list. One pool worker assembles destination
+//!   `d`'s inbox from route list `d`, the only list a batch sits on, so the
+//!   fan-in runs in parallel without a lock or atomic on the data path.
+//!   Ranks read the *front* inboxes during compute, the barrier fills the
+//!   *back*, the two swap in O(1), and every buffer is reused.
 //! - **Batch integrity** — when verification is engaged (any plan scheduling
-//!   [`PayloadCorruption`]), every coalesced batch carries a CRC64 computed
-//!   send-side over the pristine content and re-verified by the assembling
-//!   worker at delivery. A mismatching batch is healed by an in-barrier
-//!   retransmit (modeled as re-applying the XOR flip, which restores the
-//!   pristine bytes) up to a deterministic per-superstep budget; anything
-//!   beyond the budget is reported so the caller can fail the superstep.
+//!   [`PayloadCorruption`]), every batch carries a CRC64 taken send-side over
+//!   the pristine content and re-verified by the assembling worker. Up to a
+//!   deterministic per-superstep budget, a mismatching batch is healed by an
+//!   in-barrier retransmit; the rest are reported so the caller can fail the
+//!   superstep.
 //!
-//! Delivery stays canonical: sources are appended in ascending rank order,
-//! so an inbox is ordered by (source rank, emission order within the source)
-//! exactly as before — bit-reproducibility is preserved. The
+//! A superstep costs O(ranks + batches + messages): no pass visits a
+//! (src, dst) pair that carries no traffic. Delivery stays canonical — an
+//! inbox is ordered by (source rank, emission order within the source). The
 //! [`DeliveryShuffle`](crate::fault::FaultKind::DeliveryShuffle) fault hook
 //! permutes an assembled inbox with a seeded shuffle, which the
-//! schedule-adversarial test suite uses to prove the model does not depend
-//! on that ordering.
+//! schedule-adversarial tests use to prove the model does not depend on
+//! that order.
 //!
 //! [`PayloadCorruption`]: crate::fault::FaultKind::PayloadCorruption
 
@@ -55,63 +50,79 @@ pub const BATCH_HEADER_BYTES: u64 = 16;
 /// On-wire bytes of the CRC64 trailer each verified batch carries.
 pub const BATCH_CRC_BYTES: u64 = 8;
 
-/// Per-rank message staging for one superstep, bucketed by destination so
-/// the barrier can ship each (src, dst) pair as one coalesced batch.
+/// Per-rank message staging for one superstep: only the destinations written.
 pub struct Outbox<M> {
-    buckets: Vec<Vec<M>>,
-    total: usize,
+    n_ranks: usize,
+    /// `(dst, batch)` pairs in ascending `dst` order.
+    pub(crate) batches: Vec<(usize, Vec<M>)>,
+    /// Buffers of cleared batches, reused by later first sends.
+    spare: Vec<Vec<M>>,
+    /// Index of the batch the last send went to.
+    last: usize,
 }
 
 impl<M> Outbox<M> {
-    /// An empty outbox with one destination bucket per rank.
+    /// An empty outbox that may send to ranks `0..n_ranks`.
     pub fn for_ranks(n_ranks: usize) -> Self {
         Outbox {
-            buckets: (0..n_ranks).map(|_| Vec::new()).collect(),
-            total: 0,
+            n_ranks,
+            batches: Vec::new(),
+            spare: Vec::new(),
+            last: 0,
         }
     }
 
     /// Queue `msg` for delivery to `dest` at the next superstep boundary
     /// (the RPC analogue).
+    #[inline]
     pub fn send(&mut self, dest: usize, msg: M) {
-        assert!(
-            dest < self.buckets.len(),
-            "message to nonexistent rank {dest}"
-        );
-        self.buckets[dest].push(msg);
-        self.total += 1;
+        assert!(dest < self.n_ranks, "message to nonexistent rank {dest}");
+        self.batch_mut(dest).push(msg);
     }
 
-    /// Total messages staged, across all destinations.
+    /// Messages staged and not yet delivered, across all destinations.
     pub fn len(&self) -> usize {
-        self.total
+        self.batches.iter().map(|(_, b)| b.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.len() == 0
     }
 
-    /// Empty every bucket, keeping their capacity for reuse.
+    /// Drop every batch, keeping their buffers for reuse.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
+        for (_, mut b) in self.batches.drain(..) {
             b.clear();
+            self.spare.push(b);
         }
-        self.total = 0;
     }
 
-    /// The staged bucket for `dest` (the process transport encodes each
-    /// non-empty bucket into one wire frame).
+    /// The staged batch for `dest` (empty when nothing was sent there).
     pub(crate) fn bucket(&self, dest: usize) -> &[M] {
-        &self.buckets[dest]
+        let found = self.batches.iter().find(|&&(d, _)| d == dest);
+        found.map_or(&[], |(_, b)| b)
     }
 
-    /// Replace the staged bucket for `dest` with what actually came back
-    /// over the wire, keeping the staged-message total consistent. On a
-    /// healthy exchange the replacement is bit-identical to the original;
-    /// the swap is what makes a garbled or retransmitted frame *matter*.
+    /// Replace the staged batch for `dest` with what actually came back
+    /// over the wire. On a healthy exchange the replacement is
+    /// bit-identical to the original; the swap is what makes a garbled or
+    /// retransmitted frame *matter*.
     pub(crate) fn replace_bucket(&mut self, dest: usize, msgs: Vec<M>) {
-        self.total = self.total - self.buckets[dest].len() + msgs.len();
-        self.buckets[dest] = msgs;
+        *self.batch_mut(dest) = msgs;
+    }
+
+    /// The batch for `dest`, inserted in `dst` order on first use.
+    #[inline]
+    fn batch_mut(&mut self, dest: usize) -> &mut Vec<M> {
+        if self.batches.get(self.last).is_none_or(|&(d, _)| d != dest) {
+            let i = self.batches.partition_point(|&(d, _)| d < dest);
+            if self.batches.get(i).is_none_or(|&(d, _)| d != dest) {
+                self.batches
+                    .insert(i, (dest, self.spare.pop().unwrap_or_default()));
+            }
+            self.last = i;
+        }
+        &mut self.batches[self.last].1
     }
 }
 
@@ -180,15 +191,21 @@ impl Default for ExchangeFaults<'static> {
     }
 }
 
-/// One landed in-flight bit flip: message `idx` of bucket (src, dst) was
-/// XOR-corrupted with `seed`. `heal` marks whether the retransmit budget
-/// covers this batch.
+/// One in-flight bit flip: message `idx` of batch (src, dst) was
+/// XOR-corrupted with `seed`.
 struct Flip {
     src: usize,
     dst: usize,
     idx: usize,
     seed: u64,
-    heal: bool,
+}
+
+/// One batch bound for a destination: its source rank, its index among the
+/// source's staged batches, and its send-side CRC64 (0 when not tracked).
+struct Route {
+    src: usize,
+    batch: usize,
+    crc: u64,
 }
 
 /// Double-buffered per-rank inboxes: `front` is read during compute, `back`
@@ -196,6 +213,9 @@ struct Flip {
 pub struct Mailboxes<M> {
     front: Vec<Vec<M>>,
     back: Vec<Vec<M>>,
+    /// Per destination, the batches routed to it in ascending source order;
+    /// rebuilt at every exchange into the same allocations.
+    routes: Vec<Vec<Route>>,
 }
 
 impl<M> Mailboxes<M> {
@@ -204,6 +224,7 @@ impl<M> Mailboxes<M> {
         Mailboxes {
             front: (0..n_ranks).map(|_| Vec::new()).collect(),
             back: (0..n_ranks).map(|_| Vec::new()).collect(),
+            routes: (0..n_ranks).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -251,9 +272,9 @@ impl<M: Send + WireSize + Payload> Mailboxes<M> {
         )
     }
 
-    /// Run one barrier exchange: meter every (src, dst) bucket, assemble the
-    /// back inboxes in parallel (lock-free — see the module docs for the
-    /// unique-writer argument), apply any due faults, and swap the buffers.
+    /// Run one barrier exchange: meter and route every staged batch,
+    /// assemble the back inboxes in parallel (lock-free — see the module
+    /// docs), apply any due faults, and swap the buffers.
     ///
     /// When `faults.verify` is set, the metering pass also digests every
     /// batch (CRC64 over the pristine content), scheduled corruption bit
@@ -278,21 +299,22 @@ impl<M: Send + WireSize + Payload> Mailboxes<M> {
         // but only `verify` ships CRC trailers or detects anything.
         let track = verify || !faults.corruptions.is_empty();
 
-        // Metering pass: exact legacy per-logical-message totals plus the
-        // coalesced batch totals. One batch per non-empty (src, dst) bucket;
-        // its wire size is the framing header plus each payload exactly once.
-        // When verifying, this same pass takes the send-side CRC of every
-        // batch while the content is still pristine.
+        // Metering and routing pass, sources ascending: exact legacy
+        // per-logical-message totals plus the coalesced batch totals (a
+        // header plus each payload once per non-empty batch), each batch
+        // routed to its destination with the send-side CRC of its pristine
+        // content when tracking.
         let mut vol = ExchangeVolume::default();
-        let mut crcs: Vec<u64> = if track { vec![0; n * n] } else { Vec::new() };
+        for routes in &mut self.routes {
+            routes.clear();
+        }
         for (src, ob) in outboxes.iter().enumerate() {
             if drops.contains(&src) {
-                vol.dropped += ob.total as u64;
+                vol.dropped += ob.len() as u64;
                 continue;
             }
-            let mut rank_msgs = 0u64;
-            let mut rank_bytes = 0u64;
-            for (dst, bucket) in ob.buckets.iter().enumerate() {
+            let (mut rank_msgs, mut rank_bytes) = (0u64, 0u64);
+            for (batch, (dst, bucket)) in ob.batches.iter().enumerate() {
                 if bucket.is_empty() {
                     continue;
                 }
@@ -310,12 +332,11 @@ impl<M: Send + WireSize + Payload> Mailboxes<M> {
                 }
                 vol.batches += 1;
                 vol.batch_bytes += BATCH_HEADER_BYTES + payload;
-                if track {
-                    crcs[src * n + dst] = batch_crc(bucket);
-                    if verify {
-                        vol.integrity_bytes += BATCH_CRC_BYTES;
-                    }
+                if verify {
+                    vol.integrity_bytes += BATCH_CRC_BYTES;
                 }
+                let crc = if track { batch_crc(bucket) } else { 0 };
+                self.routes[*dst].push(Route { src, batch, crc });
             }
             vol.msgs += rank_msgs;
             vol.bytes += rank_bytes;
@@ -325,25 +346,23 @@ impl<M: Send + WireSize + Payload> Mailboxes<M> {
 
         // Corruption strikes in flight — after the send-side digests, before
         // delivery. Each event picks one of the source's corruptible batches
-        // and one message within it, all derived from the event seed.
+        // (in ascending `dst` order) and one message within it, all derived
+        // from the event seed.
         let mut flips: Vec<Flip> = Vec::new();
         for &(src, seed) in faults.corruptions {
             if src >= n || drops.contains(&src) {
                 continue; // a dropped outbox has nothing left to corrupt
             }
             let mut rng = SplitMix64::new(seed);
-            let candidates: Vec<usize> = outboxes[src]
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.iter().any(|m| m.corruptible()))
-                .map(|(d, _)| d)
+            let batches = &mut outboxes[src].batches;
+            let candidates: Vec<usize> = (0..batches.len())
+                .filter(|&b| batches[b].1.iter().any(|m| m.corruptible()))
                 .collect();
             if candidates.is_empty() {
                 continue; // nothing in flight with flippable bits: vacuous
             }
-            let dst = candidates[(rng.next_u64() % candidates.len() as u64) as usize];
-            let bucket = &mut outboxes[src].buckets[dst];
+            let pick = candidates[(rng.next_u64() % candidates.len() as u64) as usize];
+            let (dst, bucket) = &mut batches[pick];
             let targets: Vec<usize> = (0..bucket.len())
                 .filter(|&i| bucket[i].corruptible())
                 .collect();
@@ -352,90 +371,76 @@ impl<M: Send + WireSize + Payload> Mailboxes<M> {
             bucket[idx].corrupt(flip_seed);
             flips.push(Flip {
                 src,
-                dst,
+                dst: *dst,
                 idx,
                 seed: flip_seed,
-                heal: false,
             });
         }
-        // Count batches whose content actually changed (two flips can cancel
-        // each other out bit-for-bit; such a batch is vacuously clean and
-        // must not be promised as "detectable"). Then spend the retransmit
-        // budget in flight order — deterministic, no races with assembly.
-        if !flips.is_empty() {
-            let mut landed: Vec<(usize, usize)> = Vec::new();
-            for f in &flips {
-                if !landed.contains(&(f.src, f.dst)) {
-                    landed.push((f.src, f.dst));
-                }
+        // The batches whose content changed, in flight order (two flips can
+        // cancel out bit-for-bit; such a batch is vacuously clean and must
+        // not be promised as "detectable"). The retransmit budget heals the
+        // first of them — deterministic, no races with assembly.
+        let mut landed: Vec<(usize, usize)> = Vec::new();
+        for f in &flips {
+            let sent = self.routes[f.dst].iter().find(|r| r.src == f.src);
+            let changed = batch_crc(outboxes[f.src].bucket(f.dst)) != sent.expect("routed").crc;
+            if changed && !landed.contains(&(f.src, f.dst)) {
+                landed.push((f.src, f.dst));
             }
-            landed.retain(|&(s, d)| batch_crc(&outboxes[s].buckets[d]) != crcs_at(&crcs, n, s, d));
-            vol.corruptions_landed = landed.len() as u64;
-            let budget = faults.retransmit_budget.min(landed.len() as u64) as usize;
-            let healed: &[(usize, usize)] = &landed[..budget];
-            for f in &mut flips {
-                f.heal = healed.contains(&(f.src, f.dst));
-            }
-            flips.retain(|f| landed.contains(&(f.src, f.dst)));
         }
+        vol.corruptions_landed = landed.len() as u64;
+        let healed = &landed[..faults.retransmit_budget.min(landed.len() as u64) as usize];
 
-        // Assembly: worker `d` owns back[d] and drains bucket (src, d) of
-        // every source, in ascending source order — the canonical inbox
-        // ordering. `Vec::append` moves whole buckets (a memcpy), leaving
-        // their capacity behind for the next superstep. When verifying,
-        // worker `d` also re-digests each of its batches before the append,
-        // heals budgeted flips (XOR is self-inverse, so re-applying the flip
-        // restores the pristine bytes — the retransmit model), and tallies
-        // into its private slot of `islots`.
+        // Assembly: worker `d` owns back[d] and drains route list `d`,
+        // sources ascending — the canonical inbox order. `Vec::append` moves
+        // whole batches (a memcpy), leaving their capacity behind. When
+        // verifying, it re-digests each batch before the append, heals
+        // budgeted flips (XOR is self-inverse, so re-applying a flip restores
+        // the pristine bytes — the retransmit model), and tallies into
+        // `islots[d]`.
         let mut islots: Vec<[u64; 3]> = vec![[0u64; 3]; if verify { n } else { 0 }];
         {
-            let bucket_bases: Vec<*mut Vec<M>> = outboxes
+            let batch_bases: Vec<_> = outboxes
                 .iter_mut()
-                .map(|ob| ob.buckets.as_mut_ptr())
+                .map(|ob| ob.batches.as_mut_ptr())
                 .collect();
             struct Grid<M> {
-                buckets: *const *mut Vec<M>,
+                batches: *const *mut (usize, Vec<M>),
                 back: *mut Vec<M>,
                 islots: *mut [u64; 3],
             }
             // SAFETY: WorkPool::run_indexed claims each index exactly once,
-            // so back[d] and islots[d] have a unique writer and bucket
-            // (src, d) a unique reader; no two workers touch the same slot.
+            // so back[d] and islots[d] have a unique writer, and a batch
+            // (src, d) sits on route list `d` only, so it has a unique
+            // reader; no two workers touch the same slot.
             unsafe impl<M> Sync for Grid<M> {}
             let grid = Grid {
-                buckets: bucket_bases.as_ptr(),
+                batches: batch_bases.as_ptr(),
                 back: self.back.as_mut_ptr(),
                 islots: islots.as_mut_ptr(),
             };
             let grid = &grid;
-            let crcs = &crcs;
+            let routes = &self.routes;
             let flips = &flips;
             pool.run_indexed(n, |d| {
                 // SAFETY: see Grid above — `d` is unique per invocation.
                 let back = unsafe { &mut *grid.back.add(d) };
                 back.clear();
-                for src in 0..n {
-                    if drops.contains(&src) {
-                        continue;
-                    }
-                    // SAFETY: bucket (src, d) is touched only by worker `d`.
-                    let bucket = unsafe { &mut *(*grid.buckets.add(src)).add(d) };
-                    if verify && !bucket.is_empty() {
-                        let expected = crcs_at(crcs, n, src, d);
-                        if batch_crc(bucket) != expected {
-                            // SAFETY: islots[d] is written only by worker `d`.
-                            let slot = unsafe { &mut *grid.islots.add(d) };
-                            slot[0] += 1; // corrupt batch detected
-                            let mine = flips.iter().filter(|f| f.src == src && f.dst == d);
-                            if mine.clone().all(|f| f.heal) {
-                                for f in mine {
-                                    bucket[f.idx].corrupt(f.seed);
-                                }
-                                debug_assert_eq!(batch_crc(bucket), expected);
-                                slot[1] += 1; // healed by retransmit
-                            } else {
-                                slot[2] += 1; // budget exhausted
+                for r in &routes[d] {
+                    // SAFETY: batch (r.src, d) is touched only by worker `d`.
+                    let bucket = unsafe { &mut (*(*grid.batches.add(r.src)).add(r.batch)).1 };
+                    if verify && batch_crc(bucket) != r.crc {
+                        // SAFETY: islots[d] is written only by worker `d`.
+                        let slot = unsafe { &mut *grid.islots.add(d) };
+                        slot[0] += 1; // corrupt batch detected
+                        if healed.contains(&(r.src, d)) {
+                            for f in flips.iter().filter(|f| (f.src, f.dst) == (r.src, d)) {
+                                bucket[f.idx].corrupt(f.seed);
                             }
+                            debug_assert_eq!(batch_crc(bucket), r.crc);
+                            slot[1] += 1; // healed by retransmit
+                        } else {
+                            slot[2] += 1; // budget exhausted
                         }
                     }
                     back.append(bucket);
@@ -454,10 +459,6 @@ impl<M: Send + WireSize + Payload> Mailboxes<M> {
         std::mem::swap(&mut self.front, &mut self.back);
         vol
     }
-}
-
-fn crcs_at(crcs: &[u64], n: usize, src: usize, dst: usize) -> u64 {
-    crcs[src * n + dst]
 }
 
 /// Seeded Fisher–Yates permutation (the delivery-shuffle fault).

@@ -573,27 +573,25 @@ impl<M: WireCodec> ExchangeTransport<M> for ProcessTransport<M> {
             self.send_to(dst, MSG_BEGIN, superstep, &[]);
         }
 
-        // PUT every non-empty (src, dst) bucket to dst's worker as one
-        // sealed frame. Sources iterate ascending, matching the canonical
-        // inbox order the worker reproduces.
-        for (src, outbox) in outboxes.iter().enumerate().take(n) {
-            for dst in 0..n {
-                let bucket = outbox.bucket(dst);
-                if bucket.is_empty() {
-                    continue;
-                }
+        // PUT every staged batch to its destination's worker as one sealed
+        // frame. Sources iterate ascending, the canonical inbox order the
+        // worker reproduces, and so does each destination's sender list.
+        let mut senders: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (src, outbox) in outboxes.iter().enumerate() {
+            for (dst, bucket) in &outbox.batches {
+                senders[*dst].push(src);
                 let payload = encode_bucket(bucket);
                 let sealed = frame::encode(bucket.len() as u64, &payload);
-                if self.send_to(dst, MSG_PUT, src as u64, &sealed) {
+                if self.send_to(*dst, MSG_PUT, src as u64, &sealed) {
                     self.counters.frames_sent += 1;
-                    self.peer_stat(dst).frames_sent += 1;
+                    self.peer_stat(*dst).frames_sent += 1;
                 }
             }
         }
 
         // FLUSH each peer and install what actually came back, healing
         // garbled/dropped/late replies through deadline + backoff retries.
-        for dst in 0..n {
+        for (dst, expected) in senders.iter().enumerate() {
             if self.workers[dst].stream.is_none() {
                 continue;
             }
@@ -657,10 +655,9 @@ impl<M: WireCodec> ExchangeTransport<M> for ProcessTransport<M> {
                         // Everything PUT must have come back; a missing
                         // source is indistinguishable from a damaged inbox
                         // and retries the same way.
-                        let expected = (0..n).filter(|&src| !outboxes[src].bucket(dst).is_empty());
                         let delivered = self
                             .parse_inbox(&body)
-                            .filter(|entries| entries.iter().map(|(src, _)| *src).eq(expected));
+                            .filter(|entries| entries.iter().map(|(src, _)| src).eq(expected));
                         let Some(entries) = delivered else {
                             self.counters.wire_retransmits += 1;
                             self.peer_stat(dst).retries += 1;

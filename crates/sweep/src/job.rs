@@ -51,11 +51,6 @@ impl JobSpec {
         self
     }
 
-    pub fn with_capture_world(mut self) -> Self {
-        self.capture_world = true;
-        self
-    }
-
     pub fn with_halt_after(mut self, step: u64) -> Self {
         self.halt_after = Some(step);
         self
