@@ -24,8 +24,10 @@
 //! cannot reassociate any f32 sum. The per-voxel diffusion update then calls
 //! the same [`diffuse_voxel`] scalar function. The wide path is therefore
 //! *structurally* bit-identical to the scalar oracle — a property the
-//! differential suite (`tests/simd_differential.rs`) enforces over
-//! adversarial shapes, and the unit tests below enforce per-chunk.
+//! differential suite (`tests/simd_differential.rs`, cases of the
+//! equivalence harness `tests/equivalence/mod.rs` and ranges of its seeded
+//! shape generator) enforces over adversarial shapes, and the unit tests
+//! below enforce per-chunk.
 //!
 //! [`StencilDeltas::sum2`]: crate::soa::StencilDeltas::sum2
 //! [`StencilDeltas::deltas`]: crate::soa::StencilDeltas::deltas

@@ -29,7 +29,6 @@ use crate::transport::{
 };
 use crate::wire::WireCodec;
 use simcov_telemetry::{Histogram, RankWalls, SpanKind, Telemetry};
-use std::sync::Mutex;
 
 /// Corrupt batches healed per superstep before the superstep is failed and
 /// the driver's rollback tier takes over. Real interconnects bound the
@@ -121,11 +120,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
     /// (used by overhead benches and the false-positive sweeps).
     pub fn enable_integrity(&mut self) {
         self.verify_batches = true;
-    }
-
-    /// Is per-batch CRC verification engaged?
-    pub fn integrity_enabled(&self) -> bool {
-        self.verify_batches
     }
 
     /// Cap the corrupt batches healed in-barrier per superstep; anything
@@ -600,31 +594,6 @@ impl<M> Bsp<M> {
     }
 }
 
-/// A shared accumulator for cheap global tallies from within a superstep
-/// (used where UPC++ code would use an atomic fetch-add on a dist_object).
-#[derive(Default)]
-pub struct SharedTally {
-    value: Mutex<u64>,
-}
-
-impl SharedTally {
-    pub fn new() -> Self {
-        Self::default()
-    }
-    fn lock(&self) -> std::sync::MutexGuard<'_, u64> {
-        self.value.lock().unwrap_or_else(|e| e.into_inner())
-    }
-    pub fn add(&self, v: u64) {
-        *self.lock() += v;
-    }
-    pub fn get(&self) -> u64 {
-        *self.lock()
-    }
-    pub fn reset(&self) -> u64 {
-        std::mem::take(&mut *self.lock())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -982,7 +951,7 @@ mod tests {
             rank: 6, // wraps to rank 2 on a 4-rank domain
             kind: FaultKind::StateCorruption { seed: 0xAB },
         }]));
-        assert!(bsp.integrity_enabled(), "corruption plan engages integrity");
+        assert!(bsp.verify_batches, "corruption plan engages integrity");
         let mut states = vec![(); 4];
         for _ in 0..3 {
             bsp.try_superstep(&pool, &mut states, |_r, _s, _i, _o| {})
@@ -998,16 +967,6 @@ mod tests {
             }]
         );
         assert!(bsp.take_pending_state_corruptions().is_empty(), "drained");
-    }
-
-    #[test]
-    fn shared_tally() {
-        let t = SharedTally::new();
-        let pool = WorkPool::new(3);
-        pool.run_indexed(100, |_| t.add(1));
-        assert_eq!(t.get(), 100);
-        assert_eq!(t.reset(), 100);
-        assert_eq!(t.get(), 0);
     }
 
     use crate::fault::FaultEvent;

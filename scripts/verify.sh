@@ -250,15 +250,17 @@ print("BENCH_perf_smoke.json OK:",
       ", ".join(f"{k} {v:.2f}x" for k, v in doc["speedups"].items()))
 EOF
 
-# SIMD-differential, concurrent-rank and trial-table suites under a
-# --test-threads matrix: the harness's own parallelism must not perturb the
-# bitwise checks or the trial table's allocation count (the suites spawn
-# their own WorkPool workers; running them from 1 and from 4 harness
-# threads shakes out any hidden global state).
-echo "== simd/parallel-rank/trial-table matrix (test-threads 1 and 4) =="
+# The six suites on the shared equivalence harness (tests/equivalence/) and
+# the trial-table suites under a --test-threads matrix: the test runner's own
+# parallelism must not perturb the bitwise checks, the harness's shared code
+# or the trial table's allocation count (the suites spawn their own WorkPool
+# workers; running them from 1 and from 4 runner threads shakes out any
+# hidden global state).
+echo "== equivalence/trial-table matrix (test-threads 1 and 4) =="
 for tt in 1 4; do
     echo "-- test-threads $tt --"
-    for suite in simd_differential parallel_ranks trial_listing trial_table_allocations; do
+    for suite in cross_executor simd_differential parallel_ranks determinism \
+        unit_conformance schedule_adversarial trial_listing trial_table_allocations; do
         cargo test -q --release --test "$suite" -- --test-threads "$tt" \
             | grep "^test result"
     done

@@ -1,60 +1,21 @@
-//! Determinism and failure-injection tests for the runtime layers: results
-//! must be independent of thread scheduling, message arrival order, and
-//! repeated execution — the properties that make the §4.1 correctness
-//! comparison meaningful at all.
+//! Results are independent of repeated execution, unit count and
+//! inspection mid-run (harness cases), and of pool size and message storms
+//! (the two tests that drive `Bsp` directly).
 
+mod equivalence;
+use equivalence::*;
 use simcov_repro::pgas::{Bsp, WorkPool};
-use simcov_repro::simcov_core::foi::FoiPattern;
-use simcov_repro::simcov_core::grid::GridDims;
-use simcov_repro::simcov_core::params::SimParams;
-use simcov_repro::simcov_core::world::World;
-use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
-use simcov_repro::simcov_driver::Simulation;
-use simcov_repro::simcov_gpu::{GpuSim, GpuSimConfig};
 
-#[test]
-fn repeated_runs_are_bitwise_identical() {
-    let p = SimParams::test_config(GridDims::new2d(28, 28), 80, 3, 5);
-    let run = || {
-        let mut gpu = GpuSim::new(GpuSimConfig::new(p.clone(), 4)).expect("valid config");
-        gpu.run().expect("healthy run");
-        gpu.gather_world()
-    };
-    let a = run();
-    let b = run();
-    assert!(a.first_difference(&b).is_none());
-}
-
-#[test]
-fn rank_count_does_not_change_results() {
-    let p = SimParams::test_config(GridDims::new2d(30, 30), 80, 3, 6);
-    let world = World::seeded(&p, FoiPattern::UniformLattice);
-    let mut worlds = Vec::new();
-    for ranks in [1usize, 2, 3, 6, 9] {
-        let mut cpu = CpuSim::from_world(CpuSimConfig::new(p.clone(), ranks), world.clone())
-            .expect("valid config");
-        cpu.run().expect("healthy run");
-        worlds.push(cpu.gather_world());
-    }
-    for w in &worlds[1..] {
-        assert!(worlds[0].first_difference(w).is_none());
-    }
-}
-
-#[test]
-fn device_count_does_not_change_results() {
-    let p = SimParams::test_config(GridDims::new2d(30, 30), 80, 3, 7);
-    let world = World::seeded(&p, FoiPattern::UniformLattice);
-    let mut worlds = Vec::new();
-    for devices in [1usize, 2, 4, 9] {
-        let mut gpu = GpuSim::from_world(GpuSimConfig::new(p.clone(), devices), world.clone())
-            .expect("valid config");
-        gpu.run().expect("healthy run");
-        worlds.push(gpu.gather_world());
-    }
-    for w in &worlds[1..] {
-        assert!(worlds[0].first_difference(w).is_none());
-    }
+equivalence_tests! {
+    repeated_runs_are_bitwise_identical:
+        [Gpu(Combined); 2].map(|e| Case::test([28, 28, 1], 80, 3, 5).on(e, 4));
+    rank_count_does_not_change_results:
+        [1, 2, 3, 6, 9].map(|r| Case::test([30, 30, 1], 80, 3, 6).on(Cpu, r));
+    device_count_does_not_change_results:
+        [1, 2, 4, 9].map(|d| Case::test([30, 30, 1], 80, 3, 7).on(Gpu(Combined), d));
+    // Gathering the world after every step must not perturb the trajectory.
+    partial_run_equals_full_run_prefix:
+        [Case::test([24, 24, 1], 60, 2, 8).on(Gpu(Combined), 4).with(|c| c.lock = true)];
 }
 
 #[test]
@@ -110,26 +71,4 @@ fn message_storm_does_not_reorder_per_source() {
             assert_eq!(inbox, expect.as_slice());
         }
     });
-}
-
-#[test]
-fn partial_run_equals_full_run_prefix() {
-    // advance_step must be incremental: stopping and inspecting mid-run
-    // does not perturb the trajectory.
-    let p = SimParams::test_config(GridDims::new2d(24, 24), 60, 2, 8);
-    let mut full = GpuSim::new(GpuSimConfig::new(p.clone(), 4)).expect("valid config");
-    full.run().expect("healthy run");
-    let mut stepped = GpuSim::new(GpuSimConfig::new(p, 4)).expect("valid config");
-    for _ in 0..30 {
-        stepped.advance_step().expect("healthy step");
-    }
-    let _ = stepped.gather_world(); // inspect mid-run
-    for _ in 30..60 {
-        stepped.advance_step().expect("healthy step");
-    }
-    assert!(full
-        .gather_world()
-        .first_difference(&stepped.gather_world())
-        .is_none());
-    assert_eq!(full.history(), stepped.history());
 }

@@ -1,233 +1,29 @@
-//! Schedule-adversarial delivery tests: the model's results must not depend
-//! on the order in which messages land within a superstep.
-//!
-//! The BSP runtime canonicalizes every inbox by (source rank, emission
-//! order) before compute, and per-voxel application is order-insensitive by
-//! construction (exact summation, max-merge). These tests attack that claim
-//! directly: a [`FaultPlan::shuffled`] storm permutes **every** rank's
-//! assembled inbox at **every** superstep with seeded Fisher–Yates draws,
-//! and the whole trajectory — per-step statistics and the final world —
-//! must stay bitwise identical to the unperturbed run, on both parallel
-//! executors.
+//! Delivery order must not reach the results: seeded shuffles of every inbox
+//! and storms of shuffled and duplicated batches, under concurrent workers
+//! and an every-step audit that must raise nothing, land on the oracle.
 
-use simcov_repro::pgas::{FaultEvent, FaultKind, FaultPlan};
-use simcov_repro::simcov_core::grid::GridDims;
-use simcov_repro::simcov_core::params::SimParams;
-use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
-use simcov_repro::simcov_driver::Simulation;
-use simcov_repro::simcov_gpu::{GpuSim, GpuSimConfig};
+mod equivalence;
+use equivalence::*;
 
-fn params(seed: u64) -> SimParams {
-    SimParams::test_config(GridDims::new2d(32, 32), 60, 8, seed)
+/// Four units on a 32x32 grid; with `threads`, audited every step.
+fn delivered(seed: u64, delivery: Delivery, threads: Option<usize>, exec: Exec) -> [Case; 1] {
+    let audit = threads.map(|_| 1);
+    let case = Case::test([32, 32, 1], 60, 8, seed).on(exec, 4);
+    [case.with(|c| (c.delivery, c.threads, c.audit) = (delivery, threads, audit))]
 }
 
-/// Every superstep of a 60-step CPU run under a distinct per-(superstep,
-/// rank) permutation: bitwise identity of history and world.
-#[test]
-fn cpu_shuffled_delivery_is_bitwise_identical() {
-    let mut clean = CpuSim::new(CpuSimConfig::new(params(21), 4)).expect("valid config");
-    clean.run().expect("no faults");
-
-    // The CPU executor runs 3 supersteps per step.
-    let plan = FaultPlan::shuffled(0xD15C0, 4, 60 * 3);
-    let mut shuffled =
-        CpuSim::new(CpuSimConfig::new(params(21), 4).with_fault_plan(plan)).expect("valid config");
-    shuffled.run().expect("shuffles are benign");
-
-    assert!(
-        shuffled.recovery_log().is_empty(),
-        "a reordering must never look like a failure"
-    );
-    assert!(
-        shuffled.comm_counters().shuffled_inboxes > 0,
-        "the storm must actually have fired"
-    );
-    assert_eq!(
-        clean.history(),
-        shuffled.history(),
-        "delivery order leaked into the time series"
-    );
-    assert!(
-        clean
-            .gather_world()
-            .first_difference(&shuffled.gather_world())
-            .is_none(),
-        "delivery order leaked into the final world"
-    );
-}
-
-/// The same property on the GPU executor (2 supersteps per step).
-#[test]
-fn gpu_shuffled_delivery_is_bitwise_identical() {
-    let mut clean = GpuSim::new(GpuSimConfig::new(params(23), 4)).expect("valid config");
-    clean.run().expect("no faults");
-
-    let plan = FaultPlan::shuffled(0x5EED, 4, 60 * 2);
-    let mut shuffled =
-        GpuSim::new(GpuSimConfig::new(params(23), 4).with_fault_plan(plan)).expect("valid config");
-    shuffled.run().expect("shuffles are benign");
-
-    assert!(shuffled.recovery_log().is_empty());
-    assert!(shuffled.comm_counters().shuffled_inboxes > 0);
-    assert_eq!(
-        clean.history(),
-        shuffled.history(),
-        "delivery order leaked into the time series"
-    );
-    assert!(
-        clean
-            .gather_world()
-            .first_difference(&shuffled.gather_world())
-            .is_none(),
-        "delivery order leaked into the final world"
-    );
-}
-
-/// Two different shuffle seeds produce two different delivery schedules but
-/// the same trajectory — and both match a third, unshuffled run even when
-/// the executors disagree on rank count.
-#[test]
-fn shuffle_seed_and_rank_count_are_both_invisible() {
-    let mut reference = CpuSim::new(CpuSimConfig::new(params(29), 2)).expect("valid config");
-    reference.run().expect("no faults");
-
-    for (seed, ranks) in [(0xAAAAu64, 4usize), (0xBBBB, 8)] {
-        let plan = FaultPlan::shuffled(seed, ranks, 60 * 3);
-        let mut sim = CpuSim::new(CpuSimConfig::new(params(29), ranks).with_fault_plan(plan))
-            .expect("valid config");
-        sim.run().expect("shuffles are benign");
-        assert!(sim.comm_counters().shuffled_inboxes > 0);
-        assert_eq!(
-            reference.history(),
-            sim.history(),
-            "seed {seed:#x} on {ranks} ranks diverged"
-        );
-    }
-}
-
-/// A delivery storm of shuffled **and** duplicated coalesced batches, per
-/// superstep, per rotating rank.
-fn interleaving_storm(supersteps: u64, ranks: usize) -> FaultPlan {
-    let mut events = Vec::new();
-    for s in 0..supersteps {
-        events.push(FaultEvent {
-            superstep: s,
-            rank: (s as usize) % ranks,
-            kind: FaultKind::DeliveryShuffle {
-                seed: 0xC0FF_EE00 ^ s,
-            },
-        });
-        if s % 3 == 0 {
-            events.push(FaultEvent {
-                superstep: s,
-                rank: ((s / 3) as usize + 1) % ranks,
-                kind: FaultKind::MessageDuplicate,
-            });
-        }
-    }
-    FaultPlan::from_events(events)
-}
-
-/// Concurrent-delivery interleavings on the CPU executor: shuffled and
-/// duplicated batches land while four ranks genuinely run on four workers,
-/// with the CRC64/seal-scrub integrity lattice auditing every step. The
-/// lattice must report **zero false positives** — duplicates are suppressed
-/// and shuffles canonicalized without a single batch flagged corrupt or
-/// retransmitted — and the trajectory must match the quiet inline run
-/// bitwise.
-#[test]
-fn cpu_concurrent_interleavings_cause_no_false_positives() {
-    let mut clean = CpuSim::new(CpuSimConfig::new(params(31), 4)).expect("valid config");
-    clean.run().expect("no faults");
-
-    // The CPU executor runs 3 supersteps per step.
-    let cfg = CpuSimConfig::new(params(31), 4)
-        .with_fault_plan(interleaving_storm(60 * 3, 4))
-        .with_threads(4)
-        .with_audit_period(1);
-    let mut stormy = CpuSim::new(cfg).expect("valid config");
-    stormy.run().expect("interleavings are benign");
-
-    let cc = stormy.comm_counters();
-    assert!(cc.shuffled_inboxes > 0, "shuffles must actually fire");
-    assert!(
-        cc.duplicates_suppressed > 0,
-        "duplicates must actually fire"
-    );
-    assert_eq!(cc.corrupt_batches, 0, "integrity false positive");
-    assert_eq!(cc.retransmits, 0, "spurious retransmit");
-    assert!(
-        stormy.recovery_log().is_empty(),
-        "an interleaving must never look like a failure"
-    );
-    assert_eq!(
-        clean.history(),
-        stormy.history(),
-        "concurrent delivery order leaked into the time series"
-    );
-    assert!(
-        clean
-            .gather_world()
-            .first_difference(&stormy.gather_world())
-            .is_none(),
-        "concurrent delivery order leaked into the final world"
-    );
-}
-
-/// The same storm on the GPU executor (2 supersteps per step), with workers
-/// oversubscribed past the device count.
-#[test]
-fn gpu_concurrent_interleavings_cause_no_false_positives() {
-    let mut clean = GpuSim::new(GpuSimConfig::new(params(33), 4)).expect("valid config");
-    clean.run().expect("no faults");
-
-    let cfg = GpuSimConfig::new(params(33), 4)
-        .with_fault_plan(interleaving_storm(60 * 2, 4))
-        .with_threads(6)
-        .with_audit_period(1);
-    let mut stormy = GpuSim::new(cfg).expect("valid config");
-    stormy.run().expect("interleavings are benign");
-
-    let cc = stormy.comm_counters();
-    assert!(cc.shuffled_inboxes > 0);
-    assert!(cc.duplicates_suppressed > 0);
-    assert_eq!(cc.corrupt_batches, 0, "integrity false positive");
-    assert_eq!(cc.retransmits, 0, "spurious retransmit");
-    assert!(stormy.recovery_log().is_empty());
-    assert_eq!(clean.history(), stormy.history(), "time series diverged");
-    assert!(
-        clean
-            .gather_world()
-            .first_difference(&stormy.gather_world())
-            .is_none(),
-        "world diverged"
-    );
-}
-
-/// The full shuffle storm with oversubscribed workers: every inbox of every
-/// superstep permuted while eight workers contend for four rank bodies.
-#[test]
-fn shuffle_storm_with_oversubscribed_workers_is_bitwise_identical() {
-    let mut clean = CpuSim::new(CpuSimConfig::new(params(37), 4)).expect("valid config");
-    clean.run().expect("no faults");
-
-    let cfg = CpuSimConfig::new(params(37), 4)
-        .with_fault_plan(FaultPlan::shuffled(0xAB1E, 4, 60 * 3))
-        .with_threads(8)
-        .with_audit_period(1);
-    let mut stormy = CpuSim::new(cfg).expect("valid config");
-    stormy.run().expect("shuffles are benign");
-
-    let cc = stormy.comm_counters();
-    assert!(cc.shuffled_inboxes > 0);
-    assert_eq!(cc.corrupt_batches, 0, "integrity false positive");
-    assert!(stormy.recovery_log().is_empty());
-    assert_eq!(clean.history(), stormy.history(), "time series diverged");
-    assert!(
-        clean
-            .gather_world()
-            .first_difference(&stormy.gather_world())
-            .is_none(),
-        "world diverged"
-    );
+equivalence_tests! {
+    cpu_shuffled_delivery_is_bitwise_identical: delivered(21, Shuffled(0xD15C0), None, Cpu);
+    gpu_shuffled_delivery_is_bitwise_identical:
+        delivered(23, Shuffled(0x5EED), None, Gpu(Combined));
+    // Two shuffle seeds on two rank counts, and an unshuffled third run.
+    shuffle_seed_and_rank_count_are_both_invisible:
+        [(InOrder, 2), (Shuffled(0xAAAA), 4), (Shuffled(0xBBBB), 8)]
+            .map(|(delivery, ranks)| delivered(29, delivery, None, Cpu)[0].on(Cpu, ranks));
+    cpu_concurrent_interleavings_cause_no_false_positives: delivered(31, Storm, Some(4), Cpu);
+    // Workers oversubscribed past the device count.
+    gpu_concurrent_interleavings_cause_no_false_positives:
+        delivered(33, Storm, Some(6), Gpu(Combined));
+    shuffle_storm_with_oversubscribed_workers_is_bitwise_identical:
+        delivered(37, Shuffled(0xAB1E), Some(8), Cpu);
 }
