@@ -6,12 +6,15 @@ use gpusim::kernel::LaunchConfig;
 use gpusim::reduce::{atomic_reduce, tree_reduce};
 use gpusim::DeviceCounters;
 use simcov_bench::microbench::Bench;
-use simcov_core::diffusion::diffuse_voxel;
+use simcov_core::diffusion::{diffuse_voxel, DiffuseCoeffs};
+use simcov_core::fields::Field;
 use simcov_core::grid::GridDims;
+use simcov_core::lanes;
 use simcov_core::params::SimParams;
 use simcov_core::rng::{CounterRng, Stream};
 use simcov_core::rules::{plan_tcell, RuleView};
 use simcov_core::serial::SerialSim;
+use simcov_core::soa::StencilDeltas;
 use simcov_core::tcell::TCellSlot;
 use simcov_core::world::World;
 
@@ -45,6 +48,46 @@ fn bench_diffusion(b: &mut Bench) {
         }
         out[0]
     });
+}
+
+/// The lane kernel over a 64² grid's interior, cut into runs of `len`
+/// voxels (the short runs a CPU rank's active list hands it) or whole rows.
+/// Each call diffuses 62 rows; divide by the voxels per call for ns/voxel.
+fn bench_interior_runs(b: &mut Bench) {
+    let dims = GridDims::new2d(64, 64);
+    let st = StencilDeltas::for_grid(dims);
+    let n = dims.nvoxels();
+    let virions = Field {
+        data: (0..n).map(|i| (i % 7) as f32).collect(),
+    };
+    let chem = Field {
+        data: (0..n).map(|i| (i % 5) as f32 * 0.5).collect(),
+    };
+    let coeffs = DiffuseCoeffs {
+        d: 0.15,
+        decay: 0.004,
+        min: 1e-10,
+    };
+    let mut out = vec![0.0f32; n];
+    for (name, len) in [("diffusion_runs_of_8_64sq", 8), ("diffusion_rows_64sq", 62)] {
+        b.bench(name, || {
+            for y in 1..63 {
+                for x in (1..63 - len + 1).step_by(len) {
+                    lanes::diffuse_interior_run(
+                        &st,
+                        y * 64 + x,
+                        len,
+                        &virions,
+                        &chem,
+                        coeffs,
+                        coeffs,
+                        |i, v, c| out[i] = v + c,
+                    );
+                }
+            }
+            out[65]
+        });
+    }
 }
 
 fn bench_tcell_plan(b: &mut Bench) {
@@ -115,6 +158,7 @@ fn main() {
     let mut b = Bench::from_args();
     bench_rng(&mut b);
     bench_diffusion(&mut b);
+    bench_interior_runs(&mut b);
     bench_tcell_plan(&mut b);
     bench_reductions(&mut b);
     bench_serial_step(&mut b);

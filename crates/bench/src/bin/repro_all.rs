@@ -48,8 +48,8 @@ const USAGE: &str = "usage: repro_all [SECTION]... [--json PATH] [--metrics-out 
                      sections: table1 fig4 fig5 table2 fig6 fig7 fig8 \
                      fault_sweep sdc_sweep ablation_tiles ablation_decomp";
 
-/// One section's text report and JSON record. On their own, Fig 5 and Table 2
-/// keep the seed bases they have always been published with.
+/// One section's text report and JSON record. Fig 5 and Table 2 read the
+/// same trials (seed base 1000), whether run alone or together.
 fn run_section(name: &str, scale: u32, trials: usize) -> (String, Json) {
     match name {
         "table1" => (render_table1(scale), table1_to_json()),
@@ -58,15 +58,15 @@ fn run_section(name: &str, scale: u32, trials: usize) -> (String, Json) {
             (r.render(), r.to_json())
         }
         "fig5" => {
-            let panels = fig5_panels(&correctness_trials(scale, trials, 1000));
+            let panels = fig5_panels(&correctness_trials(scale, trials));
             (render_fig5(scale, &panels), fig5_to_json(&panels))
         }
         "table2" => {
-            let rows = table2_rows(&correctness_trials(scale, trials, 2000));
+            let rows = table2_rows(&correctness_trials(scale, trials));
             (render_table2(scale, &rows), table2_to_json(&rows))
         }
         "fig5_and_table2" => {
-            let t = correctness_trials(scale, trials, 1000);
+            let t = correctness_trials(scale, trials);
             let (panels, rows) = (fig5_panels(&t), table2_rows(&t));
             let report = render_fig5(scale, &panels) + "\n" + &render_table2(scale, &rows);
             let json = Json::obj([

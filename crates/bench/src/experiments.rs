@@ -484,14 +484,14 @@ pub struct CorrectnessTrials {
     pub gpu_runs: Vec<TimeSeries>,
 }
 
-/// Run the §4.1 correctness trials (`seed_base`: 1000 for Fig 5's
-/// convention, 2000 for Table 2's).
-pub fn correctness_trials(scale: u32, trials: usize, seed_base: u64) -> CorrectnessTrials {
+/// Run the §4.1 correctness trials on seeds 1000, 1001, …: the one trial
+/// set Fig 5 and Table 2 both read.
+pub fn correctness_trials(scale: u32, trials: usize) -> CorrectnessTrials {
     let m = paper::CORRECTNESS.machine;
     let mut cpu_runs = Vec::new();
     let mut gpu_runs = Vec::new();
     for trial in 0..trials {
-        let se = ScaledExperiment::new(paper::CORRECTNESS, scale, seed_base + trial as u64);
+        let se = ScaledExperiment::new(paper::CORRECTNESS, scale, 1000 + trial as u64);
         eprintln!("trial {trial}: CPU x{} + GPU x{} ...", m.cpus, m.gpus);
         cpu_runs.push(run_cpu(se.params.clone(), m.cpus, scale).history);
         gpu_runs.push(run_gpu(se.params, m.gpus, GpuVariant::Combined, scale).history);

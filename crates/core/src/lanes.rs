@@ -42,9 +42,9 @@ use crate::soa::StencilDeltas;
 pub const LANES: usize = 8;
 
 /// Voxels [`diffuse_interior_run`] diffuses per block. A block's sums, then
-/// its results, live in two stack buffers that every run with a full chunk
-/// zeroes once: 32 keeps that cheap for runs of one or two chunks, and a
-/// long run pays the block loop once per 32 voxels.
+/// its results, live in two stack buffers of the block's width; the chunks
+/// left over after the whole blocks form one narrower block, so a short run
+/// never zeroes buffers it does not fill.
 pub const BLOCK: usize = 4 * LANES;
 
 /// Which diffusion kernel an executor runs. The trajectories are bitwise
@@ -99,10 +99,40 @@ fn gather_block(st: &StencilDeltas, base: usize, f: &[f32], sums: &mut [f32]) {
     }
 }
 
+/// Diffuse the `N` interior voxels from `base` (`N` a multiple of
+/// [`LANES`]): both fields' sums by [`gather_block`], the update over each
+/// field's block, then `emit` per voxel in ascending order.
+#[inline]
+fn diffuse_block<const N: usize>(
+    st: &StencilDeltas,
+    base: usize,
+    virions: &Field,
+    chem: &Field,
+    vc: DiffuseCoeffs,
+    cc: DiffuseCoeffs,
+    emit: &mut impl FnMut(usize, f32, f32),
+) {
+    let n_valid = st.len();
+    let update = |own: &[f32], sums: &mut [f32; N], k: DiffuseCoeffs| {
+        for (s, &v) in sums.iter_mut().zip(own) {
+            *s = diffuse_voxel(v, *s, n_valid, k.d, k.decay, k.min);
+        }
+    };
+    let (mut nv, mut nc) = ([0.0f32; N], [0.0f32; N]);
+    gather_block(st, base, &virions.data, &mut nv);
+    gather_block(st, base, &chem.data, &mut nc);
+    update(&virions.data[base..base + N], &mut nv, vc);
+    update(&chem.data[base..base + N], &mut nc, cc);
+    for (k, (&v, &c)) in nv.iter().zip(nc.iter()).enumerate() {
+        emit(base + k, v, c);
+    }
+}
+
 /// Diffuse a run of `len` consecutive *interior* voxels starting at linear
-/// index `base`: the full [`LANES`] chunks [`BLOCK`] voxels at a time (each
-/// field's sums via [`gather_lanes`], then the update over the block), and
-/// the `< LANES` remainder through the scalar [`StencilDeltas::sum2`] path.
+/// index `base`: the full [`LANES`] chunks [`BLOCK`] voxels at a time, then
+/// the leftover chunks as one narrower block (each field's sums via
+/// [`gather_lanes`], then the update over the block), and the `< LANES`
+/// remainder through the scalar [`StencilDeltas::sum2`] path.
 /// `emit(i, new_virions, new_chem)` is called once per voxel in ascending
 /// index order, so staged write-back buffers keep their scalar-path order.
 #[inline]
@@ -120,27 +150,18 @@ pub fn diffuse_interior_run(
     let n_valid = st.len();
     let chunked = base + len - len % LANES;
     let mut i = base;
-    if i < chunked {
-        let update = |own: &[f32], sums: &mut [f32], k: DiffuseCoeffs| {
-            for (s, &v) in sums.iter_mut().zip(own) {
-                *s = diffuse_voxel(v, *s, n_valid, k.d, k.decay, k.min);
-            }
-        };
-        let (mut nv, mut nc) = ([0.0f32; BLOCK], [0.0f32; BLOCK]);
-        while i < chunked {
-            let n = BLOCK.min(chunked - i);
-            let (nv, nc) = (&mut nv[..n], &mut nc[..n]);
-            gather_block(st, i, &virions.data, nv);
-            gather_block(st, i, &chem.data, nc);
-            update(&virions.data[i..i + n], nv, vc);
-            update(&chem.data[i..i + n], nc, cc);
-            for (k, (&v, &c)) in nv.iter().zip(nc.iter()).enumerate() {
-                emit(i + k, v, c);
-            }
-            i += n;
-        }
+    while i + BLOCK <= chunked {
+        diffuse_block::<BLOCK>(st, i, virions, chem, vc, cc, &mut emit);
+        i += BLOCK;
     }
-    for i in i..base + len {
+    // The 0–3 chunks after the whole blocks, as one block of their width.
+    match (chunked - i) / LANES {
+        0 => {}
+        1 => diffuse_block::<LANES>(st, i, virions, chem, vc, cc, &mut emit),
+        2 => diffuse_block::<{ 2 * LANES }>(st, i, virions, chem, vc, cc, &mut emit),
+        _ => diffuse_block::<{ 3 * LANES }>(st, i, virions, chem, vc, cc, &mut emit),
+    }
+    for i in chunked..base + len {
         let (vs, cs) = st.sum2(i, virions, chem);
         let nv = diffuse_voxel(virions.data[i], vs, n_valid, vc.d, vc.decay, vc.min);
         let nc = diffuse_voxel(chem.data[i], cs, n_valid, cc.d, cc.decay, cc.min);

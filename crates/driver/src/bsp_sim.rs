@@ -417,14 +417,20 @@ impl<U: Unit> BspSim<U> {
     /// Prologue observation while the SDC defense is engaged: scrub the
     /// canonical state against last step's seal, and run the invariant audit
     /// when due. Pure detection only — what happens on a violation is the
-    /// core's decision.
+    /// core's decision. The `integrity:scrub` span (a top-level driver
+    /// phase, since the step's span opens after it) times the world
+    /// assembly and the scrub.
     fn scrub_verdict(&mut self) -> Option<ScrubVerdict> {
         let step = self.core.step;
+        let open = self.core.telemetry.open();
         let world = self.assemble_world();
         let core = &mut self.core;
         let mon = core.integrity.as_mut()?;
         let audit_due = mon.audit_due(step);
-        match mon.scrub(&world, &core.vascular) {
+        let scrubbed = mon.scrub(&world, &core.vascular);
+        let tel = &core.telemetry;
+        tel.close(0, "integrity:scrub", SpanKind::Superstep, 0, open, step, 0);
+        match scrubbed {
             Err(v) => Some(ScrubVerdict {
                 violation: v,
                 detector: IntegrityDetector::SealScrub,
@@ -477,11 +483,23 @@ impl<U: Unit> BspSim<U> {
             })?;
         }
         if self.core.integrity.is_some() {
+            let open = self.core.telemetry.open();
             let world = self.assemble_world();
             let core = &mut self.core;
             if let Some(mon) = core.integrity.as_mut() {
                 mon.reseal(&world, &core.vascular);
             }
+            let tel = &core.telemetry;
+            let step_span = tel.step_parent();
+            tel.close(
+                0,
+                "integrity:reseal",
+                SpanKind::Superstep,
+                step_span,
+                open,
+                t,
+                0,
+            );
         }
         for p in self.bsp.take_pending_state_corruptions() {
             let n = self.units.len();

@@ -169,3 +169,47 @@ fn gpu_span_stream_nests_four_levels() {
         "kernel spans never carry element counts"
     );
 }
+
+/// With the SDC defense engaged, every step records one `integrity:scrub`
+/// span before its step span opens and one `integrity:reseal` span inside
+/// it, each carrying its step; a run without the defense records neither.
+#[test]
+fn engaged_defense_traces_one_scrub_and_one_reseal_per_step() {
+    let traced = |audit_period: Option<u64>| {
+        let mut cfg = CpuSimConfig::new(params(12, 5), 4);
+        if let Some(period) = audit_period {
+            cfg = cfg.with_audit_period(period);
+        }
+        let mut sim = CpuSim::new(cfg).expect("valid config");
+        sim.enable_telemetry(Telemetry::enabled(5, 1 << 14));
+        sim.run().expect("healthy run");
+        sim.telemetry_handle().events()
+    };
+    let events = traced(Some(4));
+    let steps: HashMap<u64, u64> = events
+        .iter()
+        .filter(|e| e.kind == SpanKind::Step)
+        .map(|e| (e.id, e.a))
+        .collect();
+    let of = |label: &str| -> Vec<_> { events.iter().filter(|e| e.label == label).collect() };
+    let (scrubs, reseals) = (of("integrity:scrub"), of("integrity:reseal"));
+    assert_eq!(
+        scrubs.iter().map(|e| e.a).collect::<Vec<_>>(),
+        (0..12).collect::<Vec<_>>()
+    );
+    assert_eq!(reseals.len(), 12);
+    for r in &reseals {
+        assert_eq!(
+            steps.get(&r.parent),
+            Some(&r.a),
+            "a reseal nests in its step"
+        );
+    }
+    assert!(
+        scrubs.iter().all(|e| e.parent == 0),
+        "a scrub precedes its step span"
+    );
+    assert!(traced(None)
+        .iter()
+        .all(|e| !e.label.starts_with("integrity:")));
+}
